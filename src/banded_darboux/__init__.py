@@ -60,13 +60,10 @@ from .errors import (
 from .exact import (
     DenseMatrix,
     Polynomial,
-    Rational,
     Z,
     det_exact,
     format_rational,
     parse_rational,
-    poly_div_linear,
-    poly_eval,
     rational,
     solve_unit_lower_triangular,
 )
@@ -87,14 +84,12 @@ from .functionals import (
     OrthogonalityReport,
     OrthogonalityVector,
     Witness,
-    apply,
     build_nu,
     canonical_nu,
     delta_det,
     dual_sequence,
     is_p_orthogonal,
     lambda_of,
-    shift_multiply,
 )
 from .generate import (
     GeneratedInstance,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
@@ -28,6 +29,7 @@ from .exact import (
     Polynomial,
     ScalarLike,
     format_rational,
+    integer_image,
     parse_rational,
     rational,
 )
@@ -628,18 +630,39 @@ def characteristic_polys(hess: BandedHessenberg, nmax: int) -> tuple[Polynomial,
     """Monic characteristic sequence P_0 .. P_nmax of the truncation.
 
     Built by the band recurrence; P_n also equals det(z I_n - J_n), which
-    the tests assert independently.
+    the tests assert independently. Each P_m is carried as integer
+    numerators over its least common denominator d_m: row n scales its
+    band entries to integers over their lcm e, combines P_n .. P_{n-p} over
+    L = lcm(d_n .. d_{n-p}), and divides out one gcd. Only the last p + 1
+    integer rows are kept; Fractions are built once per coefficient.
     """
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(
             f"need rows 0..{nmax - 1} but only {hess.valid_rows} rows are trustworthy"
         )
-    zed = Polynomial((0, 1))
+    p = hess.p
     polys = [Polynomial.one()]
+    nums: list[list[int]] = [[1]]
+    dens = [1]
     for n in range(nmax):
-        acc = (zed - hess.a(n, n)) * polys[n]
-        for s in range(1, hess.p + 1):
-            if n - s >= 0:
-                acc = acc - hess.a(n, n - s) * polys[n - s]
-        polys.append(acc)
+        band, e = integer_image(hess.a(n, n - s) for s in range(min(n, p) + 1))
+        common = lcm(*dens[-len(band):])
+        # z * e * P_n, then minus a(n, n-s) * e * P_{n-s} for s = 0..p,
+        # all over the denominator e * common.
+        scale = common // dens[-1]
+        acc = [0] + [c * e * scale for c in nums[-1]]
+        for s, v in enumerate(band):
+            coef = v * (common // dens[-1 - s])
+            if coef:
+                q = nums[-1 - s]
+                acc[: len(q)] = [x - coef * c for x, c in zip(acc, q)]
+        den = e * common
+        g = gcd(den, *acc)
+        acc = [c // g for c in acc]
+        den //= g
+        polys.append(Polynomial([Fraction(c, den) if c else _ZERO for c in acc]))
+        nums.append(acc)
+        dens.append(den)
+        if len(nums) > p + 1:
+            del nums[0], dens[0]
     return tuple(polys)

@@ -124,16 +124,15 @@ def _load_config(args) -> InstanceConfig:
     if not args.config:
         raise ConfigError("--config FILE is required")
     data = json.loads(Path(args.config).read_text())
-    if args.p is not None:
-        data["p"] = args.p
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.shift is not None:
-        data["C"] = args.shift
-    if args.window is not None:
-        data["window"] = args.window
-    if args.j is not None:
-        data["transform_index"] = args.j
+    overrides = {
+        "p": args.p,
+        "seed": args.seed,
+        "C": args.shift,
+        "window": args.window,
+        "transform_index": args.j,
+    }
+    if isinstance(data, dict):
+        data.update((key, value) for key, value in overrides.items() if value is not None)
     return InstanceConfig.from_json_dict(data)
 
 

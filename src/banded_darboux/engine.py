@@ -341,7 +341,7 @@ def run_theorem(
             f"vector carries moments to degree {nu.max_degree}, budget needs {budget}"
         )
 
-    source_polys = characteristic_polys(inst.J, budget)
+    source_polys = characteristic_polys(inst.J, p)
     ladder = lambda_of(nu, source_polys)
     fingerprint = _fingerprint(inst, nu, window)
 

@@ -16,8 +16,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NonzeroRemainder, NotSquare, ShapeMismatch
 
-Rational = Fraction
-
 ScalarLike = Union[Fraction, int, str]
 
 
@@ -28,6 +26,13 @@ def rational(value: ScalarLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def integer_image(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator d: values[i] = nums[i] / d."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def parse_rational(text: str) -> Fraction:
@@ -224,14 +229,6 @@ def _as_poly(value):
     return NotImplemented
 
 
-def poly_eval(p: Polynomial, z: ScalarLike) -> Fraction:
-    return p(z)
-
-
-def poly_div_linear(p: Polynomial, c: ScalarLike) -> Polynomial:
-    return p.deflate(c)
-
-
 class DenseMatrix:
     """Small immutable dense matrix of Fractions (row-major)."""
 
@@ -348,9 +345,9 @@ def det_exact(m: DenseMatrix) -> Fraction:
     scale = 1
     work: list[list[int]] = []
     for row in m.as_rows():
-        mult = math.lcm(*(v.denominator for v in row))
+        ints, mult = integer_image(row)
         scale *= mult
-        work.append([int(v * mult) for v in row])
+        work.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -21,8 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from .banded import BandedHessenberg
 from .errors import (
     DegreeExceedsMoments,
     IndexOutOfRange,
@@ -37,6 +41,7 @@ from .exact import (
     ScalarLike,
     det_exact,
     format_rational,
+    integer_image,
     parse_rational,
     rational,
 )
@@ -249,14 +254,6 @@ class LambdaLadder:
         return cls([[parse_rational(v) for v in row] for row in data["lambda"]])
 
 
-def apply(f: LinearFunctional, q: Polynomial) -> Fraction:
-    return f.apply(q)
-
-
-def shift_multiply(f: LinearFunctional, c: ScalarLike) -> LinearFunctional:
-    return f.shift_multiply(c)
-
-
 def _validate_monic_run(polys: Sequence[Polynomial]) -> None:
     for n, poly in enumerate(polys):
         if poly.degree != n or not poly.is_monic:
@@ -265,34 +262,46 @@ def _validate_monic_run(polys: Sequence[Polynomial]) -> None:
             )
 
 
-def dual_sequence(polys: Sequence[Polynomial]) -> tuple[LinearFunctional, ...]:
-    """Functionals dual_j with dual_j[P_i] = delta_{ij}, i, j = 0..M.
+def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[LinearFunctional, ...]:
+    """Functionals dual_j with dual_j[P_i] = delta_{ij}, i, j = 0..nmax, for
+    the characteristic sequence {P_n} of hess; each carries moments 0..nmax.
 
-    The coefficient matrix A (row i = coefficients of P_i) is unit lower
-    triangular, so the moment vectors are the columns of its inverse,
-    obtained by forward substitution; the dual sequence is unique.
+    The semi-infinite sequence satisfies z P = J P, so z^k = e_0^T J^k P and
+    the moments are dual_j[z^k] = (e_0^T J^k)_j. They come from the banded
+    sweep v_{k+1} = v_k J from v_0 = e_0, run on integer numerators over one
+    running denominator: the rows 0..nmax-1 of J scale to integers over
+    the lcm of their denominators, each step multiplies the running
+    denominator by that lcm, and one gcd per step reduces the row. v_k vanishes beyond index k, so dual_j[z^k] = 0
+    for k < j. Rows 0..nmax-1 must be trustworthy, as for the sequence.
     """
-    _validate_monic_run(polys)
-    m = len(polys) - 1
-    rows = [
-        [polys[i].coefficient(k) for k in range(m + 1)] for i in range(m + 1)
-    ]
-    # inv columns: solve A x = e_j; x vanishes below index j.
-    columns: list[list[Fraction]] = []
-    for j in range(m + 1):
-        x = [_ZERO] * (m + 1)
-        x[j] = Fraction(1)
-        for i in range(j + 1, m + 1):
-            acc = _ZERO
-            row = rows[i]
-            for k in range(j, i):
-                if x[k]:
-                    acc += row[k] * x[k]
-            x[i] = -acc
-        columns.append(x)
-    return tuple(
-        LinearFunctional(columns[j]) for j in range(m + 1)
+    if not 0 <= nmax <= hess.valid_rows:
+        raise IndexOutOfRange(
+            f"need rows 0..{nmax - 1} but only {hess.valid_rows} rows are trustworthy"
+        )
+    p = hess.p
+    # bands[s][i] = a(i, i - s) * scale, zero where i < s.
+    ints, scale = integer_image(
+        hess.a(i, i - s) if i >= s else _ZERO for s in range(p + 1) for i in range(nmax)
     )
+    bands = [ints[s * nmax:(s + 1) * nmax] for s in range(p + 1)]
+    columns = [[_ZERO] * (nmax + 1) for _ in range(nmax + 1)]
+    columns[0][0] = Fraction(1)
+    v = [1]
+    den = 1
+    for k in range(nmax):
+        # (v J)_m = v_{m-1} (superdiagonal) + sum_s v_{m+s} a(m+s, m).
+        w = [0] + [scale * x for x in v]
+        for s in range(min(p, k) + 1):
+            band = bands[s]
+            w[: k + 1 - s] = [x + y * b for x, y, b in zip(w, v[s:], band[s:k + 1])]
+        den *= scale
+        g = gcd(den, *w)
+        v = [x // g for x in w]
+        den //= g
+        for j, x in enumerate(v):
+            if x:
+                columns[j][k + 1] = Fraction(x, den)
+    return tuple(LinearFunctional(column) for column in columns)
 
 
 def canonical_nu(duals: Sequence[LinearFunctional], p: int) -> OrthogonalityVector:
@@ -431,31 +440,41 @@ def is_p_orthogonal(
     Zero conditions: nu_r[z^k P_n] = 0 for all r = 1..p, k >= 0 and
     n <= window with k*p + r <= n. Nonzero conditions: nu_r[z^k P_{kp+r-1}]
     != 0 for all k with kp + r - 1 <= window. The moment budget must cover
-    every application (the caller sizes it; apply raises otherwise).
+    every application (the caller sizes it; DegreeExceedsMoments otherwise).
     """
     if nu.p != p:
         raise ShapeMismatch(f"vector has {nu.p} entries, expected {p}")
     if len(polys) <= window:
         raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
+    # nu_r[z^k P_n] = sum_i c_{n,i} m_{r,i+k}, computed as an integer dot
+    # product over the denominators d_nu * d_P; Fractions only for witnesses.
+    coeffs = [integer_image(polys[n].coefficients) for n in range(window + 1)]
     failures: list[Witness] = []
     zero_checks = 0
     nonzero_checks = 0
     for r in range(1, p + 1):
         f = nu.entry(r)
+        moments, d_nu = integer_image(f.moments)
+
+        def value(n: int, k: int) -> int:
+            c = coeffs[n][0]
+            if c and len(c) - 1 + k > f.max_degree:
+                raise DegreeExceedsMoments(len(c) - 1 + k, f.max_degree)
+            return sum(map(mul, c, islice(moments, k, None)))
+
         for n in range(window + 1):
             k = 0
             while k * p + r <= n:
-                value = f.apply(polys[n].times_z_power(k))
+                num = value(n, k)
                 zero_checks += 1
-                if value != 0:
-                    failures.append(Witness("zero", r, k, n, value))
+                if num:
+                    failures.append(Witness("zero", r, k, n, Fraction(num, d_nu * coeffs[n][1])))
                 k += 1
         k = 0
         while k * p + r - 1 <= window:
             idx = k * p + r - 1
-            value = f.apply(polys[idx].times_z_power(k))
             nonzero_checks += 1
-            if value == 0:
-                failures.append(Witness("nonzero", r, k, idx, value))
+            if not value(idx, k):
+                failures.append(Witness("nonzero", r, k, idx, _ZERO))
             k += 1
     return OrthogonalityReport(p, window, zero_checks, nonzero_checks, tuple(failures))

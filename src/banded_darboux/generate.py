@@ -147,9 +147,14 @@ class InstanceConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "InstanceConfig":
+        if not isinstance(data, Mapping):
+            raise ConfigError("malformed config: the top level must be a JSON object")
+        matrix = data.get("matrix", {"source": "random"})
+        nu = data.get("nu", {"source": "random"})
+        for key, section in (("matrix", matrix), ("nu", nu)):
+            if not isinstance(section, Mapping):
+                raise ConfigError(f'malformed config: "{key}" must be a JSON object')
         try:
-            matrix = data.get("matrix", {"source": "random"})
-            nu = data.get("nu", {"source": "random"})
             cfg = cls(
                 p=int(data["p"]),
                 n=int(data["N"]),
@@ -233,7 +238,7 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
 
     budget = config.moment_budget
     source_polys = characteristic_polys(J, budget)
-    duals = dual_sequence(source_polys)
+    duals = dual_sequence(J, budget)
 
     ladder_rows = None
     ladder_retries = 0

@@ -2,7 +2,10 @@
 
 The oracles here deliberately avoid the library code paths they check:
 determinants by cofactor expansion, products by dense triple loops,
-polynomial division by long division on coefficient lists.
+polynomial division by long division on coefficient lists. The slow
+`Fraction` routes that the integer kernels replaced live here too: the
+recurrence in `Polynomial` arithmetic, the dual sequence by inverting the
+coefficient triangle, and the scan by applying each functional to z^k P_n.
 """
 
 from fractions import Fraction
@@ -11,9 +14,16 @@ import random
 from banded_darboux import (
     BandedHessenberg,
     FreeEntrySpec,
+    IndexOutOfRange,
+    LinearFunctional,
+    NotMonicOrDegreeGap,
+    OrthogonalityReport,
+    Polynomial,
+    ShapeMismatch,
     ShiftedInstance,
     SingularLeadingMinor,
     UnitLowerBanded,
+    Witness,
     ZeroPeelPivot,
     chain_from_instance,
     hessenberg_from_recurrence,
@@ -126,3 +136,65 @@ def make_chain(rng, p, n, shift=Fraction(0)):
             return inst, chain_from_instance(inst, free)
         except ZeroPeelPivot:
             continue
+
+
+def characteristic_polys_by_polynomials(hess, nmax):
+    """The band recurrence in `Polynomial` arithmetic."""
+    if nmax > hess.valid_rows:
+        raise IndexOutOfRange(f"need rows 0..{nmax - 1}, have {hess.valid_rows}")
+    zed = Polynomial((0, 1))
+    polys = [Polynomial.one()]
+    for n in range(nmax):
+        acc = (zed - hess.a(n, n)) * polys[n]
+        for s in range(1, hess.p + 1):
+            if n - s >= 0:
+                acc = acc - hess.a(n, n - s) * polys[n - s]
+        polys.append(acc)
+    return tuple(polys)
+
+
+def dual_sequence_by_inversion(polys):
+    """Duals of a monic run as the columns of the inverse of its unit lower
+    triangular coefficient matrix, by forward substitution."""
+    for n, poly in enumerate(polys):
+        if poly.degree != n or not poly.is_monic:
+            raise NotMonicOrDegreeGap(f"position {n} holds degree {poly.degree}")
+    m = len(polys) - 1
+    rows = [[polys[i].coefficient(k) for k in range(m + 1)] for i in range(m + 1)]
+    columns = []
+    for j in range(m + 1):
+        x = [Fraction(0)] * (m + 1)
+        x[j] = Fraction(1)
+        for i in range(j + 1, m + 1):
+            x[i] = -sum((rows[i][k] * x[k] for k in range(j, i)), Fraction(0))
+        columns.append(x)
+    return tuple(LinearFunctional(column) for column in columns)
+
+
+def scan_by_apply(nu, polys, p, window):
+    """The staircase scan by applying each functional to z^k P_n."""
+    if nu.p != p:
+        raise ShapeMismatch(f"vector has {nu.p} entries, expected {p}")
+    if len(polys) <= window:
+        raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
+    failures = []
+    zero_checks = nonzero_checks = 0
+    for r in range(1, p + 1):
+        f = nu.entry(r)
+        for n in range(window + 1):
+            k = 0
+            while k * p + r <= n:
+                value = f.apply(polys[n].times_z_power(k))
+                zero_checks += 1
+                if value != 0:
+                    failures.append(Witness("zero", r, k, n, value))
+                k += 1
+        k = 0
+        while k * p + r - 1 <= window:
+            idx = k * p + r - 1
+            value = f.apply(polys[idx].times_z_power(k))
+            nonzero_checks += 1
+            if value == 0:
+                failures.append(Witness("nonzero", r, k, idx, value))
+            k += 1
+    return OrthogonalityReport(p, window, zero_checks, nonzero_checks, tuple(failures))

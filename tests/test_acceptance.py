@@ -184,7 +184,7 @@ def test_05_dual_chain_relations_50_chains():
         inst, chain = make_chain(rng, p, n, shift=draw_rational(rng))
         shift = inst.shift
         duals = [
-            dual_sequence(transformed_polys(chain, j, depth)) for j in range(p + 1)
+            dual_sequence(darboux_transform(chain, j), depth) for j in range(p + 1)
         ]
         values = inst.values_at_shift
         for j in range(p):

@@ -196,6 +196,25 @@ def test_bad_ladder_and_matrix_are_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        [{"p": 2, "N": 14, "window": 8}],
+        {"p": 2, "N": 14, "window": 8, "nu": "random"},
+        {"p": 2, "N": 14, "window": 8, "matrix": ["explicit"]},
+    ],
+    ids=["top-level", "nu", "matrix"],
+)
+def test_non_object_config_sections_are_config_errors(tmp_path, capsys, document):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError):
+        InstanceConfig.from_json_dict(document)
+    assert run_cli(tmp_path, "gen", path) == EXIT_CONFIG
+    assert run_cli(tmp_path, "verify", path, "--p", "2") == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_report_dir_env_var_is_honored(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path)
     monkeypatch.setenv("BANDED_DARBOUX_REPORTS", str(tmp_path / "via_env"))

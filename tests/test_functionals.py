@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banded_darboux import (
+    BandedHessenberg,
     DegreeExceedsMoments,
     DenseMatrix,
     IndexOutOfRange,
@@ -27,13 +28,15 @@ from banded_darboux import (
     is_p_orthogonal,
     lambda_of,
 )
-from helpers import catalan_hessenberg, cofactor_det, draw_rational, random_hessenberg_local
+from helpers import (
+    catalan_hessenberg,
+    cofactor_det,
+    draw_rational,
+    dual_sequence_by_inversion,
+    random_hessenberg_local,
+)
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
-
-
-def monomials(m):
-    return tuple(Polynomial([0] * n + [1]) for n in range(m + 1))
 
 
 def seeded_regular_ladder(rng, p):
@@ -65,8 +68,9 @@ def test_apply_degree_guard():
 
 
 def test_apply_dual_against_catalan_sequence():
-    polys = characteristic_polys(catalan_hessenberg(5), 5)
-    duals = dual_sequence(polys)
+    J = catalan_hessenberg(5)
+    polys = characteristic_polys(J, 5)
+    duals = dual_sequence(J, 5)
     assert duals[1].apply(polys[1]) == 1
 
 
@@ -104,7 +108,8 @@ def test_shift_multiply_is_adjoint_to_linear_factor(moments, q, c):
 
 
 def test_dual_of_monomials_is_coefficient_extraction():
-    duals = dual_sequence(monomials(4))
+    # The all-zero band gives the monomials P_n = z^n.
+    duals = dual_sequence(BandedHessenberg(1, 4, {}), 4)
     for n, f in enumerate(duals):
         expected = tuple(1 if k == n else 0 for k in range(5))
         assert f.moments == expected
@@ -113,8 +118,7 @@ def test_dual_of_monomials_is_coefficient_extraction():
 def test_dual_catalan_moments():
     # Forcing dual_0[P_n] = delta_{0,n} row by row yields the Catalan
     # numbers: m(1) = 2, m(2) = 5, m(3) = 14, m(4) = 42.
-    polys = characteristic_polys(catalan_hessenberg(8), 8)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(catalan_hessenberg(8), 8)
     assert duals[0].moments[:5] == (1, 2, 5, 14, 42)
 
 
@@ -123,31 +127,43 @@ def test_dual_sequence_is_dual_exhaustively():
     for p in (1, 2, 3):
         J = random_hessenberg_local(rng, p, 7)
         polys = characteristic_polys(J, 7)
-        duals = dual_sequence(polys)
+        duals = dual_sequence(J, 7)
         for j, f in enumerate(duals):
             for i, poly in enumerate(polys):
                 assert f.apply(poly) == (1 if i == j else 0)
 
 
 def test_dual_sequence_diagonal_is_one():
-    polys = characteristic_polys(catalan_hessenberg(6), 6)
-    for j, f in enumerate(dual_sequence(polys)):
+    J = catalan_hessenberg(6)
+    polys = characteristic_polys(J, 6)
+    for j, f in enumerate(dual_sequence(J, 6)):
         assert f.apply(polys[j]) == 1
 
 
 def test_dual_sequence_rejects_bad_input():
     with pytest.raises(NotMonicOrDegreeGap):
-        dual_sequence((Polynomial.one(), 2 * Z))
+        dual_sequence_by_inversion((Polynomial.one(), 2 * Z))
     with pytest.raises(NotMonicOrDegreeGap):
-        dual_sequence((Polynomial.one(), Z * Z))
+        dual_sequence_by_inversion((Polynomial.one(), Z * Z))
+
+
+def test_dual_sequence_needs_trustworthy_rows():
+    J = catalan_hessenberg(6)
+    assert len(dual_sequence(J, 6)) == 7
+    with pytest.raises(IndexOutOfRange):
+        dual_sequence(J, 7)
+    windowed = BandedHessenberg(1, 6, {0: [2] * 6, -1: [0] + [1] * 5}, valid_rows=4)
+    with pytest.raises(IndexOutOfRange):
+        dual_sequence(windowed, 5)
 
 
 # -------------------------------------------------------- ladder round trip
 
 
 def test_lambda_of_canonical_duals_is_identity_staircase():
-    polys = characteristic_polys(catalan_hessenberg(6), 6)
-    duals = dual_sequence(polys)
+    J = catalan_hessenberg(6)
+    polys = characteristic_polys(J, 6)
+    duals = dual_sequence(J, 6)
     for p in (1, 2, 3):
         nu = canonical_nu(duals, p)
         ladder = lambda_of(nu, polys)
@@ -157,8 +173,9 @@ def test_lambda_of_canonical_duals_is_identity_staircase():
 
 
 def test_lambda_of_scaling():
-    polys = characteristic_polys(catalan_hessenberg(6), 6)
-    duals = dual_sequence(polys)
+    J = catalan_hessenberg(6)
+    polys = characteristic_polys(J, 6)
+    duals = dual_sequence(J, 6)
     nu = OrthogonalityVector([duals[0].scaled(3)])
     assert lambda_of(nu, polys).value(1, 0) == 3
 
@@ -168,7 +185,7 @@ def test_ladder_round_trip_exact():
     for p in (1, 2, 3, 4):
         J = random_hessenberg_local(rng, p, 9)
         polys = characteristic_polys(J, 9)
-        duals = dual_sequence(polys)
+        duals = dual_sequence(J, 9)
         ladder = seeded_regular_ladder(rng, p)
         nu = build_nu(ladder, duals)
         recovered = lambda_of(nu, polys)
@@ -176,15 +193,13 @@ def test_ladder_round_trip_exact():
 
 
 def test_build_nu_identity_staircase_gives_canonical():
-    polys = characteristic_polys(catalan_hessenberg(6), 6)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(catalan_hessenberg(6), 6)
     ladder = LambdaLadder([[1], [0, 1]])
     assert build_nu(ladder, duals) == canonical_nu(duals, 2)
 
 
 def test_build_nu_single_scaled_entry():
-    polys = characteristic_polys(catalan_hessenberg(5), 5)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(catalan_hessenberg(5), 5)
     nu = build_nu(LambdaLadder([[Fraction(7, 2)]]), duals)
     assert nu.entries[0] == duals[0].scaled(Fraction(7, 2))
 
@@ -197,7 +212,7 @@ def test_build_nu_output_is_orthogonal_for_the_source_sequence():
     budget = window + (window // p) + 2
     J = random_hessenberg_local(rng, p, budget + 1)
     polys = characteristic_polys(J, budget)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(J, budget)
     for _ in range(3):
         ladder = seeded_regular_ladder(rng, p)
         nu = build_nu(ladder, duals)
@@ -205,15 +220,15 @@ def test_build_nu_output_is_orthogonal_for_the_source_sequence():
 
 
 def test_build_nu_rejects_irregular_ladder():
-    polys = characteristic_polys(catalan_hessenberg(5), 5)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(catalan_hessenberg(5), 5)
     with pytest.raises(LadderViolation):
         build_nu(LambdaLadder([[1], [1, 0]]), duals)
 
 
 def test_lambda_of_rejects_wrong_staircase():
-    polys = characteristic_polys(catalan_hessenberg(6), 6)
-    duals = dual_sequence(polys)
+    J = catalan_hessenberg(6)
+    polys = characteristic_polys(J, 6)
+    duals = dual_sequence(J, 6)
     nu = OrthogonalityVector([duals[1], duals[0]])
     with pytest.raises(LadderViolation):
         lambda_of(nu, polys)
@@ -272,7 +287,7 @@ def test_scan_canonical_duals_pass():
         budget = window + (window // p) + 2
         J = random_hessenberg_local(rng, p, budget + 1)
         polys = characteristic_polys(J, budget)
-        duals = dual_sequence(polys)
+        duals = dual_sequence(J, budget)
         nu = canonical_nu(duals, p)
         report = is_p_orthogonal(nu, polys, p, window)
         assert report.passed
@@ -284,7 +299,7 @@ def test_scan_scaling_invariance():
     p, window = 2, 6
     J = random_hessenberg_local(rng, p, 12)
     polys = characteristic_polys(J, 12)
-    duals = dual_sequence(polys)
+    duals = dual_sequence(J, 12)
     nu = canonical_nu(duals, p)
     scaled = OrthogonalityVector([f.scaled(c) for f, c in zip(nu.entries, (3, Fraction(-2, 7)))])
     assert is_p_orthogonal(nu, polys, p, window).passed
@@ -292,8 +307,9 @@ def test_scan_scaling_invariance():
 
 
 def test_scan_wrong_vector_fails_with_first_witness():
-    polys = characteristic_polys(catalan_hessenberg(8), 8)
-    duals = dual_sequence(polys)
+    J = catalan_hessenberg(8)
+    polys = characteristic_polys(J, 8)
+    duals = dual_sequence(J, 8)
     nu = OrthogonalityVector([duals[1]])
     report = is_p_orthogonal(nu, polys, 1, 4)
     assert not report.passed
@@ -304,7 +320,7 @@ def test_scan_wrong_vector_fails_with_first_witness():
 
 def test_scan_needs_enough_moments():
     polys = characteristic_polys(catalan_hessenberg(8), 8)
-    duals = dual_sequence(characteristic_polys(catalan_hessenberg(3), 3))
+    duals = dual_sequence(catalan_hessenberg(3), 3)
     nu = canonical_nu(duals, 1)
     with pytest.raises(DegreeExceedsMoments):
         is_p_orthogonal(nu, polys, 1, 4)
