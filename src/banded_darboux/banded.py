@@ -163,6 +163,9 @@ def multiply_window(a, b) -> BandMatrix:
     rows are themselves trustworthy:
 
         valid_rows(AB) = min(valid_rows(A), valid_rows(B) - upper(A))
+
+    The upper width is never clipped to the truncation: a band that falls
+    outside it still counts toward the window of the next product.
     """
     a = a.band_matrix()
     b = b.band_matrix()
@@ -170,7 +173,7 @@ def multiply_window(a, b) -> BandMatrix:
         raise SizeMismatch(f"{a.n} vs {b.n}")
     n = a.n
     lower = min(a.lower + b.lower, n - 1) if n else 0
-    upper = min(a.upper + b.upper, n - 1) if n else 0
+    upper = a.upper + b.upper
     bands: dict[int, list[Fraction]] = {d: [_ZERO] * n for d in range(-lower, upper + 1)}
     for d in range(-lower, upper + 1):
         row_band = bands[d]
@@ -565,6 +568,20 @@ class BidiagonalChain:
     def is_regular(self) -> bool:
         return all(f.is_regular for f in self.factors) and all(
             v != 0 for v in self.upper.diag
+        )
+
+    def leading(self, m: int) -> "BidiagonalChain":
+        """The chain of the leading m x m block, 1 <= m <= n, same shift.
+
+        Keeps each factor's first m-1 subdiagonal entries and U's first m
+        diagonal entries. A windowed product of these factors agrees with
+        the product of the full chain on its own `valid_rows`.
+        """
+        if not 1 <= m <= self.n:
+            raise IndexOutOfRange(f"leading block {m} outside 1..{self.n}")
+        factors = [LowerBidiagonalUnit(f.index, m, f.sub[: m - 1]) for f in self.factors]
+        return BidiagonalChain(
+            self.p, m, self.shift, factors, UpperBidiagonal(m, self.upper.diag[:m])
         )
 
     def lower_product(self) -> UnitLowerBanded:

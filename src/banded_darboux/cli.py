@@ -16,7 +16,10 @@ Exit codes (total over library errors):
     0  success / certificate passed
     1  configuration or input problem (ConfigError, GenerationExhausted,
        BadFreeSpec, NotMonicOrDegreeGap, InsufficientMoments,
-       DegreeExceedsMoments, bad JSON, missing files)
+       DegreeExceedsMoments, bad JSON, missing files). This includes
+       numbers beyond Python's 4300-digit int/str conversion limit: a
+       config integer literal that long, or a result value that long in
+       a report (N or bound too large for exact JSON output).
     2  orthogonality hypothesis failure (HypothesisViolated,
        LadderViolation), including non-passing verify verdicts
     3  singular pivot (SingularLeadingMinor, ZeroPeelPivot)
@@ -123,7 +126,17 @@ def _write_report(args, config: InstanceConfig, command: str, payload: dict, tim
 def _load_config(args) -> InstanceConfig:
     if not args.config:
         raise ConfigError("--config FILE is required")
-    data = json.loads(Path(args.config).read_text())
+    text = Path(args.config).read_text()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # An integer literal longer than the str-to-int limit.
+        raise ConfigError(
+            f"config holds an integer beyond Python's {sys.get_int_max_str_digits()}-digit "
+            "str-to-int limit; N or bound is too large for exact JSON output"
+        ) from exc
     overrides = {
         "p": args.p,
         "seed": args.seed,
@@ -192,9 +205,9 @@ def cmd_factorize(args) -> int:
     timings = {"total_s": time.perf_counter() - t0}
     path = _write_report(args, config, "factorize", payload, timings)
     print(f"J - C*I = L(1)..L({config.p}) * U with C = {payload['C']}")
-    print("U diagonal: " + ", ".join(format_rational(v) for v in U.diag))
-    for f in factors:
-        print(f"L({f.index}) subdiagonal: " + ", ".join(format_rational(v) for v in f.sub))
+    print("U diagonal: " + ", ".join(payload["chain"]["U"]["diag"]))
+    for f in payload["chain"]["factors"]:
+        print(f"L({f['j']}) subdiagonal: " + ", ".join(f["sub"]))
     print(f"report: {path}")
     return EXIT_OK
 

@@ -11,10 +11,11 @@ in lowest terms with a positive denominator, plain "num" for integers.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import NonzeroRemainder, NotSquare, ShapeMismatch
+from .errors import ConfigError, NonzeroRemainder, NotSquare, ShapeMismatch
 
 ScalarLike = Union[Fraction, int, str]
 
@@ -41,8 +42,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "num/den" wire form, lowest terms, "num" for integers."""
-    return str(value)
+    """Canonical "num/den" wire form, lowest terms, "num" for integers.
+
+    Raises ConfigError when the numerator or denominator has more digits
+    than Python's int-to-str limit (`sys.get_int_max_str_digits()`).
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ConfigError(
+            f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit "
+            "int-to-str limit; N or bound is too large for exact JSON output"
+        ) from exc
 
 
 class Polynomial:
@@ -290,28 +301,6 @@ class DenseMatrix:
                 )
             )
         return DenseMatrix(out)
-
-    def __add__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix addition shape mismatch")
-        return DenseMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix subtraction shape mismatch")
-        return DenseMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
-
-    def scaled(self, c: ScalarLike) -> "DenseMatrix":
-        c = rational(c)
-        return DenseMatrix(tuple(tuple(c * v for v in row) for row in self._rows))
 
     def det(self) -> Fraction:
         return det_exact(self)

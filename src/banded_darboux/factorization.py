@@ -304,5 +304,11 @@ def g_matrix(chain: BidiagonalChain, j: int) -> BandMatrix:
 def transformed_polys(
     chain: BidiagonalChain, j: int, nmax: int
 ) -> tuple[Polynomial, ...]:
-    """Monic sequence generated by J(j), degrees 0 .. nmax."""
-    return characteristic_polys(darboux_transform(chain, j), nmax)
+    """Monic sequence generated by J(j), degrees 0 .. nmax.
+
+    Degrees up to nmax read rows 0 .. nmax-1 only, so J(j) is formed from
+    the chain's leading (nmax+1) x (nmax+1) block; its safe window (nmax
+    rows for j >= 1) covers exactly those rows.
+    """
+    m = min(chain.n, max(nmax, 0) + 1)
+    return characteristic_polys(darboux_transform(chain.leading(m), j), nmax)

@@ -6,6 +6,8 @@ polynomial division by long division on coefficient lists. The slow
 `Fraction` routes that the integer kernels replaced live here too: the
 recurrence in `Polynomial` arithmetic, the dual sequence by inverting the
 coefficient triangle, and the scan by applying each functional to z^k P_n.
+So does the rotation over the whole chain that `transformed_polys` narrowed
+to a leading block.
 """
 
 from fractions import Fraction
@@ -26,6 +28,8 @@ from banded_darboux import (
     Witness,
     ZeroPeelPivot,
     chain_from_instance,
+    characteristic_polys,
+    darboux_transform,
     hessenberg_from_recurrence,
 )
 
@@ -198,3 +202,8 @@ def scan_by_apply(nu, polys, p, window):
                 failures.append(Witness("nonzero", r, k, idx, value))
             k += 1
     return OrthogonalityReport(p, window, zero_checks, nonzero_checks, tuple(failures))
+
+
+def transformed_polys_full(chain, j, nmax):
+    """The sequence of J(j) with J(j) formed over all N rows of the chain."""
+    return characteristic_polys(darboux_transform(chain, j), nmax)

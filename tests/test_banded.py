@@ -124,6 +124,19 @@ def test_window_bound_is_honest_against_larger_truncation():
     assert any(small.entry(last, j) != reference.entry(last, j) for j in range(n))
 
 
+def test_window_counts_upper_band_beyond_truncation():
+    # At n = 1 the superdiagonal of L U falls outside the matrix, but it
+    # still reaches row 1 of the next factor: row 0 of (L U) L is not
+    # trustworthy, as the 2 x 2 truncation shows.
+    L1, U1 = LowerBidiagonalUnit(1, 1, []), UpperBidiagonal(1, [2])
+    L2, U2 = LowerBidiagonalUnit(1, 2, [3]), UpperBidiagonal(2, [2, 5])
+    small = multiply_window(multiply_window(L1, U1), L1)
+    big = multiply_window(multiply_window(L2, U2), L2)
+    assert small.valid_rows == 0
+    assert small.entry(0, 0) != big.entry(0, 0)
+    assert big.valid_rows == 1
+
+
 def test_multiply_rejects_size_mismatch():
     with pytest.raises(SizeMismatch):
         multiply_window(BandMatrix.identity(3), BandMatrix.identity(4))

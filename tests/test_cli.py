@@ -215,6 +215,21 @@ def test_non_object_config_sections_are_config_errors(tmp_path, capsys, document
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "factorize", "transform", "polys", "verify"])
+def test_values_beyond_int_str_limit_are_config_errors(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 1, "N": 4, "window": 1, "seed": 1, "bound": 10**2000}))
+    assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+    assert "4300-digit" in capsys.readouterr().err
+
+
+def test_config_literal_beyond_str_int_limit_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"p": 1, "N": 4, "window": 1, "seed": 1, "bound": ' + "9" * 5000 + "}")
+    assert run_cli(tmp_path, "gen", path) == EXIT_CONFIG
+    assert "4300-digit" in capsys.readouterr().err
+
+
 def test_report_dir_env_var_is_honored(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path)
     monkeypatch.setenv("BANDED_DARBOUX_REPORTS", str(tmp_path / "via_env"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banded_darboux import (
+    ConfigError,
     DenseMatrix,
     NonzeroRemainder,
     NotSquare,
@@ -29,6 +30,11 @@ def test_scalar_wire_format_round_trip():
     for text in ["-3/2", "4", "0", "7/3"]:
         assert format_rational(parse_rational(text)) == text
     assert format_rational(Fraction(6, -4)) == "-3/2"
+
+
+def test_format_rational_beyond_int_str_limit_is_config_error():
+    with pytest.raises(ConfigError, match="4300-digit"):
+        format_rational(Fraction(10**5000))
 
 
 def test_poly_eval_constant():

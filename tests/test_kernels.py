@@ -1,9 +1,10 @@
 """Differential tests: each integer kernel against its Fraction oracle.
 
 The oracles in helpers.py are the routes the kernels replaced. Inputs are
-bounded (p = 1..4, N <= 16) and draw every band entry, the diagonal and
-the lowest band included, from num/den with |num| <= bound and
-1 <= den <= bound, so zeros and large denominators both occur.
+bounded (p = 1..4, N <= 16, N <= 24 for chains) and draw every band entry,
+the diagonal and the lowest band included, from num/den with
+|num| <= bound and 1 <= den <= bound, so zeros and large denominators both
+occur.
 """
 
 from fractions import Fraction
@@ -13,16 +14,26 @@ from hypothesis import strategies as st
 
 from banded_darboux import (
     BandedHessenberg,
+    BidiagonalChain,
     DegreeExceedsMoments,
     LambdaLadder,
     LinearFunctional,
+    LowerBidiagonalUnit,
     OrthogonalityVector,
+    UpperBidiagonal,
     build_nu,
     characteristic_polys,
+    darboux_transform,
     dual_sequence,
     is_p_orthogonal,
+    transformed_polys,
 )
-from helpers import characteristic_polys_by_polynomials, dual_sequence_by_inversion, scan_by_apply
+from helpers import (
+    characteristic_polys_by_polynomials,
+    dual_sequence_by_inversion,
+    scan_by_apply,
+    transformed_polys_full,
+)
 
 BOUNDS = (1, 9, 1000)
 
@@ -45,6 +56,21 @@ def hessenbergs(draw):
         for d in range(p + 1)
     }
     return BandedHessenberg(p, n, bands), bound
+
+
+@st.composite
+def chains(draw):
+    """Any chain: the rotations need no LU behind it, so every coefficient,
+    the shift included, is drawn freely."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 24))
+    bound = draw(st.sampled_from(BOUNDS))
+
+    def entries(size):
+        return draw(st.lists(rationals(bound), min_size=size, max_size=size))
+
+    factors = [LowerBidiagonalUnit(j, n, entries(n - 1)) for j in range(1, p + 1)]
+    return BidiagonalChain(p, n, draw(rationals(bound)), factors, UpperBidiagonal(n, entries(n)))
 
 
 def scan_outcome(scan, nu, polys, p, window):
@@ -115,3 +141,22 @@ def test_scan_matches_apply(case, data):
     assert scan_outcome(is_p_orthogonal, nu, polys, p, window) == scan_outcome(
         scan_by_apply, nu, polys, p, window
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=chains())
+def test_rotation_on_leading_block_matches_full_chain(chain):
+    n = chain.n
+    assert chain.leading(n).to_json_dict() == chain.to_json_dict()
+    for j in range(chain.p + 1):
+        full = darboux_transform(chain, j)
+        for nmax in range(full.valid_rows + 1):
+            fast = transformed_polys(chain, j, nmax)
+            slow = transformed_polys_full(chain, j, nmax)
+            assert [a.coefficients for a in fast] == [b.coefficients for b in slow]
+        for m in range(1, n + 1):
+            lead = darboux_transform(chain.leading(m), j)
+            assert lead.valid_rows == (m if j == 0 else m - 1)
+            for i in range(lead.valid_rows):
+                for c in range(m):
+                    assert lead.entry(i, c) == full.entry(i, c)
