@@ -8,8 +8,8 @@ about "the" matrix are only ever made on rows < valid_rows; entries in later
 rows are stored but unspecified.
 
 Index conventions (0-based throughout):
-  * BandedHessenberg J: entries a(i, m) for max(0, i - p) <= m <= i plus an
-    implicit, never-stored unit superdiagonal.
+  * BandedHessenberg J: entries a(i, m) for max(0, i - p) <= m <= i plus a
+    stored unit superdiagonal.
   * The factor chain's global index for its coefficients: block q >= 0 covers
     indices q*(p+1)+1 .. q*(p+1)+p+1; index q*(p+1)+1 is the diagonal of the
     upper bidiagonal at row q, and q*(p+1)+1+j is factor j's subdiagonal
@@ -35,6 +35,7 @@ from .exact import (
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coerce_band(values: Iterable[ScalarLike], n: int, offset: int) -> tuple[Fraction, ...]:
@@ -51,8 +52,19 @@ def _coerce_band(values: Iterable[ScalarLike], n: int, offset: int) -> tuple[Fra
     return tuple(band)
 
 
+def _unit_band(n: int, offset: int) -> tuple[Fraction, ...]:
+    """Band `offset` holding 1 wherever its column lies inside the matrix."""
+    return tuple(_ONE if 0 <= i + offset < n else _ZERO for i in range(n))
+
+
 class BandMatrix:
-    """General banded square matrix plus its trustworthy-row count."""
+    """Banded square matrix plus its trustworthy-row count.
+
+    The one store for every banded type: each band from -lower to upper is
+    held explicitly, structural unit bands included. The subclasses below
+    are constructors that fill those in, plus the accessors of their own
+    parameters. Equality and hashing read n and the entries only.
+    """
 
     __slots__ = ("n", "lower", "upper", "_bands", "valid_rows")
 
@@ -78,23 +90,11 @@ class BandMatrix:
         object.__setattr__(self, "valid_rows", n if valid_rows is None else min(valid_rows, n))
 
     def __setattr__(self, name, value):
-        raise AttributeError("BandMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "BandMatrix":
-        return cls(n, 0, 0, {0: (Fraction(1),) * n})
-
-    @classmethod
-    def from_function(
-        cls, n: int, lower: int, upper: int, fn: Callable[[int, int], ScalarLike],
-        valid_rows: int | None = None,
-    ) -> "BandMatrix":
-        bands = {}
-        for d in range(-lower, upper + 1):
-            bands[d] = tuple(
-                fn(i, i + d) if 0 <= i + d < n else 0 for i in range(n)
-            )
-        return cls(n, lower, upper, bands, valid_rows)
+    @staticmethod
+    def identity(n: int) -> "BandMatrix":
+        return BandMatrix(n, 0, 0, {0: _unit_band(n, 0)})
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -107,55 +107,33 @@ class BandMatrix:
     def band(self, offset: int) -> tuple[Fraction, ...]:
         return self._bands[offset]
 
-    def band_matrix(self) -> "BandMatrix":
-        return self
-
-    def dense(self) -> DenseMatrix:
-        return DenseMatrix.from_function(self.n, self.n, self.entry)
-
     def plus_scaled_identity(self, c: ScalarLike) -> "BandMatrix":
         c = rational(c)
         bands = dict(self._bands)
-        bands[0] = tuple(v + c for v in self._bands.get(0, (_ZERO,) * self.n))
+        bands[0] = tuple(v + c for v in self._bands[0])
         return BandMatrix(self.n, self.lower, self.upper, bands, self.valid_rows)
 
-    def trimmed(self) -> "BandMatrix":
-        """Drop outer bands that are identically zero (window preserved)."""
-        lower, upper = self.lower, self.upper
-        while lower > 0 and all(v == 0 for v in self._bands[-lower]):
-            lower -= 1
-        while upper > 0 and all(v == 0 for v in self._bands[upper]):
-            upper -= 1
-        bands = {d: self._bands[d] for d in range(-lower, upper + 1)}
-        return BandMatrix(self.n, lower, upper, bands, self.valid_rows)
-
-    def equal_on_rows(self, other: "BandMatrix", rows: int) -> bool:
-        if self.n != other.n:
-            return False
-        for i in range(min(rows, self.n)):
-            lo = max(0, i - max(self.lower, other.lower))
-            hi = min(self.n - 1, i + max(self.upper, other.upper))
-            for j in range(lo, hi + 1):
-                if self.entry(i, j) != other.entry(i, j):
-                    return False
-        return True
+    def _key(self) -> tuple:
+        """n and the bands that are not identically zero: equal keys hold
+        exactly when every entry agrees, whatever the stored widths."""
+        return (self.n, tuple((d, b) for d, b in sorted(self._bands.items()) if any(b)))
 
     def __eq__(self, other):
         if not isinstance(other, BandMatrix):
             return NotImplemented
-        return self.n == other.n and self.equal_on_rows(other, self.n)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted((d, b) for d, b in self._bands.items()))))
+        return hash(self._key())
 
     def __repr__(self):
         return (
-            f"BandMatrix(n={self.n}, lower={self.lower}, upper={self.upper}, "
+            f"{type(self).__name__}(n={self.n}, lower={self.lower}, upper={self.upper}, "
             f"valid_rows={self.valid_rows})"
         )
 
 
-def multiply_window(a, b) -> BandMatrix:
+def multiply_window(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """Banded product with the cumulative safe-window bound.
 
     Row i of the truncated product uses columns of A up to i + upper(A), so
@@ -167,8 +145,6 @@ def multiply_window(a, b) -> BandMatrix:
     The upper width is never clipped to the truncation: a band that falls
     outside it still counts toward the window of the next product.
     """
-    a = a.band_matrix()
-    b = b.band_matrix()
     if a.n != b.n:
         raise SizeMismatch(f"{a.n} vs {b.n}")
     n = a.n
@@ -193,21 +169,20 @@ def multiply_window(a, b) -> BandMatrix:
     return BandMatrix(n, lower, upper, bands, valid)
 
 
-def product_window(factors: Sequence) -> BandMatrix:
+def product_window(factors: Sequence[BandMatrix]) -> BandMatrix:
     """Left-to-right windowed product of a nonempty factor sequence."""
-    mats = [f.band_matrix() for f in factors]
-    return reduce(multiply_window, mats)
+    return reduce(multiply_window, factors)
 
 
-class BandedHessenberg:
+class BandedHessenberg(BandMatrix):
     """(p+2)-banded lower-Hessenberg truncation with unit superdiagonal.
 
-    Stores the p subdiagonals and the diagonal; the superdiagonal is the
-    structural constant 1 and is never stored. Rows >= valid_rows carry
-    unspecified values (they arise from windowed products).
+    `bands` gives the p subdiagonals and the diagonal; the superdiagonal is
+    the structural constant 1. Rows >= valid_rows carry unspecified values
+    (they arise from windowed products).
     """
 
-    __slots__ = ("p", "n", "_bands", "valid_rows")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -218,20 +193,11 @@ class BandedHessenberg:
     ):
         if p < 1:
             raise IndexOutOfRange(f"band parameter must be >= 1, got {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        stored = {}
-        for d in range(-p, 1):
-            values = bands.get(d)
-            if values is None:
-                stored[d] = (_ZERO,) * n
-            else:
-                stored[d] = _coerce_band(values, n, d)
-        object.__setattr__(self, "_bands", stored)
-        object.__setattr__(self, "valid_rows", n if valid_rows is None else min(valid_rows, n))
+        super().__init__(n, p, 1, {**bands, 1: _unit_band(n, 1)}, valid_rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BandedHessenberg is immutable")
+    @property
+    def p(self) -> int:
+        return self.lower
 
     def a(self, i: int, m: int) -> Fraction:
         """In-band recurrence coefficient a(i, m), max(0, i-p) <= m <= i."""
@@ -239,27 +205,12 @@ class BandedHessenberg:
             raise IndexOutOfRange(f"a({i}, {m}) outside the band of row {i}")
         return self._bands[m - i][i]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.n}x{self.n}")
-        if j == i + 1:
-            return Fraction(1)
-        d = j - i
-        if -self.p <= d <= 0:
-            return self._bands[d][i]
-        return _ZERO
-
     @property
     def is_regular(self) -> bool:
         """Lowest-band entries a(i, i-p) all nonzero on trustworthy rows."""
         return all(
             self._bands[-self.p][i] != 0 for i in range(self.p, self.valid_rows)
         )
-
-    def band_matrix(self) -> BandMatrix:
-        bands: dict[int, tuple[Fraction, ...]] = dict(self._bands)
-        bands[1] = tuple(Fraction(1) if i + 1 < self.n else _ZERO for i in range(self.n))
-        return BandMatrix(self.n, self.p, 1, bands, self.valid_rows)
 
     @classmethod
     def from_band_matrix(cls, bm: BandMatrix, p: int) -> "BandedHessenberg":
@@ -307,17 +258,6 @@ class BandedHessenberg:
             bands[-d] = tuple([_ZERO] * d + [parse_rational(v) for v in listed])
         return cls(p, n, bands)
 
-    def __eq__(self, other):
-        if not isinstance(other, BandedHessenberg):
-            return NotImplemented
-        return (self.p, self.n, self._bands) == (other.p, other.n, other._bands)
-
-    def __hash__(self):
-        return hash((self.p, self.n, tuple(sorted(self._bands.items()))))
-
-    def __repr__(self):
-        return f"BandedHessenberg(p={self.p}, n={self.n}, valid_rows={self.valid_rows})"
-
 
 def hessenberg_from_recurrence(
     p: int, n: int, coeff_provider: Callable[[int, int], ScalarLike]
@@ -330,168 +270,61 @@ def hessenberg_from_recurrence(
     return BandedHessenberg(p, n, bands)
 
 
-class UnitLowerBanded:
-    """Unit lower triangular with w stored subdiagonals."""
+class UnitLowerBanded(BandMatrix):
+    """Unit lower triangular with w subdiagonals given by `bands`."""
 
-    __slots__ = ("w", "n", "_bands")
+    __slots__ = ()
 
     def __init__(self, w: int, n: int, bands: Mapping[int, Iterable[ScalarLike]]):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "n", n)
-        stored = {}
-        for d in range(-w, 0):
-            values = bands.get(d)
-            stored[d] = (_ZERO,) * n if values is None else _coerce_band(values, n, d)
-        object.__setattr__(self, "_bands", stored)
+        super().__init__(n, w, 0, {**bands, 0: _unit_band(n, 0)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitLowerBanded is immutable")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.n}x{self.n}")
-        if i == j:
-            return Fraction(1)
-        d = j - i
-        if -self.w <= d < 0:
-            return self._bands[d][i]
-        return _ZERO
-
-    def band(self, offset: int) -> tuple[Fraction, ...]:
-        return self._bands[offset]
-
-    def band_matrix(self) -> BandMatrix:
-        bands: dict[int, tuple[Fraction, ...]] = dict(self._bands)
-        bands[0] = (Fraction(1),) * self.n
-        return BandMatrix(self.n, self.w, 0, bands)
-
-    @classmethod
-    def from_band_matrix(cls, bm: BandMatrix, w: int | None = None) -> "UnitLowerBanded":
-        if bm.upper != 0:
-            bm = bm.trimmed()
-            if bm.upper != 0:
-                raise SizeMismatch("matrix has entries above the diagonal")
-        if any(v != 1 for v in bm.band(0)):
-            raise SizeMismatch("diagonal is not identically 1")
-        w = bm.lower if w is None else w
-        bands = {d: bm.band(d) if -bm.lower <= d else (_ZERO,) * bm.n for d in range(-w, 0)}
-        return cls(w, bm.n, bands)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitLowerBanded):
-            return NotImplemented
-        return (self.n, self.w, self._bands) == (other.n, other.w, other._bands)
-
-    def __hash__(self):
-        return hash((self.n, self.w, tuple(sorted(self._bands.items()))))
-
-    def __repr__(self):
-        return f"UnitLowerBanded(w={self.w}, n={self.n})"
+    @property
+    def w(self) -> int:
+        return self.lower
 
 
-class LowerBidiagonalUnit:
-    """Unit lower bidiagonal factor; `index` is its 1-based chain position."""
+class LowerBidiagonalUnit(BandMatrix):
+    """Unit lower bidiagonal factor.
 
-    __slots__ = ("index", "n", "sub")
+    `index` is its 1-based chain position: a label, not part of equality.
+    """
+
+    __slots__ = ("index",)
 
     def __init__(self, index: int, n: int, sub: Iterable[ScalarLike]):
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "n", n)
-        values = tuple(rational(v) for v in sub)
-        if len(values) != n - 1:
-            raise SizeMismatch(f"subdiagonal needs {n - 1} values, got {len(values)}")
-        object.__setattr__(self, "sub", values)
+        super().__init__(n, 1, 0, {0: _unit_band(n, 0), -1: (_ZERO, *sub)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LowerBidiagonalUnit is immutable")
+    @property
+    def sub(self) -> tuple[Fraction, ...]:
+        """Subdiagonal entries (r, r-1), rows r = 1..n-1."""
+        return self._bands[-1][1:]
 
     def sub_at_row(self, r: int) -> Fraction:
         """Subdiagonal entry at (r, r-1), rows r = 1..n-1."""
         if not 1 <= r <= self.n - 1:
             raise IndexOutOfRange(f"row {r} has no subdiagonal entry")
-        return self.sub[r - 1]
+        return self._bands[-1][r]
 
     @property
     def is_regular(self) -> bool:
         return all(v != 0 for v in self.sub)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.n}x{self.n}")
-        if i == j:
-            return Fraction(1)
-        if j == i - 1:
-            return self.sub[i - 1]
-        return _ZERO
-
-    def band_matrix(self) -> BandMatrix:
-        return BandMatrix(
-            self.n,
-            1,
-            0,
-            {0: (Fraction(1),) * self.n, -1: (_ZERO,) + self.sub},
-        )
-
     def leading_dense(self, k: int) -> DenseMatrix:
         return DenseMatrix.from_function(k, k, self.entry)
 
-    def __eq__(self, other):
-        if not isinstance(other, LowerBidiagonalUnit):
-            return NotImplemented
-        return (self.index, self.n, self.sub) == (other.index, other.n, other.sub)
 
-    def __hash__(self):
-        return hash((self.index, self.n, self.sub))
+class UpperBidiagonal(BandMatrix):
+    """Upper bidiagonal with the given diagonal and a unit superdiagonal."""
 
-    def __repr__(self):
-        return f"LowerBidiagonalUnit(index={self.index}, n={self.n})"
-
-
-class UpperBidiagonal:
-    """Upper bidiagonal with stored diagonal and implicit unit superdiagonal."""
-
-    __slots__ = ("n", "diag")
+    __slots__ = ()
 
     def __init__(self, n: int, diag: Iterable[ScalarLike]):
-        object.__setattr__(self, "n", n)
-        values = tuple(rational(v) for v in diag)
-        if len(values) != n:
-            raise SizeMismatch(f"diagonal needs {n} values, got {len(values)}")
-        object.__setattr__(self, "diag", values)
+        super().__init__(n, 0, 1, {0: diag, 1: _unit_band(n, 1)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UpperBidiagonal is immutable")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.n}x{self.n}")
-        if i == j:
-            return self.diag[i]
-        if j == i + 1:
-            return Fraction(1)
-        return _ZERO
-
-    def band_matrix(self) -> BandMatrix:
-        return BandMatrix(
-            self.n,
-            0,
-            1,
-            {
-                0: self.diag,
-                1: tuple(Fraction(1) if i + 1 < self.n else _ZERO for i in range(self.n)),
-            },
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, UpperBidiagonal):
-            return NotImplemented
-        return (self.n, self.diag) == (other.n, other.diag)
-
-    def __hash__(self):
-        return hash((self.n, self.diag))
-
-    def __repr__(self):
-        return f"UpperBidiagonal(n={self.n})"
+    @property
+    def diag(self) -> tuple[Fraction, ...]:
+        return self._bands[0]
 
 
 class BidiagonalChain:
@@ -583,11 +416,6 @@ class BidiagonalChain:
         return BidiagonalChain(
             self.p, m, self.shift, factors, UpperBidiagonal(m, self.upper.diag[:m])
         )
-
-    def lower_product(self) -> UnitLowerBanded:
-        """L(1) ... L(p); exact on the whole truncation (all factors lower)."""
-        prod = product_window(self.factors)
-        return UnitLowerBanded.from_band_matrix(prod, w=self.p)
 
     def reconstruct(self) -> BandMatrix:
         """L(1) ... L(p) U + C*I, the matrix the chain factors."""

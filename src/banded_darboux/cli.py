@@ -62,9 +62,9 @@ from .errors import (
 )
 from .exact import format_rational
 from .factorization import (
-    bidiagonal_chain_factor,
+    FreeEntrySpec,
+    chain_from_instance,
     darboux_transform,
-    shifted_lu,
     transformed_polys,
 )
 from .functionals import lambda_of
@@ -126,7 +126,10 @@ def _write_report(args, config: InstanceConfig, command: str, payload: dict, tim
 def _load_config(args) -> InstanceConfig:
     if not args.config:
         raise ConfigError("--config FILE is required")
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -188,17 +191,12 @@ def cmd_factorize(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    inst = built.instance
-    L, U = shifted_lu(inst)
-    ladder = lambda_of(built.nu, built.source_polys)
-    free = free_entries_from_nu(ladder, config.p)
-    factors = bidiagonal_chain_factor(L, free)
-    chain = BidiagonalChain(config.p, config.n, inst.shift, factors, U)
+    free, chain = _build_chain(config, built)
     payload = {
         "command": "factorize",
         "tool_version": __version__,
         "config": built.config_echo,
-        "C": format_rational(inst.shift),
+        "C": format_rational(built.instance.shift),
         "free_entries": free.to_json_dict(),
         "chain": chain.to_json_dict(),
     }
@@ -212,20 +210,17 @@ def cmd_factorize(args) -> int:
     return EXIT_OK
 
 
-def _build_chain(config: InstanceConfig, built) -> BidiagonalChain:
-    inst = built.instance
-    L, U = shifted_lu(inst)
+def _build_chain(config: InstanceConfig, built) -> tuple[FreeEntrySpec, BidiagonalChain]:
     ladder = lambda_of(built.nu, built.source_polys)
     free = free_entries_from_nu(ladder, config.p)
-    factors = bidiagonal_chain_factor(L, free)
-    return BidiagonalChain(config.p, config.n, inst.shift, factors, U)
+    return free, chain_from_instance(built.instance, free)
 
 
 def cmd_transform(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    chain = _build_chain(config, built)
+    _free, chain = _build_chain(config, built)
     indices = (
         range(config.p + 1)
         if config.transform_index is None
@@ -257,7 +252,7 @@ def cmd_polys(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    chain = _build_chain(config, built)
+    _free, chain = _build_chain(config, built)
     nmax = config.window
     indices = (
         range(config.p + 1)

@@ -42,7 +42,7 @@ from .exact import DenseMatrix, ScalarLike, format_rational, rational
 from .factorization import (
     FreeEntrySpec,
     ShiftedInstance,
-    bidiagonal_chain_factor,
+    chain_from_instance,
     peel_stages,
     shifted_lu,
     transformed_polys,
@@ -382,10 +382,8 @@ def run_theorem(
             partial=partial,
         )
 
-    free = FreeEntrySpec(p, staging.free_rows)
-    L, U = shifted_lu(inst)
-    factors = bidiagonal_chain_factor(L, free)
-    chain = BidiagonalChain(p, n, c, factors, U)
+    chain = chain_from_instance(inst, FreeEntrySpec(p, staging.free_rows))
+    factors = chain.factors
 
     transport_checks = []
     for j in range(p):

@@ -63,6 +63,11 @@ def random_ladder(rng: random.Random, p: int, bound: int) -> LambdaLadder:
     return LambdaLadder(rows)
 
 
+def _is_rational_list(values) -> bool:
+    """A list of config scalars: "num/den" strings or integers."""
+    return isinstance(values, (list, tuple)) and all(isinstance(v, (str, int)) for v in values)
+
+
 @dataclass
 class InstanceConfig:
     """One reproducible run: sizes, sources, seed, and output knobs."""
@@ -107,12 +112,20 @@ class InstanceConfig:
             )
         if self.matrix_source not in ("random", "explicit"):
             raise ConfigError(f"unknown matrix source {self.matrix_source!r}")
-        if self.matrix_source == "explicit" and self.matrix_bands is None:
-            raise ConfigError("explicit matrix source needs matrix bands")
+        if self.matrix_source == "explicit" and not (
+            isinstance(self.matrix_bands, Mapping)
+            and all(_is_rational_list(b) for b in self.matrix_bands.values())
+        ):
+            raise ConfigError("explicit matrix source needs bands: an object of rational lists")
         if self.nu_source not in ("random", "canonical", "ladder"):
             raise ConfigError(f"unknown nu source {self.nu_source!r}")
-        if self.nu_source == "ladder" and self.nu_ladder is None:
-            raise ConfigError("ladder nu source needs ladder rows")
+        if self.nu_source == "ladder" and not (
+            isinstance(self.nu_ladder, (list, tuple))
+            and all(_is_rational_list(row) for row in self.nu_ladder)
+        ):
+            raise ConfigError("ladder nu source needs ladder rows: a list of rational lists")
+        if self.report_dir is not None and not isinstance(self.report_dir, str):
+            raise ConfigError(f"report_dir must be a string, got {self.report_dir!r}")
         if self.transform_index is not None and not 0 <= self.transform_index <= self.p:
             raise ConfigError(
                 f"transform index {self.transform_index} outside 0..{self.p}"
@@ -175,7 +188,7 @@ class InstanceConfig:
                     else int(data["transform_index"])
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from None
         cfg.validate()
         return cfg

@@ -73,7 +73,7 @@ def test_hessenberg_json_round_trip():
 
 def test_multiply_identity_keeps_full_window():
     rng = random.Random(3)
-    J = random_hessenberg_local(rng, 2, 5).band_matrix()
+    J = random_hessenberg_local(rng, 2, 5)
     prod = multiply_window(BandMatrix.identity(5), J)
     assert prod == J
     assert prod.valid_rows == 5
@@ -142,6 +142,20 @@ def test_multiply_rejects_size_mismatch():
         multiply_window(BandMatrix.identity(3), BandMatrix.identity(4))
 
 
+def test_equal_matrices_hash_equal_whatever_their_stored_widths():
+    a = BandMatrix(3, 1, 0, {0: [1, 1, 1]})
+    b = BandMatrix.identity(3)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # The typed constructors share the rule: same n, same entries.
+    upper = UpperBidiagonal(3, [2, 2, 2])
+    assert upper == BandMatrix(3, 0, 1, {0: [2, 2, 2], 1: [1, 1, 0]})
+    assert hash(upper) == hash(BandMatrix(3, 2, 1, {0: [2, 2, 2], 1: [1, 1, 0]}))
+    assert LowerBidiagonalUnit(1, 3, [0, 0]) == LowerBidiagonalUnit(2, 3, [0, 0]) == b
+    assert BandMatrix(3, 0, 0, {0: [1, 1, 1]}) != BandMatrix(4, 0, 0, {0: [1, 1, 1, 1]})
+
+
 def test_band_closure_of_unit_lower_products():
     rng = random.Random(23)
     n = 7
@@ -160,7 +174,7 @@ def test_band_closure_of_unit_lower_products():
         assert prod.upper == 0
         assert prod.lower == w1 + w2
         assert dense_rows(prod) == dense_mul(dense_rows(a), dense_rows(b))
-        UnitLowerBanded.from_band_matrix(prod)  # unit diagonal survives
+        assert prod.band(0) == (1,) * n  # unit diagonal survives
 
 
 def test_characteristic_initial_polynomial_is_one():
@@ -201,7 +215,7 @@ def test_characteristic_matches_determinants_at_points():
 
 def test_characteristic_rejects_untrusted_rows():
     J = catalan_hessenberg(4)
-    trimmed = BandedHessenberg(1, 4, {0: J.band_matrix().band(0), -1: J.band_matrix().band(-1)}, valid_rows=2)
+    trimmed = BandedHessenberg(1, 4, {0: J.band(0), -1: J.band(-1)}, valid_rows=2)
     with pytest.raises(IndexOutOfRange):
         characteristic_polys(trimmed, 4)
 

@@ -1,8 +1,11 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from banded_darboux import (
     BandedHessenberg,
@@ -228,6 +231,113 @@ def test_config_literal_beyond_str_int_limit_is_config_error(tmp_path, capsys):
     path.write_text('{"p": 1, "N": 4, "window": 1, "seed": 1, "bound": ' + "9" * 5000 + "}")
     assert run_cli(tmp_path, "gen", path) == EXIT_CONFIG
     assert "4300-digit" in capsys.readouterr().err
+
+
+_BASE = {"p": 2, "N": 14, "window": 8, "seed": 42}
+
+
+def _config_bytes(**sections) -> bytes:
+    return json.dumps({**_BASE, **sections}).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"p": 2, "N": 14, "window": 8, "C": "\xff"}',
+        _config_bytes(matrix={"source": "explicit", "bands": [1, 2]}),
+        _config_bytes(matrix={"source": "explicit", "bands": {"0": 5}}),
+        _config_bytes(nu={"source": "ladder", "lambda": 5}),
+        _config_bytes(nu={"source": "ladder", "lambda": [[None]]}),
+    ],
+    ids=["not-utf8", "bands-list", "band-scalar", "ladder-scalar", "ladder-null"],
+)
+def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run_cli(tmp_path, "verify", path) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+# Values that int() cannot turn into a large size, so no size the fuzzer
+# picks can make a run slow.
+_ODD_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, -0.5]),
+    st.text(alphabet="/-+. x_", max_size=6),
+)
+_ODD = st.recursive(
+    _ODD_ATOMS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str)
+_SCALARS = st.one_of(_RATIONALS, st.integers(-5, 5), st.text(alphabet="0123456789/-", max_size=6))
+
+
+@st.composite
+def _configs(draw):
+    """Mostly well-formed configs (N <= 40, window <= 8): each field is
+    replaced by a malformed value about one time in twenty, and dropped
+    about one time in thirty."""
+    rng = draw(st.randoms(use_true_random=True))
+
+    def field(valid):
+        return draw(_ODD) if rng.random() < 0.05 else draw(valid)
+
+    p = draw(st.integers(1, 4))
+    window = draw(st.integers(1, 8))
+    n = draw(st.integers(window + -(-window // p) + 1, 40))
+    matrix = {"source": "random"}
+    if rng.random() < 0.3:
+        bands = {}
+        for d in range(p + 1):
+            values = [draw(_RATIONALS) for _ in range(n - d)]
+            bands[str(-d)] = field(st.just(values) if rng.random() < 0.9 else st.lists(_SCALARS))
+        matrix = {"source": "explicit", "bands": field(st.just(bands))}
+    nu = {"source": draw(st.sampled_from(["random", "canonical", "ladder"]))}
+    if nu["source"] == "ladder":
+        ladder = [[draw(_RATIONALS) for _ in range(i)] for i in range(1, p + 1)]
+        nu["lambda"] = field(st.just([field(st.just(row)) for row in ladder]))
+    config = {
+        "p": field(st.just(p)),
+        "N": field(st.just(n)),
+        "window": field(st.just(window)),
+        "seed": field(st.integers(-10**6, 10**6)),
+        "bound": field(st.sampled_from([1, 2, 9, 1000])),
+        "C": field(_RATIONALS if rng.random() < 0.9 else _SCALARS),
+        "matrix": field(st.just(matrix)),
+        "nu": field(st.just(nu)),
+        "retry_cap": field(st.integers(0, 40)),
+        "transform_index": field(st.integers(0, p)),
+        "report_dir": field(st.none()),
+    }
+    for key in list(config):
+        if rng.random() < 0.03:
+            del config[key]
+    config.update(draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k not in config), _ODD, max_size=2)))
+    return field(st.just(config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["gen", "factorize", "transform", "polys", "verify"]),
+    config=_configs(),
+)
+@example(command="verify", config={**_BASE, "matrix": {"source": "explicit", "bands": [1, 2]}})
+@example(command="verify", config={**_BASE, "matrix": {"source": "explicit", "bands": {"0": 5}}})
+@example(command="verify", config={**_BASE, "nu": {"source": "ladder", "lambda": 5}})
+@example(command="verify", config={**_BASE, "nu": {"source": "ladder", "lambda": [[None]]}})
+@example(command="gen", config={**_BASE, "p": float("inf")})
+@example(command="gen", config={**_BASE, "report_dir": 5})
+def test_any_json_config_exits_with_a_documented_code(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as handle:
+            json.dump(config, handle)
+        code = main([command, "--config", path, "--report-dir", f"{tmp}/reports"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_SINGULAR, EXIT_INTERNAL)
 
 
 def test_report_dir_env_var_is_honored(tmp_path, capsys, monkeypatch):
