@@ -35,12 +35,13 @@ print("\nJ = L * U")
 print("  U diagonal   :", ", ".join(str(v) for v in U.diag))
 print("  L subdiagonal:", ", ".join(str(v) for v in L.band(-1)[1:]))
 print("  (each U entry is -P_{n+1}(0)/P_n(0))")
+values = inst.values_at_shift
 for n in range(N):
-    assert U.diag[n] == -inst.values_at_shift[n + 1] / inst.values_at_shift[n]
+    assert U.diag[n] == -values[n + 1] / values[n]
 
 # -- rotate the factorization ------------------------------------------------
 
-chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
 J1 = darboux_transform(chain, 1)
 print("\nJ(1) = U * L + 0*I, trustworthy on rows 0..", J1.valid_rows - 1)
 print("  new diagonal:", ", ".join(str(J1.a(i, i)) for i in range(4)), "...")

@@ -43,7 +43,7 @@ for label, rows in [
 
 # -- every rotation is again banded Hessenberg -------------------------------
 
-chain = chain_from_instance(inst, FreeEntrySpec(p, [[1, 2], [3]]))
+chain = chain_from_instance(inst, FreeEntrySpec(p, [[1, 2], [3]]), inst.n)
 print("\nglobal coefficient tiling (first two blocks):")
 for t in range(1, 2 * (p + 1) + 1):
     kind, j, r = chain.gamma_location(t)

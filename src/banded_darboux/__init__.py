@@ -72,6 +72,7 @@ from .factorization import (
     ShiftedInstance,
     bidiagonal_chain_factor,
     chain_from_instance,
+    darboux_rotations,
     darboux_transform,
     g_matrix,
     peel_stages,

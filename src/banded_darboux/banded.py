@@ -449,26 +449,43 @@ class BidiagonalChain:
         return f"BidiagonalChain(p={self.p}, n={self.n}, shift={self.shift})"
 
 
-def recurrence_values(hess: BandedHessenberg, z: ScalarLike, nmax: int) -> tuple[Fraction, ...]:
-    """Values P_0(z) .. P_nmax(z) of the characteristic sequence at a point.
+def recurrence_values(
+    hess: BandedHessenberg, z: ScalarLike, nmax: int
+) -> tuple[list[int], list[int]]:
+    """Values P_0(z) .. P_nmax(z) of the characteristic sequence at a point,
+    as unreduced integer pairs: P_n(z) = nums[n] / dens[n].
 
     P_{n+1}(z) = (z - a(n,n)) P_n(z) - sum_{s=1..p} a(n, n-s) P_{n-s}(z),
-    with P_0 = 1 and vanishing negative-index terms. Row n of the truncation
-    must be trustworthy, so nmax <= valid_rows.
+    with P_0 = 1 and vanishing negative-index terms. Row n is scaled by e_n,
+    the lcm of its band denominators and z's denominator, so
+    dens[n+1] = e_n dens[n] and dens[n] / dens[n-s] = e_{n-1} ... e_{n-s}.
+    Everything stays in ints and no gcd is taken: callers that only ask
+    whether a value is zero read nums[n]. Row n of the truncation must be
+    trustworthy, so nmax <= valid_rows.
     """
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(
             f"need rows 0..{nmax - 1} but only {hess.valid_rows} rows are trustworthy"
         )
     z = rational(z)
-    values = [Fraction(1)]
+    nums = [1]
+    dens = [1]
+    scales: list[int] = []
     for n in range(nmax):
-        acc = (z - hess.a(n, n)) * values[n]
-        for s in range(1, hess.p + 1):
-            if n - s >= 0:
-                acc -= hess.a(n, n - s) * values[n - s]
-        values.append(acc)
-    return tuple(values)
+        row = [hess.a(n, n - s) for s in range(min(n, hess.p) + 1)]
+        e = lcm(z.denominator, *(v.denominator for v in row))
+        lead = z - row[0]
+        acc = lead.numerator * (e // lead.denominator) * nums[n]
+        ratio = 1
+        for s in range(1, len(row)):
+            ratio *= scales[n - s]
+            v = row[s]
+            if v:
+                acc -= v.numerator * (e // v.denominator) * ratio * nums[n - s]
+        nums.append(acc)
+        dens.append(e * dens[n])
+        scales.append(e)
+    return nums, dens
 
 
 def characteristic_polys(hess: BandedHessenberg, nmax: int) -> tuple[Polynomial, ...]:

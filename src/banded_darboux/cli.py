@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain as chain_iter
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +65,7 @@ from .exact import format_rational
 from .factorization import (
     FreeEntrySpec,
     chain_from_instance,
+    darboux_rotations,
     darboux_transform,
     transformed_polys,
 )
@@ -191,7 +193,7 @@ def cmd_factorize(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    free, chain = _build_chain(config, built)
+    free, chain = _build_chain(config, built, config.n)
     payload = {
         "command": "factorize",
         "tool_version": __version__,
@@ -210,29 +212,36 @@ def cmd_factorize(args) -> int:
     return EXIT_OK
 
 
-def _build_chain(config: InstanceConfig, built) -> tuple[FreeEntrySpec, BidiagonalChain]:
+def _build_chain(
+    config: InstanceConfig, built, rows: int
+) -> tuple[FreeEntrySpec, BidiagonalChain]:
+    """The free entries and the chain of the leading rows x rows block."""
     ladder = lambda_of(built.nu, built.source_polys)
     free = free_entries_from_nu(ladder, config.p)
-    return free, chain_from_instance(built.instance, free)
+    return free, chain_from_instance(built.instance, free, rows)
 
 
 def cmd_transform(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    _free, chain = _build_chain(config, built)
-    indices = (
-        range(config.p + 1)
-        if config.transform_index is None
-        else [config.transform_index]
-    )
+    _free, chain = _build_chain(config, built, config.n)
+    index = config.transform_index
+    # J(0) is the source matrix itself; J(1..p) share their halves. Each
+    # J(j) is formatted and released before the next one is formed.
+    if index is None:
+        rotations = chain_iter([(0, built.instance.J)], darboux_rotations(chain))
+    elif index == 0:
+        rotations = [(0, built.instance.J)]
+    else:
+        rotations = [(index, darboux_transform(chain, index))]
     transforms = {}
-    for j in indices:
-        hess = darboux_transform(chain, j)
+    for j, hess in rotations:
         transforms[str(j)] = {
             "matrix": hess.to_json_dict(),
             "valid_rows": hess.valid_rows,
         }
+        del hess
     payload = {
         "command": "transform",
         "tool_version": __version__,
@@ -242,8 +251,8 @@ def cmd_transform(args) -> int:
     }
     timings = {"total_s": time.perf_counter() - t0}
     path = _write_report(args, config, "transform", payload, timings)
-    for j in indices:
-        print(f"J({j}): valid rows {transforms[str(j)]['valid_rows']} of {config.n}")
+    for j, entry in transforms.items():
+        print(f"J({j}): valid rows {entry['valid_rows']} of {config.n}")
     print(f"report: {path}")
     return EXIT_OK
 
@@ -252,8 +261,8 @@ def cmd_polys(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    _free, chain = _build_chain(config, built)
     nmax = config.window
+    _free, chain = _build_chain(config, built, nmax + 1)
     indices = (
         range(config.p + 1)
         if config.transform_index is None

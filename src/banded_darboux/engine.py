@@ -260,7 +260,11 @@ class PartialFactorization:
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Aggregated evidence for one engine run; passed means every box held."""
+    """Aggregated evidence for one engine run; passed means every box held.
+
+    `chain` is the chain of the leading max(window + 1, p) rows, the ones
+    the rotations and the transport checks read.
+    """
 
     fingerprint: str
     p: int
@@ -358,7 +362,7 @@ def run_theorem(
         if stage == 0:
             raise HypothesisViolated(stage, size, _ZERO)
         L, _u = shifted_lu(inst)
-        factors, remainder = peel_stages(L, staging.free_rows, stage)
+        factors, remainder = peel_stages(L, staging.free_rows, stage, n)
         partial = PartialFactorization(
             stages=stage,
             violated=(stage, size),
@@ -382,7 +386,11 @@ def run_theorem(
             partial=partial,
         )
 
-    chain = chain_from_instance(inst, FreeEntrySpec(p, staging.free_rows))
+    # The rotations read the leading window + 1 rows and the transport
+    # checks s x s leading blocks with s <= p - 2.
+    chain = chain_from_instance(
+        inst, FreeEntrySpec(p, staging.free_rows), max(window + 1, p)
+    )
     factors = chain.factors
 
     transport_checks = []

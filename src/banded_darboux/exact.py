@@ -11,6 +11,7 @@ in lowest terms with a positive denominator, plain "num" for integers.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -36,8 +37,21 @@ def integer_image(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "num/den" (or "num") wire form."""
+# ASCII digits only: `\d` would also match other scripts' digits.
+_WIRE_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str | int) -> Fraction:
+    """Parse the "num/den" (or "num") wire form; an int is taken as is.
+
+    Only an optional minus sign, ASCII digits and one "/" are allowed: no
+    spaces, "+", "_", decimal point or exponent (ValueError). A zero
+    denominator raises ZeroDivisionError.
+    """
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str) or not _WIRE_RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational of the form num or num/den")
     return Fraction(text)
 
 

@@ -14,7 +14,7 @@ safe window.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .banded import (
     BandedHessenberg,
@@ -24,6 +24,7 @@ from .banded import (
     UnitLowerBanded,
     UpperBidiagonal,
     characteristic_polys,
+    multiply_window,
     product_window,
     recurrence_values,
 )
@@ -36,6 +37,7 @@ from .errors import (
 from .exact import Polynomial, ScalarLike, format_rational, parse_rational, rational
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ShiftedInstance:
@@ -43,24 +45,29 @@ class ShiftedInstance:
 
     Admissible means det(C I_n - J_n) != 0 for every n up to the truncation
     order, checked at construction via the equivalent condition P_n(C) != 0
-    (one recurrence sweep instead of n determinants). The values P_n(C) are
-    kept: the diagonal of U is u_n = -P_{n+1}(C)/P_n(C).
+    (one integer recurrence sweep instead of n determinants; only the
+    numerators are tested). The diagonal of U is u_n = -P_{n+1}(C)/P_n(C).
     """
 
-    __slots__ = ("J", "shift", "values_at_shift")
+    __slots__ = ("J", "shift")
 
     def __init__(self, J: BandedHessenberg, shift: ScalarLike):
         shift = rational(shift)
-        values = recurrence_values(J, shift, J.n)
-        for n in range(1, len(values)):
-            if values[n] == 0:
+        nums, _dens = recurrence_values(J, shift, J.n)
+        for n in range(1, len(nums)):
+            if nums[n] == 0:
                 raise SingularLeadingMinor(n)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "values_at_shift", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftedInstance is immutable")
+
+    @property
+    def values_at_shift(self) -> tuple[Fraction, ...]:
+        """P_0(C) .. P_N(C) in lowest terms, recomputed on each read."""
+        nums, dens = recurrence_values(self.J, self.shift, self.n)
+        return tuple(Fraction(a, b) for a, b in zip(nums, dens))
 
     @property
     def p(self) -> int:
@@ -173,10 +180,83 @@ class FreeEntrySpec:
         return f"FreeEntrySpec(p={self.p}, rows={self.rows})"
 
 
+# The Mersenne prime 2^61 - 1: peel divisors past the exact rows are shown
+# nonzero by their residues modulo it.
+_Q = (1 << 61) - 1
+
+
+class _UndecidedResidue(Exception):
+    """A residue mod _Q cannot show a divisor nonzero, or a denominator is
+    divisible by _Q; the peel is rerun exactly."""
+
+
+def _residue(v: Fraction) -> int:
+    if v.denominator % _Q == 0:
+        raise _UndecidedResidue
+    return v.numerator * pow(v.denominator, -1, _Q) % _Q
+
+
+def _stage_rows(
+    block: list[list[Fraction]], prescribed: list[Fraction], j: int, w: int
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """One exact peeling stage on the leading rows of a w-banded remainder.
+
+    Row r holds the entries of columns r-w .. r-1 (zero where negative).
+    With prev the new remainder's row r-1 extended by its unit diagonal,
+    s(r) = row[0] / prev[0] for r >= w and the new row is
+    row[k] - s(r) * prev[k], k = 1 .. w-1.
+    """
+    prev = [_ZERO] * (w - 1)
+    out = [prev]
+    sub: list[Fraction] = []
+    for r in range(1, len(block)):
+        row = block[r]
+        ext = prev + [_ONE]
+        if r <= w - 1:
+            s = prescribed[r - 1]
+        elif ext[0] == 0:
+            if row[0] != 0:
+                raise ZeroPeelPivot(j, r)
+            # 0 = 0 - s*0 constrains nothing; take the canonical choice
+            # s = 0 so identity-like inputs peel to identity.
+            s = _ZERO
+        else:
+            s = row[0] / ext[0]
+        sub.append(s)
+        prev = [row[k] - s * ext[k] for k in range(1, w)]
+        out.append(prev)
+    return sub, out
+
+
+def _stage_residues(
+    tail: list[list[int]], first: int, seed: list[Fraction],
+    prescribed: list[Fraction], w: int,
+) -> list[list[int]]:
+    """The same stage on rows first .. N-1, mod _Q, from the exact row
+    first-1 (`seed`); raises _UndecidedResidue on a zero divisor residue."""
+    prev = [_residue(v) for v in seed]
+    out = []
+    for r, row in enumerate(tail, start=first):
+        ext = prev + [1]
+        if r <= w - 1:
+            s = _residue(prescribed[r - 1])
+        elif ext[0] == 0:
+            raise _UndecidedResidue
+        else:
+            s = row[0] * pow(ext[0], -1, _Q) % _Q
+        prev = [(row[k] - s * ext[k]) % _Q for k in range(1, w)]
+        out.append(prev)
+    return out
+
+
 def peel_stages(
-    L: UnitLowerBanded, free_rows: Sequence[Sequence[ScalarLike]], stages: int
+    L: UnitLowerBanded,
+    free_rows: Sequence[Sequence[ScalarLike]],
+    stages: int,
+    rows: int,
 ) -> tuple[list[LowerBidiagonalUnit], UnitLowerBanded]:
-    """Peel `stages` bidiagonal factors off the left of L.
+    """Peel `stages` bidiagonal factors off the left of L, exactly on the
+    leading `rows` rows.
 
     Stage j (1-based) removes one subdiagonal from the running remainder M:
     choose the factor's subdiagonal s(r) freely for rows r <= w-1 (where the
@@ -186,9 +266,39 @@ def peel_stages(
         M'(r, c) = M(r, c) - s(r) * M'(r-1, c).
 
     Returns the peeled factors and the remaining unit lower (w - stages)
-    banded remainder. Processing is strictly row-ordered, so each unknown is
-    fixed by one linear equation; the division is by the remainder's newest
-    lowest-band entry (ZeroPeelPivot when it vanishes).
+    banded remainder, both as leading rows x rows blocks. Processing is
+    strictly row-ordered, so each unknown is fixed by one linear equation;
+    the division is by the remainder's newest lowest-band entry
+    (ZeroPeelPivot when it vanishes).
+
+    Rows rows .. N-1 are not returned, but their divisors must still be
+    nonzero. They run on residues mod q = 2^61 - 1, stage by stage after
+    the exact rows: a nonzero residue proves a divisor nonzero. If a
+    residue is 0, or a denominator is divisible by q, the whole peel is
+    rerun exactly on all N rows, so ZeroPeelPivot and the s = 0 convention
+    are decided exactly as without the residues.
+    """
+    n = L.n
+    if not 1 <= rows <= n:
+        raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
+    try:
+        subs, exact, w = _peel(L, free_rows, stages, rows)
+    except _UndecidedResidue:
+        subs, exact, w = _peel(L, free_rows, stages, n)
+    factors = [
+        LowerBidiagonalUnit(j, rows, sub[: rows - 1]) for j, sub in enumerate(subs, start=1)
+    ]
+    bands = {d: tuple(row[d + w] for row in exact[:rows]) for d in range(-w, 0)}
+    return factors, UnitLowerBanded(w, rows, bands)
+
+
+def _peel(
+    L: UnitLowerBanded, free_rows: Sequence[Sequence[ScalarLike]], stages: int, rows: int
+) -> tuple[list[list[Fraction]], list[list[Fraction]], int]:
+    """Exact stages on rows 0 .. rows-1, residue checks on the rest.
+
+    Returns the factors' subdiagonals, the remainder's exact rows and its
+    band count.
     """
     n = L.n
     w = L.w
@@ -196,53 +306,36 @@ def peel_stages(
         raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
     if len(free_rows) < stages:
         raise BadFreeSpec(f"need free entries for {stages} stages, got {len(free_rows)}")
-    cur = {d: list(L.band(d)) for d in range(-w, 0)}
-    factors: list[LowerBidiagonalUnit] = []
+    bands = [L.band(d) for d in range(-w, 0)]
+    exact = [list(row) for row in zip(*(b[:rows] for b in bands))]
+    tail = None
+    if stages and rows < n:
+        tail = [[_residue(v) for v in row] for row in zip(*(b[rows:] for b in bands))]
+    subs = []
     for j in range(1, stages + 1):
         prescribed = [rational(v) for v in free_rows[j - 1]]
         if len(prescribed) != w - 1:
             raise BadFreeSpec(
                 f"stage {j} needs {w - 1} free entries, got {len(prescribed)}"
             )
-        sub: list[Fraction] = []
-        nxt: dict[int, list[Fraction]] = {d: [_ZERO] * n for d in range(-(w - 1), 0)}
-
-        def cur_entry(r: int, c: int) -> Fraction:
-            if c == r:
-                return Fraction(1)
-            if r - w <= c <= r - 1 and c >= 0:
-                return cur[c - r][r]
-            return _ZERO
-
-        def nxt_entry(r: int, c: int) -> Fraction:
-            if c == r:
-                return Fraction(1)
-            if r - (w - 1) <= c <= r - 1 and c >= 0:
-                return nxt[c - r][r]
-            return _ZERO
-
-        for r in range(1, n):
-            if r <= w - 1:
-                s = prescribed[r - 1]
-            else:
-                divisor = nxt_entry(r - 1, r - w)
-                numerator = cur_entry(r, r - w)
-                if divisor == 0:
-                    if numerator != 0:
-                        raise ZeroPeelPivot(j, r)
-                    # 0 = 0 - s*0 constrains nothing; take the canonical
-                    # choice s = 0 so identity-like inputs peel to identity.
-                    s = _ZERO
-                else:
-                    s = numerator / divisor
-            sub.append(s)
-            for c in range(max(0, r - (w - 1)), r):
-                nxt[c - r][r] = cur_entry(r, c) - s * nxt_entry(r - 1, c)
-        factors.append(LowerBidiagonalUnit(j, n, sub))
-        cur = nxt
+        sub, exact = _stage_rows(exact, prescribed, j, w)
+        if tail is not None:
+            tail = _stage_residues(tail, rows, exact[-1], prescribed, w)
+        subs.append(sub)
         w -= 1
-    remainder = UnitLowerBanded(w, n, {d: tuple(v) for d, v in cur.items()})
-    return factors, remainder
+    return subs, exact, w
+
+
+def _chain_factors(
+    L: UnitLowerBanded, free: FreeEntrySpec, rows: int
+) -> list[LowerBidiagonalUnit]:
+    """The split of L on its leading rows x rows block (see peel_stages)."""
+    p = L.w
+    if free.p != p:
+        raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
+    factors, remainder = peel_stages(L, free.rows, p - 1, rows)
+    factors.append(LowerBidiagonalUnit(p, rows, remainder.band(-1)[1:]))
+    return factors
 
 
 def bidiagonal_chain_factor(
@@ -254,34 +347,64 @@ def bidiagonal_chain_factor(
     itself bidiagonal and becomes L(p). Deterministic: identical inputs give
     identical factors.
     """
-    p = L.w
-    if free.p != p:
-        raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
-    factors, remainder = peel_stages(L, free.rows, p - 1)
-    factors.append(LowerBidiagonalUnit(p, L.n, remainder.band(-1)[1:]))
-    return factors
+    return _chain_factors(L, free, L.n)
 
 
 def chain_from_instance(
-    inst: ShiftedInstance, free: FreeEntrySpec
+    inst: ShiftedInstance, free: FreeEntrySpec, rows: int
 ) -> BidiagonalChain:
-    """shifted_lu plus the chain split, bundled with the shift."""
+    """shifted_lu plus the chain split, bundled with the shift.
+
+    Returns the chain of the leading rows x rows block, 1 <= rows <= N: the
+    LU and the split are row-ordered, so it equals the full chain's
+    `leading(rows)`. Rows past it are only checked for a zero peel pivot.
+    """
     L, U = shifted_lu(inst)
-    factors = bidiagonal_chain_factor(L, free)
-    return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
+    factors = _chain_factors(L, free, rows)
+    return BidiagonalChain(
+        inst.p, rows, inst.shift, factors, UpperBidiagonal(rows, U.diag[:rows])
+    )
+
+
+def _rotation(
+    chain: BidiagonalChain, head: BandMatrix, tail: Optional[BandMatrix]
+) -> BandedHessenberg:
+    """C*I + head * tail as a Hessenberg truncation; no tail reads as I."""
+    prod = head if tail is None else multiply_window(head, tail)
+    return BandedHessenberg.from_band_matrix(prod.plus_scaled_identity(chain.shift), p=chain.p)
 
 
 def darboux_transform(chain: BidiagonalChain, j: int) -> BandedHessenberg:
     """Cyclic permutation J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j).
 
-    j = 0 reproduces the source matrix exactly; j >= 1 is trustworthy on all
-    rows but the last (one upper band crosses the truncation edge once).
+    Formed as C*I + S(j+1) T(j) from the halves S(k) = L(k) ... L(p) U and
+    T(j) = L(1) ... L(j), T(0) = I: p windowed products, the ones
+    `darboux_rotations` shares between the j. j = 0 reproduces the source
+    matrix exactly; j >= 1 is trustworthy on all rows but the last (one
+    upper band crosses the truncation edge once).
     """
     if not 0 <= j <= chain.p:
         raise IndexOutOfRange(f"transform index {j} outside 0..{chain.p}")
-    seq = chain.factors[j:] + (chain.upper,) + chain.factors[:j]
-    prod = product_window(seq).plus_scaled_identity(chain.shift)
-    return BandedHessenberg.from_band_matrix(prod, p=chain.p)
+    head = product_window(chain.factors[j:] + (chain.upper,))
+    return _rotation(chain, head, product_window(chain.factors[:j]) if j else None)
+
+
+def darboux_rotations(chain: BidiagonalChain) -> Iterator[tuple[int, BandedHessenberg]]:
+    """(j, J(j)) for j = 1 .. p in turn, from shared halves.
+
+    S(p+1) = U and S(k) = L(k) S(k+1) for k = p .. 2; T(1) = L(1) and
+    T(j) = T(j-1) L(j). That is 3p - 2 windowed products for all p
+    rotations, against p per rotation in `darboux_transform`. Each half is
+    released after the rotation that last reads it, and each J(j) is formed
+    only when the caller asks for it.
+    """
+    heads = [chain.upper]
+    for factor in reversed(chain.factors[1:]):
+        heads.append(multiply_window(factor, heads[-1]))
+    tail = None
+    for j, factor in enumerate(chain.factors, start=1):
+        tail = factor if tail is None else multiply_window(tail, factor)
+        yield j, _rotation(chain, heads.pop(), tail)
 
 
 def g_matrix(chain: BidiagonalChain, j: int) -> BandMatrix:

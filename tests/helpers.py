@@ -7,17 +7,21 @@ polynomial division by long division on coefficient lists. The slow
 recurrence in `Polynomial` arithmetic, the dual sequence by inverting the
 coefficient triangle, and the scan by applying each functional to z^k P_n.
 So does the rotation over the whole chain that `transformed_polys` narrowed
-to a leading block.
+to a leading block, and the routes that exact-where-printed replaced: the
+characteristic values at a point in `Fraction`s, the peel exact on all N
+rows, and each rotation as one left-to-right chained product.
 """
 
 from fractions import Fraction
 import random
 
 from banded_darboux import (
+    BadFreeSpec,
     BandedHessenberg,
     FreeEntrySpec,
     IndexOutOfRange,
     LinearFunctional,
+    LowerBidiagonalUnit,
     NotMonicOrDegreeGap,
     OrthogonalityReport,
     Polynomial,
@@ -31,6 +35,8 @@ from banded_darboux import (
     characteristic_polys,
     darboux_transform,
     hessenberg_from_recurrence,
+    product_window,
+    rational,
 )
 
 
@@ -137,7 +143,7 @@ def make_chain(rng, p, n, shift=Fraction(0)):
             p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         )
         try:
-            return inst, chain_from_instance(inst, free)
+            return inst, chain_from_instance(inst, free, n)
         except ZeroPeelPivot:
             continue
 
@@ -207,3 +213,79 @@ def scan_by_apply(nu, polys, p, window):
 def transformed_polys_full(chain, j, nmax):
     """The sequence of J(j) with J(j) formed over all N rows of the chain."""
     return characteristic_polys(darboux_transform(chain, j), nmax)
+
+
+def recurrence_values_by_fractions(hess, z, nmax):
+    """P_0(z) .. P_nmax(z) by the band recurrence in `Fraction`s."""
+    if nmax > hess.valid_rows:
+        raise IndexOutOfRange(f"need rows 0..{nmax - 1}, have {hess.valid_rows}")
+    z = rational(z)
+    values = [Fraction(1)]
+    for n in range(nmax):
+        acc = (z - hess.a(n, n)) * values[n]
+        for s in range(1, hess.p + 1):
+            if n - s >= 0:
+                acc -= hess.a(n, n - s) * values[n - s]
+        values.append(acc)
+    return tuple(values)
+
+
+def peel_stages_full(L, free_rows, stages):
+    """The peel in `Fraction`s on all N rows, band by band."""
+    n = L.n
+    w = L.w
+    if stages < 0 or stages > w - 1:
+        raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
+    if len(free_rows) < stages:
+        raise BadFreeSpec(f"need free entries for {stages} stages, got {len(free_rows)}")
+    cur = {d: list(L.band(d)) for d in range(-w, 0)}
+    factors = []
+    for j in range(1, stages + 1):
+        prescribed = [rational(v) for v in free_rows[j - 1]]
+        if len(prescribed) != w - 1:
+            raise BadFreeSpec(f"stage {j} needs {w - 1} free entries, got {len(prescribed)}")
+        sub = []
+        nxt = {d: [Fraction(0)] * n for d in range(-(w - 1), 0)}
+
+        def cur_entry(r, c):
+            if c == r:
+                return Fraction(1)
+            if r - w <= c <= r - 1 and c >= 0:
+                return cur[c - r][r]
+            return Fraction(0)
+
+        def nxt_entry(r, c):
+            if c == r:
+                return Fraction(1)
+            if r - (w - 1) <= c <= r - 1 and c >= 0:
+                return nxt[c - r][r]
+            return Fraction(0)
+
+        for r in range(1, n):
+            if r <= w - 1:
+                s = prescribed[r - 1]
+            else:
+                divisor = nxt_entry(r - 1, r - w)
+                numerator = cur_entry(r, r - w)
+                if divisor == 0:
+                    if numerator != 0:
+                        raise ZeroPeelPivot(j, r)
+                    s = Fraction(0)
+                else:
+                    s = numerator / divisor
+            sub.append(s)
+            for c in range(max(0, r - (w - 1)), r):
+                nxt[c - r][r] = cur_entry(r, c) - s * nxt_entry(r - 1, c)
+        factors.append(LowerBidiagonalUnit(j, n, sub))
+        cur = nxt
+        w -= 1
+    remainder = UnitLowerBanded(w, n, {d: tuple(v) for d, v in cur.items()})
+    return factors, remainder
+
+
+def darboux_transform_chained(chain, j):
+    """J(j) as C*I plus the product L(j+1) .. L(p) U L(1) .. L(j), taken
+    left to right in one chain."""
+    seq = chain.factors[j:] + (chain.upper,) + chain.factors[:j]
+    prod = product_window(seq).plus_scaled_identity(chain.shift)
+    return BandedHessenberg.from_band_matrix(prod, p=chain.p)

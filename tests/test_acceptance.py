@@ -74,7 +74,8 @@ def test_01_lu_roundtrip_200_seeded_instances():
             shift = J.a(0, 0)  # forces P_1(C) = 0
         else:
             shift = draw_rational(rng)
-        values = recurrence_values(J, shift, n)
+        nums, dens = recurrence_values(J, shift, n)
+        values = [Fraction(a, b) for a, b in zip(nums, dens)]
         first_zero = next((k for k in range(1, n + 1) if values[k] == 0), None)
         if first_zero is not None:
             with pytest.raises(Exception) as err:
@@ -229,7 +230,7 @@ def test_06_full_rotation_ignores_minor_hypotheses():
             free = FreeEntrySpec(
                 p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
             )
-            chain = chain_from_instance(built.instance, free)
+            chain = chain_from_instance(built.instance, free, built.instance.n)
             seq = transformed_polys(chain, p, window)
             rotated = transformed_nu(built.nu, built.instance.shift, p)
             assert is_p_orthogonal(rotated, seq, p, window).passed
@@ -280,7 +281,7 @@ def test_08_negative_paths():
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
     L, _ = shifted_lu(built.instance)
-    factors, remainder = peel_stages(L, staging.free_rows, 1)
+    factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
     assert remainder.w == 2
     assert product_window([factors[0], remainder]) == L
     report(8, "negative paths", "structural zero raises; staged zero yields partial chain")
@@ -289,7 +290,7 @@ def test_08_negative_paths():
 def test_09_single_band_reduction():
     n = 13
     inst = ShiftedInstance(catalan_hessenberg(n), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
     J1 = darboux_transform(chain, 1)
     dense = dense_mul(dense_rows(chain.upper), dense_rows(chain.factors[0]))
     for i in range(J1.valid_rows):

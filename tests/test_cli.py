@@ -381,3 +381,53 @@ def test_config_validation_matches_direct_construction():
     built_b = generate(cfg)
     assert built_a.instance.J == built_b.instance.J
     assert built_a.nu == built_b.nu
+
+
+@pytest.mark.parametrize(
+    "shift",
+    ["1.5", "1e2", " 3 ", "1_000", "+2", "٣"],
+    ids=["decimal", "exponent", "spaces", "underscore", "plus", "arabic-indic-digit"],
+)
+def test_shift_outside_the_wire_format_is_config_error(tmp_path, capsys, shift):
+    config = write_config(tmp_path, C=shift)
+    assert run_cli(tmp_path, "verify", config) == EXIT_CONFIG
+    assert "bad shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["polys", "verify"])
+@pytest.mark.parametrize(
+    "p, seed, stage, row", [(2, 79, 1, 17), (3, 128, 2, 17)], ids=["p2-stage1", "p3-stage2"]
+)
+def test_peel_pivot_past_the_window_still_exits_3(tmp_path, capsys, command, p, seed, stage, row):
+    # polys and verify compute the chain exactly on the leading W + 1 rows
+    # only; the zero divisor at row 17 lies in the residue-checked tail.
+    config = write_config(tmp_path, p=p, N=20, window=8, seed=seed, bound=1)
+    assert run_cli(tmp_path, command, config) == EXIT_SINGULAR
+    assert f"stage {stage}, row {row}" in capsys.readouterr().err
+
+
+def test_verify_with_more_bands_than_window_rows(tmp_path, capsys):
+    # At p = 5, W = 1 the moment budget (3) is short of the p duals the
+    # ladder needs, and generation stops with exit 4 before any chain.
+    config = write_config(tmp_path, p=5, N=8, window=1)
+    assert run_cli(tmp_path, "verify", config) == EXIT_INTERNAL
+    # At W = 3 the budget suffices and the chain spans p = 5 > W + 1 rows,
+    # enough for the transport checks' leading blocks.
+    config = write_config(tmp_path, p=5, N=12, window=3, seed=0)
+    assert run_cli(tmp_path, "verify", config) == EXIT_OK
+    certificate = read_report(tmp_path, "verify")["payload"]["certificate"]
+    assert certificate["passed"] and len(certificate["transport_checks"]) == 10
+    capsys.readouterr()
+
+
+def test_transform_of_one_index_matches_the_full_report(tmp_path, capsys):
+    # All j come from shared halves (J(0) from the instance); one j from
+    # its own product. Both routes must print the same matrix.
+    config = write_config(tmp_path, p=3, N=16, window=6)
+    assert run_cli(tmp_path, "transform", config) == EXIT_OK
+    full = read_report(tmp_path, "transform")["payload"]["transforms"]
+    assert sorted(full) == ["0", "1", "2", "3"]
+    for j in range(4):
+        assert run_cli(tmp_path, "transform", config, "--j", str(j)) == EXIT_OK
+        assert read_report(tmp_path, "transform")["payload"]["transforms"] == {str(j): full[str(j)]}
+    capsys.readouterr()

@@ -228,7 +228,7 @@ def test_classical_kernel_functional_p1():
     # sequence; checked by the direct scan.
     _, built = built_instance(1, seed=21, window=6)
     inst = built.instance
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
     seq = transformed_polys(chain, 1, 6)
     rotated = transformed_nu(built.nu, inst.shift, 1)
     assert is_p_orthogonal(rotated, seq, 1, 6).passed
@@ -244,7 +244,7 @@ def test_full_rotation_needs_no_minor_hypothesis():
         free = FreeEntrySpec(
             p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         )
-        chain = chain_from_instance(inst, free)
+        chain = chain_from_instance(inst, free, inst.n)
         window = 4 * p
         seq = transformed_polys(chain, p, window)
         rotated = transformed_nu(built.nu, inst.shift, p)
@@ -311,7 +311,7 @@ def test_certificate_partial_on_staged_zero():
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
     L, _ = shifted_lu(built.instance)
-    factors, remainder = peel_stages(L, staging.free_rows, 1)
+    factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
     assert product_window([factors[0], remainder]) == L
 
 

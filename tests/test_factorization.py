@@ -189,7 +189,7 @@ def test_free_spec_validation():
 def test_partial_peel_keeps_reconstruction():
     rng = random.Random(79)
     L = random_unit_lower(rng, 3, 7)
-    factors, remainder = peel_stages(L, [[1, 2]], 1)
+    factors, remainder = peel_stages(L, [[1, 2]], 1, L.n)
     assert remainder.w == 2
     assert product_window([factors[0], remainder]) == L
 
@@ -207,7 +207,7 @@ def test_rotation_zero_is_the_source_matrix():
 
 def test_rotation_catalan_p1():
     inst = ShiftedInstance(catalan_hessenberg(6), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
     J1 = darboux_transform(chain, 1)
     assert J1.a(0, 0) == Fraction(5, 2)
     assert J1.entry(0, 1) == 1
@@ -249,7 +249,7 @@ def test_rotation_index_bounds():
 
 def test_g_matrix_p1_is_the_upper_factor():
     inst = ShiftedInstance(catalan_hessenberg(5), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
     G = g_matrix(chain, 0)
     for i in range(5):
         assert G.entry(i, i) == chain.upper.diag[i]
@@ -324,7 +324,7 @@ def test_transformed_sequence_catalan_kernel_oracle():
     # p = 1: the rotated sequence must match the classical kernel formula
     # (P_{n+1} - (P_{n+1}(C)/P_n(C)) P_n) / (z - C) with C = 0.
     inst = ShiftedInstance(catalan_hessenberg(12), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()))
+    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
     P = characteristic_polys(inst.J, 11)
     got = transformed_polys(chain, 1, 10)
     assert got[1] == Z - Fraction(5, 2)

@@ -1,13 +1,14 @@
 """Differential tests: each integer kernel against its Fraction oracle.
 
 The oracles in helpers.py are the routes the kernels replaced. Inputs are
-bounded (p = 1..4, N <= 16, N <= 24 for chains) and draw every band entry,
-the diagonal and the lowest band included, from num/den with
-|num| <= bound and 1 <= den <= bound, so zeros and large denominators both
-occur.
+bounded (p = 1..4, N <= 16, N <= 24 for chains, peels and instances) and
+draw every band entry, the diagonal and the lowest band included, from
+num/den with |num| <= bound and 1 <= den <= bound, so zeros and large
+denominators both occur.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,21 +17,35 @@ from banded_darboux import (
     BandedHessenberg,
     BidiagonalChain,
     DegreeExceedsMoments,
+    FreeEntrySpec,
     LambdaLadder,
     LinearFunctional,
     LowerBidiagonalUnit,
     OrthogonalityVector,
+    ShiftedInstance,
+    SingularLeadingMinor,
+    UnitLowerBanded,
     UpperBidiagonal,
+    ZeroPeelPivot,
     build_nu,
+    chain_from_instance,
     characteristic_polys,
+    darboux_rotations,
     darboux_transform,
     dual_sequence,
     is_p_orthogonal,
+    peel_stages,
+    recurrence_values,
+    shifted_lu,
     transformed_polys,
 )
+from banded_darboux import banded, factorization
 from helpers import (
     characteristic_polys_by_polynomials,
+    darboux_transform_chained,
     dual_sequence_by_inversion,
+    peel_stages_full,
+    recurrence_values_by_fractions,
     scan_by_apply,
     transformed_polys_full,
 )
@@ -160,3 +175,176 @@ def test_rotation_on_leading_block_matches_full_chain(chain):
             for i in range(lead.valid_rows):
                 for c in range(m):
                     assert lead.entry(i, c) == full.entry(i, c)
+
+
+# The modulus of peel_stages' residue checks, 2^61 - 1.
+Q = (1 << 61) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=hessenbergs(), data=st.data())
+def test_recurrence_values_matches_fraction_recurrence(case, data):
+    J, bound = case
+    # A diagonal entry as the point makes P_1 vanish; a drawn one mostly not.
+    z = data.draw(rationals(bound) | st.sampled_from([J.a(i, i) for i in range(J.n)]))
+    nums, dens = recurrence_values(J, z, J.n)
+    slow = recurrence_values_by_fractions(J, z, J.n)
+    assert all(type(v) is int for v in nums + dens) and all(d > 0 for d in dens)
+    assert [Fraction(a, b) for a, b in zip(nums, dens)] == list(slow)
+    assert [a == 0 for a in nums] == [v == 0 for v in slow]
+    first_zero = next((n for n in range(1, J.n + 1) if slow[n] == 0), None)
+    try:
+        inst = ShiftedInstance(J, z)
+    except SingularLeadingMinor as exc:
+        assert exc.index == first_zero
+    else:
+        assert first_zero is None
+        assert inst.values_at_shift == slow
+
+
+@st.composite
+def unit_lowers(draw):
+    """A unit lower L with 1..4 bands and N <= 24, free entries for every
+    stage, and a stage count."""
+    w = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 24))
+    bound = draw(st.sampled_from(BOUNDS))
+    bands = {
+        -d: [draw(rationals(bound)) if i >= d else 0 for i in range(n)]
+        for d in range(1, w + 1)
+    }
+    free = [[draw(rationals(bound)) for _ in range(w - j)] for j in range(1, w)]
+    return UnitLowerBanded(w, n, bands), free, draw(st.integers(0, w - 1))
+
+
+def peel_outcome(peel, rows):
+    """Factor subdiagonals and remainder bands cut to the leading rows, or
+    the (stage, row) of the zero pivot."""
+    try:
+        factors, remainder = peel()
+    except ZeroPeelPivot as exc:
+        return ("ZeroPeelPivot", exc.stage, exc.row)
+    return (
+        [f.sub[: rows - 1] for f in factors],
+        remainder.w,
+        [remainder.band(d)[:rows] for d in range(-remainder.w, 0)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=unit_lowers())
+def test_peel_on_leading_rows_matches_full_exact_peel(case):
+    L, free, stages = case
+    for rows in range(1, L.n + 1):
+        fast = peel_outcome(lambda: peel_stages(L, free, stages, rows), rows)
+        slow = peel_outcome(lambda: peel_stages_full(L, free, stages), rows)
+        assert fast == slow
+        if fast[0] != "ZeroPeelPivot":
+            factors, remainder = peel_stages(L, free, stages, rows)
+            assert all(f.n == rows for f in factors) and remainder.n == rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    bound=st.sampled_from(BOUNDS),
+    forced=st.sampled_from([Fraction(Q), Fraction(-Q, 7), Fraction(1, Q)]),
+    data=st.data(),
+)
+def test_undecided_residue_reruns_the_exact_peel(n, bound, forced, data):
+    # Two bands, band -2 zero below row k+1 and free entry 0: every s(r) up
+    # to row k is 0, so the divisor of row k+1 is L(k, k-1) itself. Setting
+    # it to a multiple of q (residue 0), or giving it the denominator q,
+    # leaves the residue check undecided, so the exact rerun decides.
+    k = data.draw(st.integers(2, n - 2))
+    rows = data.draw(st.integers(1, k))
+    sub = [data.draw(rationals(bound)) for _ in range(n - 1)]
+    sub[k - 1] = forced
+    low = [Fraction(0)] * (k + 1) + [data.draw(rationals(bound)) for _ in range(n - k - 1)]
+    L = UnitLowerBanded(2, n, {-1: [0] + sub, -2: low})
+    with mock.patch.object(factorization, "_peel", wraps=factorization._peel) as spy:
+        fast = peel_outcome(lambda: peel_stages(L, [[0]], 1, rows), rows)
+    assert [c.args[3] for c in spy.call_args_list] == [rows, n]
+    assert fast == peel_outcome(lambda: peel_stages_full(L, [[0]], 1), rows)
+
+
+@st.composite
+def instances(draw):
+    """A Hessenberg J with N <= 24, a shift and free entries, all drawn."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(p + 1, 24))
+    bound = draw(st.sampled_from(BOUNDS))
+    bands = {
+        -d: [draw(rationals(bound, nonzero=(d == p))) if i >= d else 0 for i in range(n)]
+        for d in range(p + 1)
+    }
+    free = FreeEntrySpec(p, [[draw(rationals(bound)) for _ in range(p - j)] for j in range(1, p)])
+    return BandedHessenberg(p, n, bands), draw(rationals(bound)), free
+
+
+def full_chain(inst, free):
+    """The chain over all N rows through the oracle peel."""
+    L, U = shifted_lu(inst)
+    factors, remainder = peel_stages_full(L, free.rows, inst.p - 1)
+    factors.append(LowerBidiagonalUnit(inst.p, inst.n, remainder.band(-1)[1:]))
+    return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=instances())
+def test_chain_on_leading_rows_matches_full_chain(case):
+    J, shift, free = case
+    try:
+        inst = ShiftedInstance(J, shift)
+    except SingularLeadingMinor:
+        assert 0 in recurrence_values_by_fractions(J, shift, J.n)[1:]
+        return
+    try:
+        slow = full_chain(inst, free)
+    except ZeroPeelPivot as exc:
+        for rows in range(1, inst.n + 1):
+            try:
+                chain_from_instance(inst, free, rows)
+            except ZeroPeelPivot as got:
+                assert (got.stage, got.row) == (exc.stage, exc.row)
+            else:
+                raise AssertionError(f"rows={rows} missed ZeroPeelPivot{exc.stage, exc.row}")
+        return
+    for rows in range(1, inst.n + 1):
+        chain = chain_from_instance(inst, free, rows)
+        assert chain.to_json_dict() == slow.leading(rows).to_json_dict()
+    j0 = darboux_transform(chain, 0)
+    assert j0 == J and j0.valid_rows == J.n
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=chains())
+def test_rotations_from_shared_halves_match_chained_product(chain):
+    rotations = dict(darboux_rotations(chain))
+    assert list(rotations) == list(range(1, chain.p + 1))
+    for j in range(chain.p + 1):
+        slow = darboux_transform_chained(chain, j)
+        for got in (darboux_transform(chain, j), rotations.get(j)):
+            if got is None:
+                continue
+            assert got == slow
+            assert (got.lower, got.upper, got.valid_rows) == (
+                slow.lower, slow.upper, slow.valid_rows
+            )
+            assert got.to_json_dict() == slow.to_json_dict()
+
+
+def test_rotations_take_3p_minus_2_products():
+    for p in range(1, 5):
+        n = 6
+        factors = [LowerBidiagonalUnit(j, n, [j] * (n - 1)) for j in range(1, p + 1)]
+        chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
+        counted = mock.Mock(wraps=banded.multiply_window)
+        with mock.patch.object(banded, "multiply_window", counted), \
+                mock.patch.object(factorization, "multiply_window", counted):
+            list(darboux_rotations(chain))
+            assert counted.call_count == 3 * p - 2
+            for j in range(p + 1):
+                counted.reset_mock()
+                darboux_transform(chain, j)
+                assert counted.call_count == p
