@@ -30,7 +30,7 @@ for n, poly in enumerate(P):
 # -- shifted LU (shift C = 0 is admissible: no P_n vanishes there) ----------
 
 inst = ShiftedInstance(J, 0)
-L, U = shifted_lu(inst)
+L, U, _ = shifted_lu(inst, inst.n)
 print("\nJ = L * U")
 print("  U diagonal   :", ", ".join(str(v) for v in U.diag))
 print("  L subdiagonal:", ", ".join(str(v) for v in L.band(-1)[1:]))

@@ -23,7 +23,7 @@ rng = random.Random(12)
 p, N = 3, 9
 J = random_hessenberg(rng, p, N, bound=5)
 inst = ShiftedInstance(J, Fraction(1, 2))
-L, U = shifted_lu(inst)
+L, U, _ = shifted_lu(inst, inst.n)
 print(f"random p={p} instance, shift 1/2; L has {L.w} subdiagonals")
 
 # -- two different prescriptions over the same L ------------------------------

@@ -29,7 +29,6 @@ from .engine import (
     PartialFactorization,
     StageVerdict,
     TheoremCertificate,
-    check_hypotheses,
     free_entries_from_nu,
     moment_budget,
     run_theorem,
@@ -65,7 +64,6 @@ from .exact import (
     format_rational,
     parse_rational,
     rational,
-    solve_unit_lower_triangular,
 )
 from .factorization import (
     FreeEntrySpec,
@@ -74,7 +72,6 @@ from .factorization import (
     chain_from_instance,
     darboux_rotations,
     darboux_transform,
-    g_matrix,
     peel_stages,
     shifted_lu,
     transformed_polys,

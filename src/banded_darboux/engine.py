@@ -92,20 +92,6 @@ def _delta_table(ladder: LambdaLadder, p: int) -> list[tuple[int, int, Fraction]
     return table
 
 
-def check_hypotheses(ladder: LambdaLadder, p: int) -> list[tuple[int, int, Fraction]]:
-    """Evaluate every required staircase minor; raise on the first zero.
-
-    For p = 1 the condition set is empty (vacuously true): the full rotation
-    j = p needs no minor hypothesis at all.
-    """
-    ladder.check_regular()
-    table = _delta_table(ladder, p)
-    for j, m, value in table:
-        if value == 0:
-            raise HypothesisViolated(j, m, value)
-    return table
-
-
 def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> LambdaLadder:
     """Transport a stage-j ladder through factor j+1.
 
@@ -361,7 +347,7 @@ def run_theorem(
         stage, size = staging.violation
         if stage == 0:
             raise HypothesisViolated(stage, size, _ZERO)
-        L, _u = shifted_lu(inst)
+        L, _u, _tail = shifted_lu(inst, n)
         factors, remainder = peel_stages(L, staging.free_rows, stage, n)
         partial = PartialFactorization(
             stages=stage,

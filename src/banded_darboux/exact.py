@@ -14,7 +14,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from .errors import ConfigError, NonzeroRemainder, NotSquare, ShapeMismatch
 
@@ -293,9 +293,6 @@ class DenseMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
     def as_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
@@ -373,22 +370,3 @@ def det_exact(m: DenseMatrix) -> Fraction:
         prev = pivot
     return Fraction(sign * work[n - 1][n - 1], scale)
 
-
-def solve_unit_lower_triangular(
-    t: DenseMatrix, b: Sequence[ScalarLike]
-) -> tuple[Fraction, ...]:
-    """Solve T x = b by forward substitution, T unit lower triangular."""
-    n = t.rows
-    if t.cols != n or len(b) != n:
-        raise ShapeMismatch(f"system is {t.rows}x{t.cols} with rhs of length {len(b)}")
-    for i in range(n):
-        if t.entry(i, i) != 1:
-            raise ShapeMismatch(f"diagonal entry ({i},{i}) is {t.entry(i, i)}, not 1")
-    x: list[Fraction] = []
-    for i in range(n):
-        acc = rational(b[i])
-        row = t.row(i)
-        for k in range(i):
-            acc -= row[k] * x[k]
-        x.append(acc)
-    return tuple(x)

@@ -9,6 +9,13 @@ subdiagonal entries, and forms the cyclic permutations
 
 each again a (p+2)-banded Hessenberg matrix with unit superdiagonal on its
 safe window.
+
+Both the LU and the split are row-ordered, so `chain_from_instance(inst,
+free, rows)` computes them exactly only on the leading rows a command
+keeps. Past those rows, `shifted_lu(inst, rows)` hands L to `peel_stages`
+as residue rows mod q = 2^61 - 1, which only have to show every peel
+divisor nonzero. A residue that cannot decide reruns the chain exactly on
+all N rows, in `chain_from_instance` alone.
 """
 
 from __future__ import annotations
@@ -38,6 +45,39 @@ from .exact import Polynomial, ScalarLike, format_rational, parse_rational, rati
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# The Mersenne prime 2^61 - 1: LU pivots and peel divisors past the exact
+# rows are shown nonzero by their residues modulo it. A residue row is a
+# pair (numerators, denominator) mod _Q with a nonzero denominator, so a
+# value is zero mod _Q exactly when its numerator is, and no inverse is
+# taken row by row.
+_Q = (1 << 61) - 1
+_ResidueRow = tuple[list[int], int]
+
+
+class _UndecidedResidue(Exception):
+    """A residue mod _Q cannot show a pivot or divisor nonzero, or a
+    denominator is divisible by _Q; the exact route reruns."""
+
+
+def _pair(v: Fraction) -> tuple[int, int]:
+    """v as (numerator, denominator) mod _Q."""
+    den = v.denominator % _Q
+    if den == 0:
+        raise _UndecidedResidue
+    return v.numerator % _Q, den
+
+
+def _residue_row(values: Iterable[Fraction]) -> _ResidueRow:
+    """Exact values as one residue row over a common denominator."""
+    row, den = [], 1
+    for v in values:
+        num, d = _pair(v)
+        row = [x * d % _Q for x in row]
+        row.append(num * den % _Q)
+        den = den * d % _Q
+    return row, den
 
 
 class ShiftedInstance:
@@ -81,19 +121,33 @@ class ShiftedInstance:
         return f"ShiftedInstance(p={self.p}, n={self.n}, shift={self.shift})"
 
 
-def shifted_lu(inst: ShiftedInstance) -> tuple[UnitLowerBanded, UpperBidiagonal]:
-    """Unique factorization J - C*I = L U with unit-diagonal L.
+def shifted_lu(
+    inst: ShiftedInstance, rows: int
+) -> tuple[UnitLowerBanded, UpperBidiagonal, list[_ResidueRow]]:
+    """Unique factorization J - C*I = L U with unit-diagonal L, exact on the
+    leading `rows` rows, 1 <= rows <= N.
 
     Band recurrence, writing A = J - C*I and u for U's diagonal:
         A(i, m) = L(i, m) u_m + L(i, m-1),  m < i   (L(i, m-1) = 0 below band)
         A(i, i) = u_i + L(i, i-1).
     A zero u_m encountered here is exactly a singular leading minor of
     order m+1.
+
+    Returns L and U as leading rows x rows blocks, and L's rows rows .. N-1
+    mod q = 2^61 - 1, the residue rows `peel_stages` reads: tail[r - rows]
+    is (nums, den) with L(r, r-p+k) = nums[k] / den mod q (0 where the
+    column is negative). The tail runs the same recurrence with each row
+    over one denominator, so it takes no modular inverse. A pivot residue
+    of 0, or a denominator divisible by q, raises _UndecidedResidue, on
+    which `chain_from_instance` reruns with rows = N. rows = N gives the
+    full exact factorization and an empty tail.
     """
     J, C = inst.J, inst.shift
     p, n = J.p, J.n
+    if not 1 <= rows <= n:
+        raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
     diag: list[Fraction] = []
-    sub_bands: dict[int, list[Fraction]] = {d: [_ZERO] * n for d in range(-p, 0)}
+    sub_bands: dict[int, list[Fraction]] = {d: [_ZERO] * rows for d in range(-p, 0)}
 
     def ell(i: int, m: int) -> Fraction:
         if m == i:
@@ -102,21 +156,57 @@ def shifted_lu(inst: ShiftedInstance) -> tuple[UnitLowerBanded, UpperBidiagonal]
             return _ZERO
         return sub_bands[m - i][i]
 
-    for i in range(n):
+    for i in range(rows):
         for m in range(max(0, i - p), i):
             if diag[m] == 0:
                 raise SingularLeadingMinor(m + 1)
             a_im = J.a(i, m)
             sub_bands[m - i][i] = (a_im - ell(i, m - 1)) / diag[m]
         diag.append(J.a(i, i) - C - ell(i, i - 1))
-    if n and diag[-1] == 0:
+    if rows == n and diag[-1] == 0:
         # The final pivot is never divided by, but it witnesses the minor of
         # full order being singular; surface it for contract uniformity.
         raise SingularLeadingMinor(n)
-    return (
-        UnitLowerBanded(p, n, {d: tuple(v) for d, v in sub_bands.items()}),
-        UpperBidiagonal(n, diag),
-    )
+    L = UnitLowerBanded(p, rows, {d: tuple(v) for d, v in sub_bands.items()})
+    U = UpperBidiagonal(rows, diag)
+    return L, U, _lu_tail(J, C, diag[max(0, rows - p):], rows)
+
+
+def _lu_tail(
+    J: BandedHessenberg, C: Fraction, last: list[Fraction], rows: int
+) -> list[_ResidueRow]:
+    """L's rows rows .. N-1 mod _Q as residue rows, continuing from the
+    exact pivots u_{rows-len(last)} .. u_{rows-1} (`last`)."""
+    p, n = J.p, J.n
+    if rows == n:
+        return []
+    # piv[k] = u_{i-p+k} as a pair mod q, for the row i in progress.
+    piv = [(1, 1)] * (p - len(last)) + [_pair(u) for u in last]
+    if any(num == 0 for num, _ in piv):
+        raise _UndecidedResidue
+    bands = [J.band(d) for d in range(-p, 1)]
+    cn, cd = _pair(C)
+    tail = []
+    for i in range(rows, n):
+        # Row i over the running denominator y; x is L(i, m-1)'s numerator.
+        row, x, y = [0] * p, 0, 1
+        for k in range(max(0, p - i), p):
+            an, ad = _pair(bands[k][i])
+            un, ud = piv[k]
+            # L(i, m) = (a(i, m) - x/y) * ud/un over the denominator y*ad*un.
+            t = ad * un % _Q
+            row = [v * t % _Q for v in row]
+            x = row[k] = (an * y - x * ad) * ud % _Q
+            y = y * t % _Q
+        an, ad = _pair(bands[p][i])
+        # u_i = a(i, i) - C - x/y over the denominator y*ad*cd.
+        un = ((an * cd - cn * ad) * y - x * ad * cd) % _Q
+        if un == 0:
+            raise _UndecidedResidue
+        piv.pop(0)
+        piv.append((un, y * ad * cd % _Q))
+        tail.append((row, y))
+    return tail
 
 
 class FreeEntrySpec:
@@ -180,22 +270,6 @@ class FreeEntrySpec:
         return f"FreeEntrySpec(p={self.p}, rows={self.rows})"
 
 
-# The Mersenne prime 2^61 - 1: peel divisors past the exact rows are shown
-# nonzero by their residues modulo it.
-_Q = (1 << 61) - 1
-
-
-class _UndecidedResidue(Exception):
-    """A residue mod _Q cannot show a divisor nonzero, or a denominator is
-    divisible by _Q; the peel is rerun exactly."""
-
-
-def _residue(v: Fraction) -> int:
-    if v.denominator % _Q == 0:
-        raise _UndecidedResidue
-    return v.numerator * pow(v.denominator, -1, _Q) % _Q
-
-
 def _stage_rows(
     block: list[list[Fraction]], prescribed: list[Fraction], j: int, w: int
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -229,23 +303,32 @@ def _stage_rows(
 
 
 def _stage_residues(
-    tail: list[list[int]], first: int, seed: list[Fraction],
+    tail: list[_ResidueRow], first: int, seed: list[Fraction],
     prescribed: list[Fraction], w: int,
-) -> list[list[int]]:
-    """The same stage on rows first .. N-1, mod _Q, from the exact row
-    first-1 (`seed`); raises _UndecidedResidue on a zero divisor residue."""
-    prev = [_residue(v) for v in seed]
+) -> list[_ResidueRow]:
+    """The same stage on the residue rows first .. N-1, from the exact row
+    first-1 (`seed`); raises _UndecidedResidue on a zero divisor residue.
+
+    With the tail row as row / d and the new row r-1 as ext / e (unit
+    diagonal included), a forced row gives (row[k] e0 - row[0] ext[k]) /
+    (d e0) and a prescribed s = sn / sd gives
+    (row[k] sd e - sn d ext[k]) / (d sd e).
+    """
+    prev, e = _residue_row(seed)
     out = []
-    for r, row in enumerate(tail, start=first):
-        ext = prev + [1]
+    for r, (row, d) in enumerate(tail, start=first):
+        ext = prev + [e]
         if r <= w - 1:
-            s = _residue(prescribed[r - 1])
-        elif ext[0] == 0:
-            raise _UndecidedResidue
+            sn, sd = _pair(prescribed[r - 1])
+            prev = [(row[k] * sd * e - sn * d * ext[k]) % _Q for k in range(1, w)]
+            e = d * sd * e % _Q
         else:
-            s = row[0] * pow(ext[0], -1, _Q) % _Q
-        prev = [(row[k] - s * ext[k]) % _Q for k in range(1, w)]
-        out.append(prev)
+            e0 = ext[0]
+            if e0 == 0:
+                raise _UndecidedResidue
+            prev = [(row[k] * e0 - row[0] * ext[k]) % _Q for k in range(1, w)]
+            e = d * e0 % _Q
+        out.append((prev, e))
     return out
 
 
@@ -254,6 +337,7 @@ def peel_stages(
     free_rows: Sequence[Sequence[ScalarLike]],
     stages: int,
     rows: int,
+    tail: Optional[list[_ResidueRow]] = None,
 ) -> tuple[list[LowerBidiagonalUnit], UnitLowerBanded]:
     """Peel `stages` bidiagonal factors off the left of L, exactly on the
     leading `rows` rows.
@@ -273,18 +357,27 @@ def peel_stages(
 
     Rows rows .. N-1 are not returned, but their divisors must still be
     nonzero. They run on residues mod q = 2^61 - 1, stage by stage after
-    the exact rows: a nonzero residue proves a divisor nonzero. If a
-    residue is 0, or a denominator is divisible by q, the whole peel is
-    rerun exactly on all N rows, so ZeroPeelPivot and the s = 0 convention
-    are decided exactly as without the residues.
+    the exact rows: a nonzero residue proves a divisor nonzero. Those rows
+    come either as `tail`, L's residue rows in the layout `shifted_lu`
+    returns (L then holds just the `rows` exact rows, and an undecided
+    residue raises _UndecidedResidue for `chain_from_instance` to rerun),
+    or, without `tail`, from L's own exact rows past `rows`, in which case
+    a residue of 0 or a denominator divisible by q reruns this peel exactly
+    on all N rows. Either way ZeroPeelPivot and the s = 0 convention are
+    decided exactly as without the residues.
     """
     n = L.n
     if not 1 <= rows <= n:
         raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
-    try:
-        subs, exact, w = _peel(L, free_rows, stages, rows)
-    except _UndecidedResidue:
-        subs, exact, w = _peel(L, free_rows, stages, n)
+    if tail is not None:
+        if rows != n:
+            raise IndexOutOfRange(f"a residue tail continues all {n} rows of L, not {rows}")
+        subs, exact, w = _peel(L, free_rows, stages, rows, tail)
+    else:
+        try:
+            subs, exact, w = _peel(L, free_rows, stages, rows)
+        except _UndecidedResidue:
+            subs, exact, w = _peel(L, free_rows, stages, n)
     factors = [
         LowerBidiagonalUnit(j, rows, sub[: rows - 1]) for j, sub in enumerate(subs, start=1)
     ]
@@ -293,14 +386,18 @@ def peel_stages(
 
 
 def _peel(
-    L: UnitLowerBanded, free_rows: Sequence[Sequence[ScalarLike]], stages: int, rows: int
+    L: UnitLowerBanded,
+    free_rows: Sequence[Sequence[ScalarLike]],
+    stages: int,
+    rows: int,
+    tail: Optional[list[_ResidueRow]] = None,
 ) -> tuple[list[list[Fraction]], list[list[Fraction]], int]:
-    """Exact stages on rows 0 .. rows-1, residue checks on the rest.
+    """Exact stages on rows 0 .. rows-1, residue checks on the rows after
+    them: `tail`, or L's exact rows past `rows` reduced mod _Q.
 
     Returns the factors' subdiagonals, the remainder's exact rows and its
     band count.
     """
-    n = L.n
     w = L.w
     if stages < 0 or stages > w - 1:
         raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
@@ -308,9 +405,8 @@ def _peel(
         raise BadFreeSpec(f"need free entries for {stages} stages, got {len(free_rows)}")
     bands = [L.band(d) for d in range(-w, 0)]
     exact = [list(row) for row in zip(*(b[:rows] for b in bands))]
-    tail = None
-    if stages and rows < n:
-        tail = [[_residue(v) for v in row] for row in zip(*(b[rows:] for b in bands))]
+    if tail is None and stages:
+        tail = [_residue_row(row) for row in zip(*(b[rows:] for b in bands))]
     subs = []
     for j in range(1, stages + 1):
         prescribed = [rational(v) for v in free_rows[j - 1]]
@@ -319,7 +415,7 @@ def _peel(
                 f"stage {j} needs {w - 1} free entries, got {len(prescribed)}"
             )
         sub, exact = _stage_rows(exact, prescribed, j, w)
-        if tail is not None:
+        if tail:
             tail = _stage_residues(tail, rows, exact[-1], prescribed, w)
         subs.append(sub)
         w -= 1
@@ -327,13 +423,14 @@ def _peel(
 
 
 def _chain_factors(
-    L: UnitLowerBanded, free: FreeEntrySpec, rows: int
+    L: UnitLowerBanded, free: FreeEntrySpec, tail: list[_ResidueRow]
 ) -> list[LowerBidiagonalUnit]:
-    """The split of L on its leading rows x rows block (see peel_stages)."""
-    p = L.w
+    """The split of L's rows, continued by its residue `tail` (see
+    peel_stages)."""
+    p, rows = L.w, L.n
     if free.p != p:
         raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
-    factors, remainder = peel_stages(L, free.rows, p - 1, rows)
+    factors, remainder = peel_stages(L, free.rows, p - 1, rows, tail)
     factors.append(LowerBidiagonalUnit(p, rows, remainder.band(-1)[1:]))
     return factors
 
@@ -347,7 +444,7 @@ def bidiagonal_chain_factor(
     itself bidiagonal and becomes L(p). Deterministic: identical inputs give
     identical factors.
     """
-    return _chain_factors(L, free, L.n)
+    return _chain_factors(L, free, [])
 
 
 def chain_from_instance(
@@ -357,13 +454,21 @@ def chain_from_instance(
 
     Returns the chain of the leading rows x rows block, 1 <= rows <= N: the
     LU and the split are row-ordered, so it equals the full chain's
-    `leading(rows)`. Rows past it are only checked for a zero peel pivot.
+    `leading(rows)`. Past those rows the LU and the split run on residues
+    mod q only, to show every peel divisor nonzero. When a residue cannot
+    decide, the chain is rerun exactly on all N rows and cut to its leading
+    block; this is the one rerun, so ZeroPeelPivot(j, r) and the s = 0
+    convention come out as on the exact route.
     """
-    L, U = shifted_lu(inst)
-    factors = _chain_factors(L, free, rows)
-    return BidiagonalChain(
-        inst.p, rows, inst.shift, factors, UpperBidiagonal(rows, U.diag[:rows])
-    )
+    try:
+        return _chain(inst, free, rows)
+    except _UndecidedResidue:
+        return _chain(inst, free, inst.n).leading(rows)
+
+
+def _chain(inst: ShiftedInstance, free: FreeEntrySpec, rows: int) -> BidiagonalChain:
+    L, U, tail = shifted_lu(inst, rows)
+    return BidiagonalChain(inst.p, rows, inst.shift, _chain_factors(L, free, tail), U)
 
 
 def _rotation(
@@ -405,23 +510,6 @@ def darboux_rotations(chain: BidiagonalChain) -> Iterator[tuple[int, BandedHesse
     for j, factor in enumerate(chain.factors, start=1):
         tail = factor if tail is None else multiply_window(tail, factor)
         yield j, _rotation(chain, heads.pop(), tail)
-
-
-def g_matrix(chain: BidiagonalChain, j: int) -> BandMatrix:
-    """The (p+1)-banded Hessenberg G(j) = L(j+2) ... L(p) U L(1) ... L(j).
-
-    Row n of G(j) expresses the multiplied-by-(z - C) stage-(j+1) sequence
-    over the stage-j one:
-
-        (z - C) Q'_n = sum_m G(n, m) Q_m,
-
-    supported on m = n-p+1 .. n+1 with G(n, n+1) = 1; its lowest band is
-    nonzero whenever every chain coefficient is.
-    """
-    if not 0 <= j <= chain.p - 1:
-        raise IndexOutOfRange(f"index {j} outside 0..{chain.p - 1}")
-    seq = chain.factors[j + 1:] + (chain.upper,) + chain.factors[:j]
-    return product_window(seq)
 
 
 def transformed_polys(

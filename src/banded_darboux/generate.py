@@ -110,6 +110,11 @@ class InstanceConfig:
                 f"moment budget {self.moment_budget} exceeds N = {self.n}; "
                 f"raise N or shrink the window"
             )
+        if self.moment_budget + 1 < self.p:
+            raise ConfigError(
+                f"moment budget {self.moment_budget} gives {self.moment_budget + 1} dual "
+                f"functionals, fewer than p = {self.p}; widen the window"
+            )
         if self.matrix_source not in ("random", "explicit"):
             raise ConfigError(f"unknown matrix source {self.matrix_source!r}")
         if self.matrix_source == "explicit" and not (

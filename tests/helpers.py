@@ -9,7 +9,9 @@ coefficient triangle, and the scan by applying each functional to z^k P_n.
 So does the rotation over the whole chain that `transformed_polys` narrowed
 to a leading block, and the routes that exact-where-printed replaced: the
 characteristic values at a point in `Fraction`s, the peel exact on all N
-rows, and each rotation as one left-to-right chained product.
+rows, and each rotation as one left-to-right chained product. The last
+three are checks only the tests call: the intertwining matrices G(j), a
+unit lower triangular solve, and the table of staircase minors.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ import random
 from banded_darboux import (
     BadFreeSpec,
     BandedHessenberg,
+    HypothesisViolated,
     FreeEntrySpec,
     IndexOutOfRange,
     LinearFunctional,
@@ -34,6 +37,7 @@ from banded_darboux import (
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
+    delta_det,
     hessenberg_from_recurrence,
     product_window,
     rational,
@@ -289,3 +293,46 @@ def darboux_transform_chained(chain, j):
     seq = chain.factors[j:] + (chain.upper,) + chain.factors[:j]
     prod = product_window(seq).plus_scaled_identity(chain.shift)
     return BandedHessenberg.from_band_matrix(prod, p=chain.p)
+
+
+def g_matrix(chain, j):
+    """The (p+1)-banded Hessenberg G(j) = L(j+2) ... L(p) U L(1) ... L(j).
+
+    Row n of G(j) expresses the multiplied-by-(z - C) stage-(j+1) sequence
+    over the stage-j one:
+
+        (z - C) Q'_n = sum_m G(n, m) Q_m,
+
+    supported on m = n-p+1 .. n+1 with G(n, n+1) = 1; its lowest band is
+    nonzero whenever every chain coefficient is.
+    """
+    if not 0 <= j <= chain.p - 1:
+        raise IndexOutOfRange(f"index {j} outside 0..{chain.p - 1}")
+    return product_window(chain.factors[j + 1:] + (chain.upper,) + chain.factors[:j])
+
+
+def solve_unit_lower_triangular(t, b):
+    """Solve T x = b by forward substitution, T a unit lower triangular
+    `DenseMatrix`."""
+    n = t.rows
+    if t.cols != n or len(b) != n:
+        raise ShapeMismatch(f"system is {t.rows}x{t.cols} with rhs of length {len(b)}")
+    for i in range(n):
+        if t.entry(i, i) != 1:
+            raise ShapeMismatch(f"diagonal entry ({i},{i}) is {t.entry(i, i)}, not 1")
+    x = []
+    for i in range(n):
+        x.append(rational(b[i]) - sum((t.entry(i, k) * x[k] for k in range(i)), Fraction(0)))
+    return tuple(x)
+
+
+def check_hypotheses(ladder, p):
+    """Every staircase minor Delta_j(m) the theorem needs, as (j, m, value);
+    raises HypothesisViolated on the first zero. For p = 1 the table is
+    empty: the full rotation needs no minor hypothesis."""
+    ladder.check_regular()
+    table = [(j, m, delta_det(ladder, j, m)) for j in range(p) for m in range(1, p - j)]
+    for j, m, value in table:
+        if value == 0:
+            raise HypothesisViolated(j, m, value)
+    return table

@@ -30,7 +30,6 @@ from banded_darboux import (
     det_exact,
     dual_sequence,
     free_entries_from_nu,
-    g_matrix,
     generate,
     is_p_orthogonal,
     lambda_of,
@@ -51,6 +50,7 @@ from helpers import (
     dense_mul,
     dense_rows,
     draw_rational,
+    g_matrix,
     make_chain,
     random_hessenberg_local,
     random_unit_lower,
@@ -84,7 +84,7 @@ def test_01_lu_roundtrip_200_seeded_instances():
             singular += 1
         else:
             inst = ShiftedInstance(J, shift)
-            L, U = shifted_lu(inst)
+            L, U, _ = shifted_lu(inst, inst.n)
             product = multiply_window(L, U)
             assert product.valid_rows == n
             assert product == J.plus_scaled_identity(-shift)
@@ -280,7 +280,7 @@ def test_08_negative_paths():
     assert cert.partial.violated == (1, 1)
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
-    L, _ = shifted_lu(built.instance)
+    L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
     assert remainder.w == 2
     assert product_window([factors[0], remainder]) == L

@@ -407,10 +407,11 @@ def test_peel_pivot_past_the_window_still_exits_3(tmp_path, capsys, command, p, 
 
 
 def test_verify_with_more_bands_than_window_rows(tmp_path, capsys):
-    # At p = 5, W = 1 the moment budget (3) is short of the p duals the
-    # ladder needs, and generation stops with exit 4 before any chain.
+    # At p = 5, W = 1 the moment budget (3) gives 4 duals, short of the p
+    # the ladder needs: the config is rejected before generation.
     config = write_config(tmp_path, p=5, N=8, window=1)
-    assert run_cli(tmp_path, "verify", config) == EXIT_INTERNAL
+    assert run_cli(tmp_path, "verify", config) == EXIT_CONFIG
+    assert "fewer than p = 5" in capsys.readouterr().err
     # At W = 3 the budget suffices and the chain spans p = 5 > W + 1 rows,
     # enough for the transport checks' leading blocks.
     config = write_config(tmp_path, p=5, N=12, window=3, seed=0)

@@ -23,7 +23,6 @@ from banded_darboux import (
     build_nu,
     canonical_nu,
     chain_from_instance,
-    check_hypotheses,
     delta_det,
     dual_sequence,
     free_entries_from_nu,
@@ -41,7 +40,7 @@ from banded_darboux import (
     transformed_polys,
 )
 from banded_darboux.engine import _staging
-from helpers import catalan_hessenberg, draw_rational
+from helpers import catalan_hessenberg, check_hypotheses, draw_rational
 
 
 def seeded_regular_ladder(rng, p):
@@ -310,7 +309,7 @@ def test_certificate_partial_on_staged_zero():
     assert cert.partial.remainder_bands == 2
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
-    L, _ = shifted_lu(built.instance)
+    L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
     assert product_window([factors[0], remainder]) == L
 

@@ -17,9 +17,14 @@ from banded_darboux import (
     det_exact,
     format_rational,
     parse_rational,
+)
+from helpers import (
+    catalan_hessenberg,
+    cofactor_det,
+    dense_rows,
+    long_division,
     solve_unit_lower_triangular,
 )
-from helpers import catalan_hessenberg, cofactor_det, dense_rows, long_division
 
 import random
 

@@ -22,7 +22,6 @@ from banded_darboux import (
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
-    g_matrix,
     hessenberg_from_recurrence,
     multiply_window,
     peel_stages,
@@ -36,6 +35,7 @@ from helpers import (
     dense_mul,
     dense_rows,
     draw_rational,
+    g_matrix,
     make_chain,
     random_hessenberg_local,
     random_unit_lower,
@@ -49,14 +49,14 @@ def test_lu_on_already_upper_bidiagonal_matrix():
     n = 5
     J = hessenberg_from_recurrence(2, n, lambda i, m: (i + 1) if i == m else 0)
     inst = ShiftedInstance(J, 0)
-    L, U = shifted_lu(inst)
+    L, U, _ = shifted_lu(inst, inst.n)
     assert all(all(v == 0 for v in L.band(d)) for d in range(-2, 0))
     assert U.diag == tuple(Fraction(i + 1) for i in range(n))
 
 
 def test_lu_catalan_values():
     inst = ShiftedInstance(catalan_hessenberg(3), 0)
-    L, U = shifted_lu(inst)
+    L, U, _ = shifted_lu(inst, inst.n)
     assert U.diag == (Fraction(2), Fraction(3, 2), Fraction(4, 3))
     assert L.band(-1)[1:] == (Fraction(1, 2), Fraction(2, 3))
 
@@ -77,7 +77,7 @@ def test_lu_reconstructs_shifted_matrix_exactly():
             inst = ShiftedInstance(J, shift)
         except SingularLeadingMinor:
             continue
-        L, U = shifted_lu(inst)
+        L, U, _ = shifted_lu(inst, inst.n)
         prod = multiply_window(L, U)
         assert prod.valid_rows == 9
         target = J.plus_scaled_identity(-shift)
@@ -91,7 +91,7 @@ def test_lu_pivots_are_minor_ratios():
     shift = Fraction(-2, 5)
     inst = ShiftedInstance(J, shift)
     values = inst.values_at_shift
-    _, U = shifted_lu(inst)
+    _, U, _ = shifted_lu(inst, inst.n)
     for n in range(8):
         assert U.diag[n] == -values[n + 1] / values[n]
 

@@ -1,13 +1,20 @@
 """Differential tests: each integer kernel against its Fraction oracle.
 
 The oracles in helpers.py are the routes the kernels replaced. Inputs are
-bounded (p = 1..4, N <= 16, N <= 24 for chains, peels and instances) and
-draw every band entry, the diagonal and the lowest band included, from
-num/den with |num| <= bound and 1 <= den <= bound, so zeros and large
-denominators both occur.
+bounded (p = 1..4, N <= 16, N <= 24 for chains, peels, instances and CLI
+configs) and draw every band entry, the diagonal and the lowest band
+included, from num/den with |num| <= bound and 1 <= den <= bound, so zeros
+and large denominators both occur. The residue tails of the LU and the
+peel are checked against the exact route on all N rows, including inputs
+built so that a residue cannot decide.
 """
 
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+import io
+import json
+from pathlib import Path
+import tempfile
 from unittest import mock
 
 from hypothesis import given, settings
@@ -34,12 +41,14 @@ from banded_darboux import (
     darboux_transform,
     dual_sequence,
     is_p_orthogonal,
+    moment_budget,
     peel_stages,
     recurrence_values,
     shifted_lu,
     transformed_polys,
 )
 from banded_darboux import banded, factorization
+from banded_darboux.cli import main
 from helpers import (
     characteristic_polys_by_polynomials,
     darboux_transform_chained,
@@ -177,7 +186,7 @@ def test_rotation_on_leading_block_matches_full_chain(chain):
                     assert lead.entry(i, c) == full.entry(i, c)
 
 
-# The modulus of peel_stages' residue checks, 2^61 - 1.
+# The modulus of the LU's and the peel's residue checks, 2^61 - 1.
 Q = (1 << 61) - 1
 
 
@@ -268,6 +277,53 @@ def test_undecided_residue_reruns_the_exact_peel(n, bound, forced, data):
     assert fast == peel_outcome(lambda: peel_stages_full(L, [[0]], 1), rows)
 
 
+def residue(v):
+    return v.numerator * pow(v.denominator, -1, Q) % Q
+
+
+def residue_rows(L, first):
+    """L's rows first .. N-1 mod Q, entry k of row r at column r-w+k (0
+    where the column is negative)."""
+    return [
+        [residue(L.entry(r, c)) if c >= 0 else 0 for c in range(r - L.w, r)]
+        for r in range(first, L.n)
+    ]
+
+
+def normalised(tail):
+    """Residue rows (numerators, denominator) as plain residues."""
+    assert all(0 < den < Q for _, den in tail)
+    return [[x * pow(den, -1, Q) % Q for x in row] for row, den in tail]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=unit_lowers())
+def test_residue_stage_matches_exact_stage(case):
+    # Each stage on residue rows, started from every exact row, against the
+    # exact stage on all N rows: the same rows mod Q, and undecided exactly
+    # when a forced divisor past the start is zero.
+    L, free, stages = case
+    n, w = L.n, L.w
+    exact = [list(row) for row in zip(*(L.band(d) for d in range(-w, 0)))]
+    for j in range(1, stages + 1):
+        prescribed = [Fraction(v) for v in free[j - 1]]
+        try:
+            _, out = factorization._stage_rows(exact, prescribed, j, w)
+        except ZeroPeelPivot:
+            return
+        for rows in range(1, n):
+            tail = [factorization._residue_row(row) for row in exact[rows:]]
+            zero = any(out[r - 1][0] == 0 for r in range(max(rows, w), n))
+            try:
+                got = factorization._stage_residues(tail, rows, out[rows - 1], prescribed, w)
+            except factorization._UndecidedResidue:
+                assert zero
+            else:
+                assert not zero
+                assert normalised(got) == [[residue(v) for v in row] for row in out[rows:]]
+        exact, w = out, w - 1
+
+
 @st.composite
 def instances(draw):
     """A Hessenberg J with N <= 24, a shift and free entries, all drawn."""
@@ -284,7 +340,7 @@ def instances(draw):
 
 def full_chain(inst, free):
     """The chain over all N rows through the oracle peel."""
-    L, U = shifted_lu(inst)
+    L, U, _ = shifted_lu(inst, inst.n)
     factors, remainder = peel_stages_full(L, free.rows, inst.p - 1)
     factors.append(LowerBidiagonalUnit(inst.p, inst.n, remainder.band(-1)[1:]))
     return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
@@ -315,6 +371,118 @@ def test_chain_on_leading_rows_matches_full_chain(case):
         assert chain.to_json_dict() == slow.leading(rows).to_json_dict()
     j0 = darboux_transform(chain, 0)
     assert j0 == J and j0.valid_rows == J.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=instances())
+def test_lu_on_leading_rows_matches_full_exact_lu(case):
+    J, shift, _ = case
+    try:
+        inst = ShiftedInstance(J, shift)
+    except SingularLeadingMinor:
+        return
+    n, p = inst.n, inst.p
+    L, U, tail = shifted_lu(inst, n)
+    assert tail == [] and L.n == U.n == n
+    for rows in range(1, n + 1):
+        lead, upper, tail = shifted_lu(inst, rows)
+        assert lead.n == upper.n == rows
+        assert [lead.band(d) for d in range(-p, 0)] == [L.band(d)[:rows] for d in range(-p, 0)]
+        assert upper.diag == U.diag[:rows]
+        assert normalised(tail) == residue_rows(L, rows)
+
+
+def chain_outcome(build):
+    """The chain as JSON, or the (stage, row) of the zero peel pivot."""
+    try:
+        return build().to_json_dict()
+    except ZeroPeelPivot as exc:
+        return ("ZeroPeelPivot", exc.stage, exc.row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=instances(),
+    kind=st.sampled_from(["pivot", "entry"]),
+    forced=st.sampled_from([Fraction(Q), Fraction(-Q, 7)]),
+    data=st.data(),
+)
+def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
+    # Row k, past the exact rows, gets a pivot u_k that is a nonzero
+    # multiple of q (residue 0), or an in-band entry of denominator q. The
+    # LU tail cannot decide either, so chain_from_instance reruns the chain
+    # with shifted_lu on all N rows.
+    J, shift, free = case
+    n, p = J.n, J.p
+    k = data.draw(st.integers(1, n - 1))
+    rows = data.draw(st.integers(1, k))
+    bands = {-d: list(J.band(-d)) for d in range(p + 1)}
+    if kind == "entry":
+        d = data.draw(st.integers(0, min(p, k)))
+        bands[-d][k] += Fraction(data.draw(st.integers(1, 5)), Q)
+    else:
+        # L's row k does not read a(k, k), so a(k, k) = C + L(k, k-1) + forced
+        # makes u_k = forced.
+        try:
+            L, _, _ = shifted_lu(ShiftedInstance(J, shift), n)
+        except SingularLeadingMinor:
+            return
+        bands[0][k] = shift + L.entry(k, k - 1) + forced
+    try:
+        inst = ShiftedInstance(BandedHessenberg(p, n, bands), shift)
+    except SingularLeadingMinor:
+        return
+    spy = mock.Mock(wraps=factorization.shifted_lu)
+    with mock.patch.object(factorization, "shifted_lu", spy):
+        fast = chain_outcome(lambda: chain_from_instance(inst, free, rows))
+    assert [c.args[1] for c in spy.call_args_list] == [rows, n]
+    assert fast == chain_outcome(lambda: full_chain(inst, free).leading(rows))
+
+
+@st.composite
+def cli_configs(draw):
+    """A valid small config; p <= 4 keeps the p duals within the budget."""
+    p = draw(st.integers(1, 4))
+    window = draw(st.integers(1, 8))
+    n = draw(st.integers(max(moment_budget(window, p), window + p + 1), 24))
+    return {
+        "p": p,
+        "N": n,
+        "window": window,
+        "seed": draw(st.integers(0, 10**6)),
+        "bound": draw(st.sampled_from(BOUNDS)),
+        "C": draw(st.sampled_from(["0", "1", "-1/2"])),
+        "nu": {"source": draw(st.sampled_from(["random", "canonical"]))},
+    }
+
+
+def run_command(command, config_path, report_dir):
+    """Exit code, stdout, stderr and report payload (None if no report)."""
+    report = Path(report_dir) / f"{command}.json"
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--config", str(config_path), "--report-dir", report_dir])
+    payload = json.loads(report.read_text())["payload"] if report.exists() else None
+    return code, out.getvalue(), err.getvalue(), payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=cli_configs(), command=st.sampled_from(["polys", "verify"]))
+def test_cli_on_leading_rows_matches_the_exact_route(config, command):
+    # The exact route: every chain built exactly on all N rows, then cut to
+    # the rows the command keeps.
+    chain = factorization._chain
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        fast = run_command(command, path, tmp)
+        with mock.patch.object(
+            factorization, "_chain",
+            lambda inst, free, rows: chain(inst, free, inst.n).leading(rows),
+        ):
+            slow = run_command(command, path, tmp)
+    assert fast == slow
 
 
 @settings(max_examples=30, deadline=None)
