@@ -60,6 +60,7 @@ from .exact import (
     DenseMatrix,
     Polynomial,
     Z,
+    check_printable,
     det_exact,
     format_rational,
     parse_rational,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain as chain_iter
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exact import (
@@ -236,6 +237,10 @@ class BandedHessenberg(BandMatrix):
         bands = {d: bm.band(d) for d in range(-min(p, bm.lower), 1)}
         return cls(p, bm.n, bands, bm.valid_rows)
 
+    def printed_values(self) -> Iterator[Fraction]:
+        """Every value to_json_dict() prints (exact.check_printable reads them)."""
+        return chain_iter.from_iterable(self._bands[-d][d:] for d in range(self.p + 1))
+
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -417,10 +422,9 @@ class BidiagonalChain:
             self.p, m, self.shift, factors, UpperBidiagonal(m, self.upper.diag[:m])
         )
 
-    def reconstruct(self) -> BandMatrix:
-        """L(1) ... L(p) U + C*I, the matrix the chain factors."""
-        prod = product_window(tuple(self.factors) + (self.upper,))
-        return prod.plus_scaled_identity(self.shift)
+    def printed_values(self) -> Iterator[Fraction]:
+        """Every value to_json_dict() prints (exact.check_printable reads them)."""
+        return chain_iter((self.shift,), *(f.sub for f in self.factors), self.upper.diag)
 
     def to_json_dict(self) -> dict:
         return {

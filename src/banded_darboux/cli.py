@@ -12,6 +12,17 @@ deterministic for a fixed (config, seed) and is what reproducibility
 comparisons should hash. Reports land in --report-dir, else the config's
 report_dir, else $BANDED_DARBOUX_REPORTS, else ./reports.
 
+A report is streamed: the bytes are those of json.dumps(document, indent=2,
+sort_keys=True) + "\n", but transform's chain and each J(j) are formatted
+only when the writer reaches them and dropped once written, so memory holds
+one section at a time, not the document (factorize formats its chain once,
+up front, as stdout prints the same strings). The writer fills a temporary
+file in the report directory and renames it onto the report only when the
+whole document is written: a failed command leaves no report, and an older
+report at that path stays as it was. `timings` is written last, so
+`total_s` includes formatting and writing. factorize and transform check
+their results printable (exact.check_printable) before formatting any.
+
 Exit codes (total over library errors):
     0  success / certificate passed
     1  configuration or input problem (ConfigError, GenerationExhausted,
@@ -35,11 +46,13 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from itertools import chain as chain_iter
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
-from .banded import BidiagonalChain, characteristic_polys
+from .banded import BandedHessenberg, BidiagonalChain, characteristic_polys
 from .engine import free_entries_from_nu, run_theorem
 from .errors import (
     BadFreeSpec,
@@ -61,7 +74,7 @@ from .errors import (
     SizeMismatch,
     ZeroPeelPivot,
 )
-from .exact import format_rational
+from .exact import check_printable, format_rational
 from .factorization import (
     FreeEntrySpec,
     chain_from_instance,
@@ -116,13 +129,66 @@ def _report_dir(args, config: InstanceConfig) -> Path:
     return Path(os.environ.get("BANDED_DARBOUX_REPORTS", "reports"))
 
 
-def _write_report(args, config: InstanceConfig, command: str, payload: dict, timings: dict) -> Path:
+class _ReportEncoder(json.JSONEncoder):
+    """A zero-argument callable in a report is a deferred section: it is
+    called, and its result encoded, only when the writer reaches it."""
+
+    def default(self, o):
+        if callable(o):
+            return o()
+        return super().default(o)
+
+
+# The writer joins encoder chunks up to this many characters per write. A
+# chunk can be one 4,300-digit value, so the bound is in characters.
+_BATCH_CHARS = 1 << 16
+
+
+def _write_report(args, config: InstanceConfig, command: str, payload: dict, t0: float) -> Path:
+    """Stream {"payload": payload, "timings": {"total_s": ...}} to the report.
+
+    The bytes are json.dumps(document, indent=2, sort_keys=True) + "\n"
+    (the same pure-Python encoder, run incrementally). They go to a
+    temporary file beside the report, which replaces the report only once
+    complete; on any exception it is removed and the exception re-raised.
+    """
     directory = _report_dir(args, config)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / (args.out or f"{command}.json")
-    document = {"payload": payload, "timings": timings}
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    document = {
+        "payload": payload,
+        # Sorted last, so the total covers formatting and writing the payload.
+        "timings": lambda: {"total_s": time.perf_counter() - t0},
+    }
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as out:
+            batch: list[str] = []
+            size = 0
+            for chunk in _ReportEncoder(indent=2, sort_keys=True).iterencode(document):
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= _BATCH_CHARS:
+                    out.write("".join(batch))
+                    batch, size = [], 0
+            batch.append("\n")
+            out.write("".join(batch))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _write_list(label: str, items: Iterable[str]) -> None:
+    """print(label + ", ".join(items)), written piece by piece."""
+    write = sys.stdout.write
+    write(label)
+    for k, item in enumerate(items):
+        if k:
+            write(", ")
+        write(item)
+    write("\n")
 
 
 def _load_config(args) -> InstanceConfig:
@@ -180,8 +246,7 @@ def cmd_gen(args) -> int:
             else [[format_rational(v) for v in row] for row in built.ladder_rows]
         ),
     }
-    timings = {"total_s": time.perf_counter() - t0}
-    path = _write_report(args, config, "gen", payload, timings)
+    path = _write_report(args, config, "gen", payload, t0)
     print(f"instance p={config.p} N={config.n} seed={config.seed} C={payload['C']}")
     if built.shift_retries:
         print(f"  rejected shifts: {', '.join(built.shift_retries)}")
@@ -194,20 +259,23 @@ def cmd_factorize(args) -> int:
     t0 = time.perf_counter()
     built = generate(config)
     free, chain = _build_chain(config, built, config.n)
+    check_printable(chain.printed_values())
+    # The report and stdout print the same strings, so they are formatted
+    # once, here, and the chain is the one section held.
+    chain_json = chain.to_json_dict()
     payload = {
         "command": "factorize",
         "tool_version": __version__,
         "config": built.config_echo,
         "C": format_rational(built.instance.shift),
         "free_entries": free.to_json_dict(),
-        "chain": chain.to_json_dict(),
+        "chain": chain_json,
     }
-    timings = {"total_s": time.perf_counter() - t0}
-    path = _write_report(args, config, "factorize", payload, timings)
+    path = _write_report(args, config, "factorize", payload, t0)
     print(f"J - C*I = L(1)..L({config.p}) * U with C = {payload['C']}")
-    print("U diagonal: " + ", ".join(payload["chain"]["U"]["diag"]))
-    for f in payload["chain"]["factors"]:
-        print(f"L({f['j']}) subdiagonal: " + ", ".join(f["sub"]))
+    _write_list("U diagonal: ", chain_json["U"]["diag"])
+    for f in chain_json["factors"]:
+        _write_list(f"L({f['j']}) subdiagonal: ", f["sub"])
     print(f"report: {path}")
     return EXIT_OK
 
@@ -221,38 +289,40 @@ def _build_chain(
     return free, chain_from_instance(built.instance, free, rows)
 
 
+def _transform_json(hess: BandedHessenberg) -> dict:
+    return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
+
+
 def cmd_transform(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
     _free, chain = _build_chain(config, built, config.n)
+    check_printable(chain.printed_values())
     index = config.transform_index
-    # J(0) is the source matrix itself; J(1..p) share their halves. Each
-    # J(j) is formatted and released before the next one is formed.
+    # J(0) is the source matrix itself; J(1..p) share their halves. All are
+    # formed and checked printable before anything is formatted: "chain"
+    # sorts before "transforms", so the report writes them last.
     if index is None:
         rotations = chain_iter([(0, built.instance.J)], darboux_rotations(chain))
     elif index == 0:
         rotations = [(0, built.instance.J)]
     else:
         rotations = [(index, darboux_transform(chain, index))]
-    transforms = {}
+    matrices = []
     for j, hess in rotations:
-        transforms[str(j)] = {
-            "matrix": hess.to_json_dict(),
-            "valid_rows": hess.valid_rows,
-        }
-        del hess
+        check_printable(hess.printed_values())
+        matrices.append((j, hess))
     payload = {
         "command": "transform",
         "tool_version": __version__,
         "config": built.config_echo,
-        "chain": chain.to_json_dict(),
-        "transforms": transforms,
+        "chain": chain.to_json_dict,
+        "transforms": {str(j): partial(_transform_json, hess) for j, hess in matrices},
     }
-    timings = {"total_s": time.perf_counter() - t0}
-    path = _write_report(args, config, "transform", payload, timings)
-    for j, entry in transforms.items():
-        print(f"J({j}): valid rows {entry['valid_rows']} of {config.n}")
+    path = _write_report(args, config, "transform", payload, t0)
+    for j, hess in matrices:
+        print(f"J({j}): valid rows {hess.valid_rows} of {config.n}")
     print(f"report: {path}")
     return EXIT_OK
 
@@ -287,8 +357,7 @@ def cmd_polys(args) -> int:
         "nmax": nmax,
         "sequences": sequences,
     }
-    timings = {"total_s": time.perf_counter() - t0}
-    path = _write_report(args, config, "polys", payload, timings)
+    path = _write_report(args, config, "polys", payload, t0)
     print("\n".join(lines))
     print(f"report: {path}")
     return EXIT_OK
@@ -305,8 +374,7 @@ def cmd_verify(args) -> int:
         "config": built.config_echo,
         "certificate": certificate.to_json_dict(),
     }
-    timings = {"total_s": time.perf_counter() - t0}
-    path = _write_report(args, config, "verify", payload, timings)
+    path = _write_report(args, config, "verify", payload, t0)
     print(f"verdict: {'pass' if certificate.passed else 'FAIL'}")
     for verdict in certificate.stage_verdicts:
         status = "pass" if verdict.passed else "FAIL"

@@ -55,6 +55,13 @@ def parse_rational(text: str | int) -> Fraction:
     return Fraction(text)
 
 
+def _unprintable() -> ConfigError:
+    return ConfigError(
+        f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit "
+        "int-to-str limit; N or bound is too large for exact JSON output"
+    )
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "num/den" wire form, lowest terms, "num" for integers.
 
@@ -64,10 +71,24 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError as exc:
-        raise ConfigError(
-            f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit "
-            "int-to-str limit; N or bound is too large for exact JSON output"
-        ) from exc
+        raise _unprintable() from exc
+
+
+def check_printable(values: Iterable[Fraction]) -> None:
+    """Raise format_rational's ConfigError unless it can print every value.
+
+    With L = sys.get_int_max_str_digits(), str() fails exactly when
+    |numerator| >= 10^L or denominator >= 10^L; L = 0 means no limit. This
+    compares sizes only, so a command can refuse an unprintable result
+    before it formats or writes any of it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    bound = 10**limit
+    for v in values:
+        if not -bound < v.numerator < bound or v.denominator >= bound:
+            raise _unprintable()
 
 
 class Polynomial:
@@ -175,14 +196,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def times_z_power(self, k: int) -> "Polynomial":
-        """Multiply by z^k (prepend k zero coefficients)."""
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        if self.is_zero:
-            return self
-        return Polynomial((Fraction(0),) * k + self._coeffs)
 
     def deflate(self, root: ScalarLike) -> "Polynomial":
         """Divide exactly by (z - root).

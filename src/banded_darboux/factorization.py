@@ -140,7 +140,9 @@ def shifted_lu(
     over one denominator, so it takes no modular inverse. A pivot residue
     of 0, or a denominator divisible by q, raises _UndecidedResidue, on
     which `chain_from_instance` reruns with rows = N. rows = N gives the
-    full exact factorization and an empty tail.
+    full exact factorization and an empty tail, and so does p = 1: its
+    split peels no stage, so nothing reads the tail, and admissibility
+    already shows every pivot nonzero.
     """
     J, C = inst.J, inst.shift
     p, n = J.p, J.n
@@ -178,7 +180,7 @@ def _lu_tail(
     """L's rows rows .. N-1 mod _Q as residue rows, continuing from the
     exact pivots u_{rows-len(last)} .. u_{rows-1} (`last`)."""
     p, n = J.p, J.n
-    if rows == n:
+    if rows == n or p == 1:
         return []
     # piv[k] = u_{i-p+k} as a pair mod q, for the row i in progress.
     piv = [(1, 1)] * (p - len(last)) + [_pair(u) for u in last]

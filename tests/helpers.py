@@ -9,9 +9,10 @@ coefficient triangle, and the scan by applying each functional to z^k P_n.
 So does the rotation over the whole chain that `transformed_polys` narrowed
 to a leading block, and the routes that exact-where-printed replaced: the
 characteristic values at a point in `Fraction`s, the peel exact on all N
-rows, and each rotation as one left-to-right chained product. The last
-three are checks only the tests call: the intertwining matrices G(j), a
-unit lower triangular solve, and the table of staircase minors.
+rows, and each rotation as one left-to-right chained product. The rest
+are checks only the tests call: the intertwining matrices G(j), a unit
+lower triangular solve, the table of staircase minors, z^k P, and the
+matrix L(1) ... L(p) U + C*I a chain factors.
 """
 
 from fractions import Fraction
@@ -185,6 +186,20 @@ def dual_sequence_by_inversion(polys):
     return tuple(LinearFunctional(column) for column in columns)
 
 
+def times_z_power(poly, k):
+    """z^k * poly, by prepending k zero coefficients."""
+    if poly.is_zero:
+        return poly
+    return Polynomial((Fraction(0),) * k + poly.coefficients)
+
+
+def reconstruct(chain):
+    """L(1) ... L(p) U + C*I, the matrix the chain factors, by windowed
+    products."""
+    prod = product_window(tuple(chain.factors) + (chain.upper,))
+    return prod.plus_scaled_identity(chain.shift)
+
+
 def scan_by_apply(nu, polys, p, window):
     """The staircase scan by applying each functional to z^k P_n."""
     if nu.p != p:
@@ -198,7 +213,7 @@ def scan_by_apply(nu, polys, p, window):
         for n in range(window + 1):
             k = 0
             while k * p + r <= n:
-                value = f.apply(polys[n].times_z_power(k))
+                value = f.apply(times_z_power(polys[n], k))
                 zero_checks += 1
                 if value != 0:
                     failures.append(Witness("zero", r, k, n, value))
@@ -206,7 +221,7 @@ def scan_by_apply(nu, polys, p, window):
         k = 0
         while k * p + r - 1 <= window:
             idx = k * p + r - 1
-            value = f.apply(polys[idx].times_z_power(k))
+            value = f.apply(times_z_power(polys[idx], k))
             nonzero_checks += 1
             if value == 0:
                 failures.append(Witness("nonzero", r, k, idx, value))

@@ -17,6 +17,7 @@ from banded_darboux import (
     UpperBidiagonal,
     characteristic_polys,
     det_exact,
+    format_rational,
     hessenberg_from_recurrence,
     multiply_window,
     Polynomial,
@@ -28,6 +29,7 @@ from helpers import (
     dense_rows,
     draw_rational,
     random_hessenberg_local,
+    reconstruct,
 )
 
 
@@ -257,7 +259,7 @@ def test_chain_gamma_values_land_in_declared_slots():
 
 def test_chain_reconstruction_and_json_round_trip():
     chain = _tiny_chain()
-    recon = chain.reconstruct()
+    recon = reconstruct(chain)
     expected = dense_mul(
         dense_mul(dense_rows(chain.factors[0]), dense_rows(chain.factors[1])),
         dense_rows(chain.upper),
@@ -266,3 +268,14 @@ def test_chain_reconstruction_and_json_round_trip():
         expected[i][i] += chain.shift
     assert dense_rows(recon) == expected
     assert BidiagonalChain.from_json_dict(chain.to_json_dict()).to_json_dict() == chain.to_json_dict()
+
+
+def test_printed_values_are_what_to_json_dict_prints():
+    chain = _tiny_chain()
+    data = chain.to_json_dict()
+    printed = [data["C"], *(v for f in data["factors"] for v in f["sub"]), *data["U"]["diag"]]
+    assert [format_rational(v) for v in chain.printed_values()] == printed
+    J = random_hessenberg_local(random.Random(3), 3, 9)
+    bands = J.to_json_dict()["bands"]
+    printed = [v for d in range(J.p + 1) for v in bands[str(-d)]]
+    assert [format_rational(v) for v in J.printed_values()] == printed

@@ -1,7 +1,12 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
+import argparse
 import json
+import os
+import sys
 import tempfile
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +24,7 @@ from banded_darboux import (
     SingularLeadingMinor,
     generate,
 )
+from banded_darboux import cli
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -431,4 +437,165 @@ def test_transform_of_one_index_matches_the_full_report(tmp_path, capsys):
     for j in range(4):
         assert run_cli(tmp_path, "transform", config, "--j", str(j)) == EXIT_OK
         assert read_report(tmp_path, "transform")["payload"]["transforms"] == {str(j): full[str(j)]}
+    capsys.readouterr()
+
+
+def canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _resolve(value):
+    """The document with every deferred section rendered."""
+    if callable(value):
+        return _resolve(value())
+    if isinstance(value, dict):
+        return {key: _resolve(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_resolve(item) for item in value]
+    return value
+
+
+def _section(value):
+    return lambda: value
+
+
+_JSON_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    # Long runs of one character, escaped or not, cross the write batches.
+    st.builds(lambda c, k: c * k, st.characters(), st.integers(0, 30_000)),
+)
+_DOCUMENTS = st.recursive(
+    _JSON_ATOMS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | inner.map(_section),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(payload=_DOCUMENTS)
+@example(payload={"10": _section([]), "2": {}, "é\n": _section({"x": [1.5, None, True]})})
+def test_report_writer_matches_json_dumps_byte_for_byte(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = argparse.Namespace(report_dir=tmp, out=None)
+        path = cli._write_report(args, None, "doc", payload, time.perf_counter())
+        assert os.listdir(tmp) == ["doc.json"]
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    timings = json.loads(text)["timings"]
+    assert list(timings) == ["total_s"]
+    document = {"payload": _resolve(payload), "timings": timings}
+    assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_report_write_removes_its_temp_file_and_keeps_the_old_report(tmp_path):
+    old = tmp_path / "doc.json"
+    old.write_text("old report\n")
+
+    def unprintable():
+        raise ConfigError("unprintable")
+
+    # The first section fills several write batches before the second fails.
+    payload = {"a": "x" * 300_000, "b": unprintable}
+    args = argparse.Namespace(report_dir=str(tmp_path), out=None)
+    with pytest.raises(ConfigError, match="unprintable"):
+        cli._write_report(args, None, "doc", payload, time.perf_counter())
+    assert os.listdir(tmp_path) == ["doc.json"]
+    assert old.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "factorize", "transform", "polys", "verify"])
+def test_reports_are_canonical_json_and_leave_no_temp_file(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    assert run_cli(tmp_path, command, config) == EXIT_OK
+    text = (tmp_path / "reports" / f"{command}.json").read_text()
+    assert text == canonical(text)
+    assert os.listdir(tmp_path / "reports") == [f"{command}.json"]
+    assert capsys.readouterr().out.endswith(f"report: {tmp_path / 'reports' / command}.json\n")
+
+
+def test_factorize_stdout_lists_the_reported_chain(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert run_cli(tmp_path, "factorize", config) == EXIT_OK
+    chain = read_report(tmp_path, "factorize")["payload"]["chain"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "J - C*I = L(1)..L(2) * U with C = 0"
+    assert lines[1] == "U diagonal: " + ", ".join(chain["U"]["diag"])
+    assert lines[2:4] == [
+        f"L({f['j']}) subdiagonal: " + ", ".join(f["sub"]) for f in chain["factors"]
+    ]
+    assert len(lines) == 5
+
+
+def test_transform_at_p_10_sorts_the_transform_keys_as_strings(tmp_path, capsys):
+    config = write_config(tmp_path, p=10, N=21, window=9, seed=1)
+    assert run_cli(tmp_path, "transform", config) == EXIT_OK
+    text = (tmp_path / "reports" / "transform.json").read_text()
+    assert text == canonical(text)
+    transforms = json.loads(text)["payload"]["transforms"]
+    assert list(transforms) == ["0", "1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:11]] == [f"J({j})" for j in range(11)]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-report", "old-report"])
+@pytest.mark.parametrize("command", ["factorize", "transform"])
+def test_unprintable_chain_writes_nothing(tmp_path, capsys, command, existing):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 1, "N": 4, "window": 1, "seed": 1, "bound": 10**2000}))
+    reports = tmp_path / "reports"
+    old = reports / f"{command}.json"
+    if existing:
+        reports.mkdir()
+        old.write_bytes(b'{"old": true}\n')
+    assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+    assert "4300-digit" in capsys.readouterr().err
+    if existing:
+        assert os.listdir(reports) == [old.name]
+        assert old.read_bytes() == b'{"old": true}\n'
+    else:
+        assert not reports.exists() or os.listdir(reports) == []
+
+
+def test_transform_checks_every_rotation_before_formatting(tmp_path, capsys, monkeypatch):
+    # Under a 640-digit limit this chain prints but J(1) does not: transform
+    # must stop before it formats the chain or J(0).
+    config = write_config(tmp_path, p=1, N=100, window=8, seed=1, bound=1000)
+    formatted = []
+    for klass in (BidiagonalChain, BandedHessenberg):
+        original = klass.to_json_dict
+        monkeypatch.setattr(
+            klass, "to_json_dict",
+            lambda self, original=original: formatted.append(type(self)) or original(self),
+        )
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert run_cli(tmp_path, "factorize", config) == EXIT_OK
+        formatted.clear()
+        assert run_cli(tmp_path, "transform", config) == EXIT_CONFIG
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert formatted == []
+    assert "640-digit" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "reports") == ["factorize.json"]
+
+
+def test_transform_peak_memory_is_under_twice_its_report(tmp_path, capsys):
+    # The report is streamed one section at a time, so the peak is the
+    # numbers plus one section, not the formatted document several times.
+    config = write_config(tmp_path, p=3, N=200, window=8, seed=1)
+    tracemalloc.start()
+    try:
+        code = run_cli(tmp_path, "transform", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2 * (tmp_path / "reports" / "transform.json").stat().st_size
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """Scalar, polynomial, and dense-matrix layer."""
 
 from fractions import Fraction
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from banded_darboux import (
     Polynomial,
     ShapeMismatch,
     Z,
+    check_printable,
     det_exact,
     format_rational,
     parse_rational,
@@ -40,6 +42,48 @@ def test_scalar_wire_format_round_trip():
 def test_format_rational_beyond_int_str_limit_is_config_error():
     with pytest.raises(ConfigError, match="4300-digit"):
         format_rational(Fraction(10**5000))
+
+
+def _printable_by_str(value):
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _printable_by_check(value):
+    try:
+        check_printable([value])
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as formatted:
+            format_rational(value)
+        assert str(exc) == str(formatted.value)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+def test_check_printable_agrees_with_str_at_the_limit(limit):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit)
+        values = []
+        for digits in (640, 641, 5000):
+            for m in (10 ** (digits - 1), 10**digits - 1, 10**digits):
+                values += [
+                    Fraction(m), Fraction(-m), Fraction(1, m), Fraction(-1, m),
+                    Fraction(m, 7), Fraction(-7, m), Fraction(m + 2, m + 1),
+                ]
+        printable = [_printable_by_str(v) for v in values]
+        assert [_printable_by_check(v) for v in values] == printable
+        if limit:
+            assert True in printable and False in printable
+        else:
+            assert all(printable)
+        check_printable(v for v in values if _printable_by_str(v))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_poly_eval_constant():
