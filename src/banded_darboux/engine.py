@@ -135,10 +135,6 @@ class StagingResult:
     deltas: tuple[tuple[int, int, Fraction], ...]
     violation: Optional[tuple[int, int]]
 
-    @property
-    def completed_stages(self) -> int:
-        return len(self.free_rows)
-
 
 def _staging(ladder: LambdaLadder, p: int) -> StagingResult:
     """Run the stage recursion, auditing each minor against the source.
@@ -348,7 +344,7 @@ def run_theorem(
         if stage == 0:
             raise HypothesisViolated(stage, size, _ZERO)
         L, _u, _tail = shifted_lu(inst, n)
-        factors, remainder = peel_stages(L, staging.free_rows, stage, n)
+        factors, remainder = peel_stages(L, staging.free_rows, stage)
         partial = PartialFactorization(
             stages=stage,
             violated=(stage, size),

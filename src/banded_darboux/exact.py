@@ -288,10 +288,6 @@ class DenseMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def from_function(cls, rows: int, cols: int, fn: Callable[[int, int], ScalarLike]) -> "DenseMatrix":
         return cls(tuple(tuple(fn(i, j) for j in range(cols)) for i in range(rows)))
 
@@ -325,9 +321,6 @@ class DenseMatrix:
                 )
             )
         return DenseMatrix(out)
-
-    def det(self) -> Fraction:
-        return det_exact(self)
 
     def __eq__(self, other):
         if isinstance(other, DenseMatrix):

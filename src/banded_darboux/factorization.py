@@ -12,16 +12,18 @@ safe window.
 
 Both the LU and the split are row-ordered, so `chain_from_instance(inst,
 free, rows)` computes them exactly only on the leading rows a command
-keeps. Past those rows, `shifted_lu(inst, rows)` hands L to `peel_stages`
-as residue rows mod q = 2^61 - 1, which only have to show every peel
-divisor nonzero. A residue that cannot decide reruns the chain exactly on
-all N rows, in `chain_from_instance` alone.
+keeps. Past those rows, `shifted_lu(inst, rows)` hands L's rows to
+`peel_stages` as residue rows mod q = 2^61 - 1, which only have to show
+every peel divisor nonzero. A residue that cannot decide raises
+_UndecidedResidue out of either; `chain_from_instance` alone catches it and
+reruns the chain exactly on all N rows. Every other caller peels an L that
+is exact on all its rows, with no residue rows, so nothing else reruns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .banded import (
     BandedHessenberg,
@@ -41,7 +43,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroPeelPivot,
 )
-from .exact import Polynomial, ScalarLike, format_rational, parse_rational, rational
+from .exact import Polynomial, ScalarLike, format_rational, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -256,10 +258,6 @@ class FreeEntrySpec:
             "rows": [[format_rational(v) for v in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FreeEntrySpec":
-        return cls(int(data["p"]), [[parse_rational(v) for v in row] for row in data["rows"]])
-
     def __eq__(self, other):
         if not isinstance(other, FreeEntrySpec):
             return NotImplemented
@@ -338,11 +336,10 @@ def peel_stages(
     L: UnitLowerBanded,
     free_rows: Sequence[Sequence[ScalarLike]],
     stages: int,
-    rows: int,
-    tail: Optional[list[_ResidueRow]] = None,
+    tail: Sequence[_ResidueRow] = (),
 ) -> tuple[list[LowerBidiagonalUnit], UnitLowerBanded]:
-    """Peel `stages` bidiagonal factors off the left of L, exactly on the
-    leading `rows` rows.
+    """Peel `stages` bidiagonal factors off the left of L, exactly on all of
+    L's rows.
 
     Stage j (1-based) removes one subdiagonal from the running remainder M:
     choose the factor's subdiagonal s(r) freely for rows r <= w-1 (where the
@@ -352,64 +349,24 @@ def peel_stages(
         M'(r, c) = M(r, c) - s(r) * M'(r-1, c).
 
     Returns the peeled factors and the remaining unit lower (w - stages)
-    banded remainder, both as leading rows x rows blocks. Processing is
-    strictly row-ordered, so each unknown is fixed by one linear equation;
-    the division is by the remainder's newest lowest-band entry
-    (ZeroPeelPivot when it vanishes).
+    banded remainder, both over L's rows. Processing is strictly
+    row-ordered, so each unknown is fixed by one linear equation; the
+    division is by the remainder's newest lowest-band entry (ZeroPeelPivot
+    when it vanishes).
 
-    Rows rows .. N-1 are not returned, but their divisors must still be
-    nonzero. They run on residues mod q = 2^61 - 1, stage by stage after
-    the exact rows: a nonzero residue proves a divisor nonzero. Those rows
-    come either as `tail`, L's residue rows in the layout `shifted_lu`
-    returns (L then holds just the `rows` exact rows, and an undecided
-    residue raises _UndecidedResidue for `chain_from_instance` to rerun),
-    or, without `tail`, from L's own exact rows past `rows`, in which case
-    a residue of 0 or a denominator divisible by q reruns this peel exactly
-    on all N rows. Either way ZeroPeelPivot and the s = 0 convention are
-    decided exactly as without the residues.
+    `tail` continues L past its own rows as residue rows mod q = 2^61 - 1,
+    in the layout `shifted_lu` returns. Each stage also runs on them, only
+    to show every divisor there nonzero: a nonzero residue proves it, and a
+    residue of 0 or a denominator divisible by q raises _UndecidedResidue,
+    on which `chain_from_instance` reruns the chain exactly on all N rows.
     """
-    n = L.n
-    if not 1 <= rows <= n:
-        raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
-    if tail is not None:
-        if rows != n:
-            raise IndexOutOfRange(f"a residue tail continues all {n} rows of L, not {rows}")
-        subs, exact, w = _peel(L, free_rows, stages, rows, tail)
-    else:
-        try:
-            subs, exact, w = _peel(L, free_rows, stages, rows)
-        except _UndecidedResidue:
-            subs, exact, w = _peel(L, free_rows, stages, n)
-    factors = [
-        LowerBidiagonalUnit(j, rows, sub[: rows - 1]) for j, sub in enumerate(subs, start=1)
-    ]
-    bands = {d: tuple(row[d + w] for row in exact[:rows]) for d in range(-w, 0)}
-    return factors, UnitLowerBanded(w, rows, bands)
-
-
-def _peel(
-    L: UnitLowerBanded,
-    free_rows: Sequence[Sequence[ScalarLike]],
-    stages: int,
-    rows: int,
-    tail: Optional[list[_ResidueRow]] = None,
-) -> tuple[list[list[Fraction]], list[list[Fraction]], int]:
-    """Exact stages on rows 0 .. rows-1, residue checks on the rows after
-    them: `tail`, or L's exact rows past `rows` reduced mod _Q.
-
-    Returns the factors' subdiagonals, the remainder's exact rows and its
-    band count.
-    """
-    w = L.w
+    n, w = L.n, L.w
     if stages < 0 or stages > w - 1:
         raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
     if len(free_rows) < stages:
         raise BadFreeSpec(f"need free entries for {stages} stages, got {len(free_rows)}")
-    bands = [L.band(d) for d in range(-w, 0)]
-    exact = [list(row) for row in zip(*(b[:rows] for b in bands))]
-    if tail is None and stages:
-        tail = [_residue_row(row) for row in zip(*(b[rows:] for b in bands))]
-    subs = []
+    exact = [list(row) for row in zip(*(L.band(d) for d in range(-w, 0)))]
+    factors = []
     for j in range(1, stages + 1):
         prescribed = [rational(v) for v in free_rows[j - 1]]
         if len(prescribed) != w - 1:
@@ -418,35 +375,28 @@ def _peel(
             )
         sub, exact = _stage_rows(exact, prescribed, j, w)
         if tail:
-            tail = _stage_residues(tail, rows, exact[-1], prescribed, w)
-        subs.append(sub)
+            tail = _stage_residues(tail, n, exact[-1], prescribed, w)
+        factors.append(LowerBidiagonalUnit(j, n, sub))
         w -= 1
-    return subs, exact, w
-
-
-def _chain_factors(
-    L: UnitLowerBanded, free: FreeEntrySpec, tail: list[_ResidueRow]
-) -> list[LowerBidiagonalUnit]:
-    """The split of L's rows, continued by its residue `tail` (see
-    peel_stages)."""
-    p, rows = L.w, L.n
-    if free.p != p:
-        raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
-    factors, remainder = peel_stages(L, free.rows, p - 1, rows, tail)
-    factors.append(LowerBidiagonalUnit(p, rows, remainder.band(-1)[1:]))
-    return factors
+    bands = {d: tuple(row[d + w] for row in exact) for d in range(-w, 0)}
+    return factors, UnitLowerBanded(w, n, bands)
 
 
 def bidiagonal_chain_factor(
-    L: UnitLowerBanded, free: FreeEntrySpec
+    L: UnitLowerBanded, free: FreeEntrySpec, tail: Sequence[_ResidueRow] = ()
 ) -> list[LowerBidiagonalUnit]:
     """Split L into p unit lower bidiagonal factors, L = L(1) ... L(p).
 
     The free entries pin down factors 1..p-1; the last stage's remainder is
     itself bidiagonal and becomes L(p). Deterministic: identical inputs give
-    identical factors.
+    identical factors. `tail` continues L as residue rows (see peel_stages).
     """
-    return _chain_factors(L, free, [])
+    p = L.w
+    if free.p != p:
+        raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
+    factors, remainder = peel_stages(L, free.rows, p - 1, tail)
+    factors.append(LowerBidiagonalUnit(p, L.n, remainder.band(-1)[1:]))
+    return factors
 
 
 def chain_from_instance(
@@ -470,7 +420,7 @@ def chain_from_instance(
 
 def _chain(inst: ShiftedInstance, free: FreeEntrySpec, rows: int) -> BidiagonalChain:
     L, U, tail = shifted_lu(inst, rows)
-    return BidiagonalChain(inst.p, rows, inst.shift, _chain_factors(L, free, tail), U)
+    return BidiagonalChain(inst.p, rows, inst.shift, bidiagonal_chain_factor(L, free, tail), U)
 
 
 def _rotation(

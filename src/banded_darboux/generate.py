@@ -26,7 +26,6 @@ from .exact import Polynomial, format_rational, parse_rational
 from .factorization import ShiftedInstance
 from .functionals import (
     LambdaLadder,
-    LinearFunctional,
     OrthogonalityVector,
     build_nu,
     canonical_nu,
@@ -66,6 +65,17 @@ def random_ladder(rng: random.Random, p: int, bound: int) -> LambdaLadder:
 def _is_rational_list(values) -> bool:
     """A list of config scalars: "num/den" strings or integers."""
     return isinstance(values, (list, tuple)) and all(isinstance(v, (str, int)) for v in values)
+
+
+def _typed(key: str, value, kind: type = int):
+    """A config field of JSON type `kind` (int or bool), checked rather than
+    coerced: a bool is no integer here, and no float or string is either."""
+    if type(value) is not kind:
+        name = "integer" if kind is int else "boolean"
+        raise ConfigError(
+            f'malformed config: "{key}" must be a JSON {name}, got {type(value).__name__}'
+        )
+    return value
 
 
 @dataclass
@@ -174,23 +184,25 @@ class InstanceConfig:
                 raise ConfigError(f'malformed config: "{key}" must be a JSON object')
         try:
             cfg = cls(
-                p=int(data["p"]),
-                n=int(data["N"]),
-                window=int(data["window"]),
-                seed=int(data.get("seed", 0)),
-                bound=int(data.get("bound", DEFAULT_BOUND)),
+                p=_typed("p", data["p"]),
+                n=_typed("N", data["N"]),
+                window=_typed("window", data["window"]),
+                seed=_typed("seed", data.get("seed", 0)),
+                bound=_typed("bound", data.get("bound", DEFAULT_BOUND)),
                 shift=str(data.get("C", "0")),
                 matrix_source=matrix.get("source", "random"),
                 matrix_bands=matrix.get("bands"),
                 nu_source=nu.get("source", "random"),
                 nu_ladder=nu.get("lambda"),
-                require_hypotheses=bool(nu.get("require_hypotheses", True)),
-                retry_cap=int(data.get("retry_cap", DEFAULT_RETRY_CAP)),
+                require_hypotheses=_typed(
+                    "require_hypotheses", nu.get("require_hypotheses", True), bool
+                ),
+                retry_cap=_typed("retry_cap", data.get("retry_cap", DEFAULT_RETRY_CAP)),
                 report_dir=data.get("report_dir"),
                 transform_index=(
                     None
                     if data.get("transform_index") is None
-                    else int(data["transform_index"])
+                    else _typed("transform_index", data["transform_index"])
                 ),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -206,7 +218,6 @@ class GeneratedInstance:
     config_echo: dict
     instance: ShiftedInstance
     nu: OrthogonalityVector
-    duals: tuple[LinearFunctional, ...]
     source_polys: tuple[Polynomial, ...]
     ladder_rows: Optional[tuple[tuple[Fraction, ...], ...]]
     shift_retries: tuple[str, ...]
@@ -290,7 +301,6 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
         config_echo=config.to_json_dict(),
         instance=instance,
         nu=nu,
-        duals=duals,
         source_polys=source_polys,
         ladder_rows=ladder_rows,
         shift_retries=tuple(retries),

@@ -281,7 +281,7 @@ def test_08_negative_paths():
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
     L, _, _ = shifted_lu(built.instance, built.instance.n)
-    factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
+    factors, remainder = peel_stages(L, staging.free_rows, 1)
     assert remainder.w == 2
     assert product_window([factors[0], remainder]) == L
     report(8, "negative paths", "structural zero raises; staged zero yields partial chain")

@@ -264,6 +264,29 @@ def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, document",
+    [
+        ("p", {**_BASE, "p": 2.9}),
+        ("window", {**_BASE, "window": 8.7}),
+        ("require_hypotheses", {**_BASE, "nu": {"source": "random", "require_hypotheses": "false"}}),
+        ("seed", {**_BASE, "seed": True}),
+        ("N", {**_BASE, "N": "14"}),
+    ],
+    ids=["float-p", "float-window", "string-require-hypotheses", "bool-seed", "string-N"],
+)
+def test_config_fields_are_not_coerced(tmp_path, capsys, key, document):
+    # int() and bool() would run these as p = 2, W = 8 and require_hypotheses
+    # true; each field takes only its own JSON type.
+    with pytest.raises(ConfigError, match=f'"{key}"'):
+        InstanceConfig.from_json_dict(document)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    assert run_cli(tmp_path, "verify", path) == EXIT_CONFIG
+    assert f'"{key}"' in capsys.readouterr().err
+    assert not (tmp_path / "reports" / "verify.json").exists()
+
+
 # Values that int() cannot turn into a large size, so no size the fuzzer
 # picks can make a run slow.
 _ODD_ATOMS = st.one_of(

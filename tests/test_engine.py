@@ -310,7 +310,7 @@ def test_certificate_partial_on_staged_zero():
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
     L, _, _ = shifted_lu(built.instance, built.instance.n)
-    factors, remainder = peel_stages(L, staging.free_rows, 1, L.n)
+    factors, remainder = peel_stages(L, staging.free_rows, 1)
     assert product_window([factors[0], remainder]) == L
 
 

@@ -189,7 +189,7 @@ def test_free_spec_validation():
 def test_partial_peel_keeps_reconstruction():
     rng = random.Random(79)
     L = random_unit_lower(rng, 3, 7)
-    factors, remainder = peel_stages(L, [[1, 2]], 1, L.n)
+    factors, remainder = peel_stages(L, [[1, 2]], 1)
     assert remainder.w == 2
     assert product_window([factors[0], remainder]) == L
 

@@ -226,55 +226,26 @@ def unit_lowers(draw):
     return UnitLowerBanded(w, n, bands), free, draw(st.integers(0, w - 1))
 
 
-def peel_outcome(peel, rows):
-    """Factor subdiagonals and remainder bands cut to the leading rows, or
-    the (stage, row) of the zero pivot."""
+def peel_outcome(peel):
+    """Each factor's size and subdiagonal and the remainder's size, band
+    count and bands, or the (stage, row) of the zero pivot."""
     try:
         factors, remainder = peel()
     except ZeroPeelPivot as exc:
         return ("ZeroPeelPivot", exc.stage, exc.row)
     return (
-        [f.sub[: rows - 1] for f in factors],
-        remainder.w,
-        [remainder.band(d)[:rows] for d in range(-remainder.w, 0)],
+        [(f.n, f.sub) for f in factors],
+        (remainder.n, remainder.w),
+        [remainder.band(d) for d in range(-remainder.w, 0)],
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=unit_lowers())
-def test_peel_on_leading_rows_matches_full_exact_peel(case):
+def test_peel_matches_full_exact_peel(case):
     L, free, stages = case
-    for rows in range(1, L.n + 1):
-        fast = peel_outcome(lambda: peel_stages(L, free, stages, rows), rows)
-        slow = peel_outcome(lambda: peel_stages_full(L, free, stages), rows)
-        assert fast == slow
-        if fast[0] != "ZeroPeelPivot":
-            factors, remainder = peel_stages(L, free, stages, rows)
-            assert all(f.n == rows for f in factors) and remainder.n == rows
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(4, 24),
-    bound=st.sampled_from(BOUNDS),
-    forced=st.sampled_from([Fraction(Q), Fraction(-Q, 7), Fraction(1, Q)]),
-    data=st.data(),
-)
-def test_undecided_residue_reruns_the_exact_peel(n, bound, forced, data):
-    # Two bands, band -2 zero below row k+1 and free entry 0: every s(r) up
-    # to row k is 0, so the divisor of row k+1 is L(k, k-1) itself. Setting
-    # it to a multiple of q (residue 0), or giving it the denominator q,
-    # leaves the residue check undecided, so the exact rerun decides.
-    k = data.draw(st.integers(2, n - 2))
-    rows = data.draw(st.integers(1, k))
-    sub = [data.draw(rationals(bound)) for _ in range(n - 1)]
-    sub[k - 1] = forced
-    low = [Fraction(0)] * (k + 1) + [data.draw(rationals(bound)) for _ in range(n - k - 1)]
-    L = UnitLowerBanded(2, n, {-1: [0] + sub, -2: low})
-    with mock.patch.object(factorization, "_peel", wraps=factorization._peel) as spy:
-        fast = peel_outcome(lambda: peel_stages(L, [[0]], 1, rows), rows)
-    assert [c.args[3] for c in spy.call_args_list] == [rows, n]
-    assert fast == peel_outcome(lambda: peel_stages_full(L, [[0]], 1), rows)
+    fast = peel_outcome(lambda: peel_stages(L, free, stages))
+    assert fast == peel_outcome(lambda: peel_stages_full(L, free, stages))
 
 
 def residue(v):
@@ -441,6 +412,47 @@ def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
         fast = chain_outcome(lambda: chain_from_instance(inst, free, rows))
     # At p = 1 no tail is computed, so nothing is left to decide.
     assert [c.args[1] for c in spy.call_args_list] == ([rows] if p == 1 else [rows, n])
+    assert fast == chain_outcome(lambda: full_chain(inst, free).leading(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    bound=st.sampled_from(BOUNDS),
+    forced=st.sampled_from([Fraction(Q), Fraction(3 * Q), Fraction(-Q, 7)]),
+    data=st.data(),
+)
+def test_undecided_peel_tail_reruns_the_exact_chain(n, bound, forced, data):
+    # J = C*I + L U with p = 2, band -2 of L zero through row k and free
+    # entry 0: every s(r) up to row k is 0, so the peel divisor of row k+1
+    # is L(k, k-1) itself. Setting it to a nonzero multiple of q leaves its
+    # residue 0 past the exact rows, while U's small nonzero diagonal keeps
+    # every LU pivot decided, so only the peel tail sends chain_from_instance
+    # to its rerun on all N rows.
+    k = data.draw(st.integers(2, n - 2))
+    rows = data.draw(st.integers(1, k))
+    sub = [data.draw(rationals(bound)) for _ in range(n - 1)]
+    sub[k - 1] = forced
+    low = [Fraction(0)] * (k + 1) + [data.draw(rationals(bound)) for _ in range(n - k - 1)]
+    L = UnitLowerBanded(2, n, {-1: [0] + sub, -2: low})
+    u = [data.draw(rationals(bound, nonzero=True)) for _ in range(n)]
+    shift = data.draw(rationals(bound))
+    # A(i, m) = L(i, m) u_m + L(i, m-1) for A = J - C*I = L U.
+    bands = {
+        -d: [
+            L.entry(i, i - d) * u[i - d] + (L.entry(i, i - d - 1) if i > d else 0)
+            if i >= d else 0
+            for i in range(n)
+        ]
+        for d in range(1, 3)
+    }
+    bands[0] = [shift + u[i] + (L.entry(i, i - 1) if i else 0) for i in range(n)]
+    inst = ShiftedInstance(BandedHessenberg(2, n, bands), shift)
+    free = FreeEntrySpec(2, [[0]])
+    spy = mock.Mock(wraps=factorization.shifted_lu)
+    with mock.patch.object(factorization, "shifted_lu", spy):
+        fast = chain_outcome(lambda: chain_from_instance(inst, free, rows))
+    assert [c.args[1] for c in spy.call_args_list] == [rows, n]
     assert fast == chain_outcome(lambda: full_chain(inst, free).leading(rows))
 
 
