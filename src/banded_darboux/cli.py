@@ -23,20 +23,23 @@ report at that path stays as it was. `timings` is written last, so
 `total_s` includes formatting and writing. factorize and transform check
 their results printable (exact.check_printable) before formatting any.
 
+Every command runs through one runner (`_run`): load the config, start the
+clock, generate the instance, run the command, write its report, then print
+its stdout and the final `report: <path>` line. A library error ends the run
+with one `error:` line on stderr and its class's `exit_code`; the table of
+classes and codes is in `banded_darboux.errors`.
+
 Exit codes (total over library errors):
     0  success / certificate passed
-    1  configuration or input problem (ConfigError, GenerationExhausted,
-       BadFreeSpec, NotMonicOrDegreeGap, InsufficientMoments,
-       DegreeExceedsMoments, bad JSON, missing files). This includes
-       numbers beyond Python's 4300-digit int/str conversion limit: a
-       config integer literal that long, or a result value that long in
-       a report (N or bound too large for exact JSON output).
-    2  orthogonality hypothesis failure (HypothesisViolated,
-       LadderViolation), including non-passing verify verdicts
-    3  singular pivot (SingularLeadingMinor, ZeroPeelPivot)
-    4  internal consistency (InternalCheckError, ConsistencyFailure,
-       NonzeroRemainder, ShapeMismatch, SizeMismatch, NotSquare,
-       IndexOutOfRange)
+    1  configuration or input problem, including bad JSON, missing files
+       and usage errors. This includes numbers beyond Python's 4300-digit
+       int/str conversion limit: a config integer literal that long, or a
+       result value that long in a report (N or bound too large for exact
+       JSON output).
+    2  orthogonality hypothesis failure, including non-passing verify
+       verdicts
+    3  singular pivot
+    4  internal consistency
 """
 
 from __future__ import annotations
@@ -49,31 +52,12 @@ import time
 from functools import partial
 from itertools import chain as chain_iter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .banded import BandedHessenberg, BidiagonalChain, characteristic_polys
 from .engine import free_entries_from_nu, run_theorem
-from .errors import (
-    BadFreeSpec,
-    BandedDarbouxError,
-    ConfigError,
-    ConsistencyFailure,
-    DegreeExceedsMoments,
-    GenerationExhausted,
-    HypothesisViolated,
-    IndexOutOfRange,
-    InsufficientMoments,
-    InternalCheckError,
-    LadderViolation,
-    NonzeroRemainder,
-    NotMonicOrDegreeGap,
-    NotSquare,
-    ShapeMismatch,
-    SingularLeadingMinor,
-    SizeMismatch,
-    ZeroPeelPivot,
-)
+from .errors import BandedDarbouxError, ConfigError
 from .exact import check_printable, format_rational
 from .factorization import (
     FreeEntrySpec,
@@ -90,35 +74,6 @@ EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
-
-_EXIT_BY_ERROR = {
-    ConfigError: EXIT_CONFIG,
-    GenerationExhausted: EXIT_CONFIG,
-    BadFreeSpec: EXIT_CONFIG,
-    NotMonicOrDegreeGap: EXIT_CONFIG,
-    InsufficientMoments: EXIT_CONFIG,
-    DegreeExceedsMoments: EXIT_CONFIG,
-    HypothesisViolated: EXIT_HYPOTHESIS,
-    LadderViolation: EXIT_HYPOTHESIS,
-    SingularLeadingMinor: EXIT_SINGULAR,
-    ZeroPeelPivot: EXIT_SINGULAR,
-    InternalCheckError: EXIT_INTERNAL,
-    ConsistencyFailure: EXIT_INTERNAL,
-    NonzeroRemainder: EXIT_INTERNAL,
-    ShapeMismatch: EXIT_INTERNAL,
-    SizeMismatch: EXIT_INTERNAL,
-    NotSquare: EXIT_INTERNAL,
-    IndexOutOfRange: EXIT_INTERNAL,
-}
-
-
-def exit_code_for(exc: BaseException) -> int:
-    for klass, code in _EXIT_BY_ERROR.items():
-        if isinstance(exc, klass):
-            return code
-    if isinstance(exc, (OSError, json.JSONDecodeError)):
-        return EXIT_CONFIG
-    return EXIT_INTERNAL
 
 
 def _report_dir(args, config: InstanceConfig) -> Path:
@@ -144,17 +99,15 @@ class _ReportEncoder(json.JSONEncoder):
 _BATCH_CHARS = 1 << 16
 
 
-def _write_report(args, config: InstanceConfig, command: str, payload: dict, t0: float) -> Path:
-    """Stream {"payload": payload, "timings": {"total_s": ...}} to the report.
+def _write_report(path: Path, payload: dict, t0: float) -> Path:
+    """Stream {"payload": payload, "timings": {"total_s": ...}} to `path`.
 
     The bytes are json.dumps(document, indent=2, sort_keys=True) + "\n"
     (the same pure-Python encoder, run incrementally). They go to a
     temporary file beside the report, which replaces the report only once
     complete; on any exception it is removed and the exception re-raised.
     """
-    directory = _report_dir(args, config)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (args.out or f"{command}.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
     document = {
         "payload": payload,
         # Sorted last, so the total covers formatting and writing the payload.
@@ -192,8 +145,6 @@ def _write_list(label: str, items: Iterable[str]) -> None:
 
 
 def _load_config(args) -> InstanceConfig:
-    if not args.config:
-        raise ConfigError("--config FILE is required")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -227,16 +178,17 @@ def _poly_table(label: str, polys) -> list[str]:
     return lines
 
 
-def cmd_gen(args) -> int:
-    config = _load_config(args)
-    t0 = time.perf_counter()
-    built = generate(config)
-    payload = {
-        "command": "gen",
-        "tool_version": __version__,
-        "config": built.config_echo,
+# A command maps (config, built) to its payload body (every key but
+# "command", "tool_version" and "config", which the runner adds), a callback
+# that prints its stdout once the report is written, and its exit code.
+CommandResult = tuple[dict, Callable[[], None], int]
+
+
+def cmd_gen(config: InstanceConfig, built) -> CommandResult:
+    shift = format_rational(built.instance.shift)
+    body = {
         "matrix": built.instance.J.to_json_dict(),
-        "C": format_rational(built.instance.shift),
+        "C": shift,
         "shift_retries": list(built.shift_retries),
         "ladder_retries": built.ladder_retries,
         "nu": built.nu.to_json_dict(),
@@ -246,38 +198,31 @@ def cmd_gen(args) -> int:
             else [[format_rational(v) for v in row] for row in built.ladder_rows]
         ),
     }
-    path = _write_report(args, config, "gen", payload, t0)
-    print(f"instance p={config.p} N={config.n} seed={config.seed} C={payload['C']}")
-    if built.shift_retries:
-        print(f"  rejected shifts: {', '.join(built.shift_retries)}")
-    print(f"report: {path}")
-    return EXIT_OK
+
+    def show():
+        print(f"instance p={config.p} N={config.n} seed={config.seed} C={shift}")
+        if built.shift_retries:
+            print(f"  rejected shifts: {', '.join(built.shift_retries)}")
+
+    return body, show, EXIT_OK
 
 
-def cmd_factorize(args) -> int:
-    config = _load_config(args)
-    t0 = time.perf_counter()
-    built = generate(config)
+def cmd_factorize(config: InstanceConfig, built) -> CommandResult:
     free, chain = _build_chain(config, built, config.n)
     check_printable(chain.printed_values())
     # The report and stdout print the same strings, so they are formatted
     # once, here, and the chain is the one section held.
     chain_json = chain.to_json_dict()
-    payload = {
-        "command": "factorize",
-        "tool_version": __version__,
-        "config": built.config_echo,
-        "C": format_rational(built.instance.shift),
-        "free_entries": free.to_json_dict(),
-        "chain": chain_json,
-    }
-    path = _write_report(args, config, "factorize", payload, t0)
-    print(f"J - C*I = L(1)..L({config.p}) * U with C = {payload['C']}")
-    _write_list("U diagonal: ", chain_json["U"]["diag"])
-    for f in chain_json["factors"]:
-        _write_list(f"L({f['j']}) subdiagonal: ", f["sub"])
-    print(f"report: {path}")
-    return EXIT_OK
+    shift = format_rational(built.instance.shift)
+    body = {"C": shift, "free_entries": free.to_json_dict(), "chain": chain_json}
+
+    def show():
+        print(f"J - C*I = L(1)..L({config.p}) * U with C = {shift}")
+        _write_list("U diagonal: ", chain_json["U"]["diag"])
+        for f in chain_json["factors"]:
+            _write_list(f"L({f['j']}) subdiagonal: ", f["sub"])
+
+    return body, show, EXIT_OK
 
 
 def _build_chain(
@@ -293,10 +238,7 @@ def _transform_json(hess: BandedHessenberg) -> dict:
     return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
 
 
-def cmd_transform(args) -> int:
-    config = _load_config(args)
-    t0 = time.perf_counter()
-    built = generate(config)
+def cmd_transform(config: InstanceConfig, built) -> CommandResult:
     _free, chain = _build_chain(config, built, config.n)
     check_printable(chain.printed_values())
     index = config.transform_index
@@ -313,24 +255,19 @@ def cmd_transform(args) -> int:
     for j, hess in rotations:
         check_printable(hess.printed_values())
         matrices.append((j, hess))
-    payload = {
-        "command": "transform",
-        "tool_version": __version__,
-        "config": built.config_echo,
+    body = {
         "chain": chain.to_json_dict,
         "transforms": {str(j): partial(_transform_json, hess) for j, hess in matrices},
     }
-    path = _write_report(args, config, "transform", payload, t0)
-    for j, hess in matrices:
-        print(f"J({j}): valid rows {hess.valid_rows} of {config.n}")
-    print(f"report: {path}")
-    return EXIT_OK
+
+    def show():
+        for j, hess in matrices:
+            print(f"J({j}): valid rows {hess.valid_rows} of {config.n}")
+
+    return body, show, EXIT_OK
 
 
-def cmd_polys(args) -> int:
-    config = _load_config(args)
-    t0 = time.perf_counter()
-    built = generate(config)
+def cmd_polys(config: InstanceConfig, built) -> CommandResult:
     nmax = config.window
     _free, chain = _build_chain(config, built, nmax + 1)
     indices = (
@@ -350,52 +287,36 @@ def cmd_polys(args) -> int:
             [format_rational(c) for c in poly.coefficients] for poly in polys
         ]
         lines.extend(_poly_table(f"stage {j}:", polys))
-    payload = {
-        "command": "polys",
-        "tool_version": __version__,
-        "config": built.config_echo,
-        "nmax": nmax,
-        "sequences": sequences,
-    }
-    path = _write_report(args, config, "polys", payload, t0)
-    print("\n".join(lines))
-    print(f"report: {path}")
-    return EXIT_OK
+    body = {"nmax": nmax, "sequences": sequences}
+    return body, lambda: print("\n".join(lines)), EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args)
-    t0 = time.perf_counter()
-    built = generate(config)
+def cmd_verify(config: InstanceConfig, built) -> CommandResult:
     certificate = run_theorem(built.instance, built.nu, config.window)
-    payload = {
-        "command": "verify",
-        "tool_version": __version__,
-        "config": built.config_echo,
-        "certificate": certificate.to_json_dict(),
-    }
-    path = _write_report(args, config, "verify", payload, t0)
-    print(f"verdict: {'pass' if certificate.passed else 'FAIL'}")
-    for verdict in certificate.stage_verdicts:
-        status = "pass" if verdict.passed else "FAIL"
-        print(
-            f"  j={verdict.j}: {status} "
-            f"({verdict.report.zero_checks} zero checks, "
-            f"{verdict.report.nonzero_checks} nonzero checks)"
-        )
-        for witness in verdict.report.failures:
+
+    def show():
+        print(f"verdict: {'pass' if certificate.passed else 'FAIL'}")
+        for verdict in certificate.stage_verdicts:
+            status = "pass" if verdict.passed else "FAIL"
             print(
-                f"    witness {witness.kind} (r={witness.r}, k={witness.k}, "
-                f"n={witness.n}) -> {format_rational(witness.value)}"
+                f"  j={verdict.j}: {status} "
+                f"({verdict.report.zero_checks} zero checks, "
+                f"{verdict.report.nonzero_checks} nonzero checks)"
             )
-    if certificate.partial is not None:
-        print(
-            f"  partial chain: {certificate.partial.stages} factor(s), "
-            f"minor (stage {certificate.partial.violated[0]}, "
-            f"size {certificate.partial.violated[1]}) = 0"
-        )
-    print(f"report: {path}")
-    return EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
+            for witness in verdict.report.failures:
+                print(
+                    f"    witness {witness.kind} (r={witness.r}, k={witness.k}, "
+                    f"n={witness.n}) -> {format_rational(witness.value)}"
+                )
+        if certificate.partial is not None:
+            print(
+                f"  partial chain: {certificate.partial.stages} factor(s), "
+                f"minor (stage {certificate.partial.violated[0]}, "
+                f"size {certificate.partial.violated[1]}) = 0"
+            )
+
+    body = {"certificate": certificate.to_json_dict()}
+    return body, show, EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
 
 
 _COMMANDS = {
@@ -424,6 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Load, generate, run the command, write its report, print its stdout."""
+    config = _load_config(args)
+    t0 = time.perf_counter()
+    built = generate(config)
+    body, show, code = _COMMANDS[args.command](config, built)
+    payload = {
+        "command": args.command,
+        "tool_version": __version__,
+        "config": built.config_echo,
+        **body,
+    }
+    path = _write_report(
+        _report_dir(args, config) / (args.out or f"{args.command}.json"), payload, t0
+    )
+    show()
+    print(f"report: {path}")
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -433,10 +374,10 @@ def main(argv=None) -> int:
         # failures here, so usage problems become config errors.
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except BandedDarbouxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -83,15 +83,6 @@ def transformed_nu(nu: OrthogonalityVector, c: ScalarLike, j: int) -> Orthogonal
     return OrthogonalityVector(kept + moved)
 
 
-def _delta_table(ladder: LambdaLadder, p: int) -> list[tuple[int, int, Fraction]]:
-    """All hypothesis minors (offset j, size m) from the source ladder."""
-    table = []
-    for j in range(p):
-        for m in range(1, p - j):
-            table.append((j, m, delta_det(ladder, j, m)))
-    return table
-
-
 def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> LambdaLadder:
     """Transport a stage-j ladder through factor j+1.
 

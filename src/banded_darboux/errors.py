@@ -1,12 +1,26 @@
 """Exception types shared across the package.
 
-Every failure mode of the library maps to exactly one of these classes; the
-CLI turns each class into a stable exit code (see `banded_darboux.cli`).
+Every failure mode of the library maps to exactly one of these classes, and
+each class carries the exit code the CLI returns for it, as its `exit_code`
+attribute. This is the one table of codes and classes:
+
+    1  configuration or input problem: ConfigError, GenerationExhausted,
+       BadFreeSpec, NotMonicOrDegreeGap, InsufficientMoments,
+       DegreeExceedsMoments
+    2  orthogonality hypothesis failure: HypothesisViolated, LadderViolation
+    3  singular pivot: SingularLeadingMinor, ZeroPeelPivot
+    4  internal consistency: every other class (InternalCheckError,
+       ConsistencyFailure, NonzeroRemainder, ShapeMismatch, SizeMismatch,
+       NotSquare, IndexOutOfRange), inherited from BandedDarbouxError
+
+A subclass that sets no `exit_code` exits 4.
 """
 
 
 class BandedDarbouxError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 4
 
 
 class NotSquare(BandedDarbouxError):
@@ -36,6 +50,8 @@ class SingularLeadingMinor(BandedDarbouxError):
     smallest n with P_n(C) = 0).
     """
 
+    exit_code = 3
+
     def __init__(self, index, message=None):
         self.index = index
         super().__init__(message or f"leading minor {index} of C*I - J is singular")
@@ -43,6 +59,8 @@ class SingularLeadingMinor(BandedDarbouxError):
 
 class ZeroPeelPivot(BandedDarbouxError):
     """A band-peeling divisor vanished while splitting L into bidiagonals."""
+
+    exit_code = 3
 
     def __init__(self, stage, row):
         self.stage = stage
@@ -53,6 +71,8 @@ class ZeroPeelPivot(BandedDarbouxError):
 class BadFreeSpec(BandedDarbouxError):
     """Free-entry table has the wrong shape for the requested band count."""
 
+    exit_code = 1
+
 
 class IndexOutOfRange(BandedDarbouxError):
     """An index fell outside its documented range."""
@@ -60,6 +80,8 @@ class IndexOutOfRange(BandedDarbouxError):
 
 class DegreeExceedsMoments(BandedDarbouxError):
     """A functional was applied to a polynomial beyond its moment budget."""
+
+    exit_code = 1
 
     def __init__(self, degree, max_degree):
         self.degree = degree
@@ -70,9 +92,13 @@ class DegreeExceedsMoments(BandedDarbouxError):
 class InsufficientMoments(BandedDarbouxError):
     """Too few moments to apply a degree-consuming operation."""
 
+    exit_code = 1
+
 
 class NotMonicOrDegreeGap(BandedDarbouxError):
     """A polynomial sequence is not monic with exact degrees 0, 1, 2, ..."""
+
+    exit_code = 1
 
 
 class LadderViolation(BandedDarbouxError):
@@ -80,6 +106,8 @@ class LadderViolation(BandedDarbouxError):
 
     `row`/`col` locate the offending coefficient, `value` carries it.
     """
+
+    exit_code = 2
 
     def __init__(self, row, col, value=None, message=None):
         self.row = row
@@ -94,6 +122,8 @@ class HypothesisViolated(BandedDarbouxError):
 
     `stage` and `size` locate the zero minor.
     """
+
+    exit_code = 2
 
     def __init__(self, stage, size, value=None):
         self.stage = stage
@@ -120,6 +150,10 @@ class InternalCheckError(BandedDarbouxError):
 class GenerationExhausted(BandedDarbouxError):
     """Random instance generation hit its retry cap."""
 
+    exit_code = 1
+
 
 class ConfigError(BandedDarbouxError):
     """Invalid run configuration."""
+
+    exit_code = 1

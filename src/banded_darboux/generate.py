@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .banded import BandedHessenberg, characteristic_polys
-from .engine import _delta_table, moment_budget
+from .engine import _staging, moment_budget
 from .errors import (
     ConfigError,
     GenerationExhausted,
@@ -287,7 +287,7 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
     else:
         ladder = random_ladder(rng, config.p, config.bound)
         if config.require_hypotheses:
-            while any(v == 0 for _, _, v in _delta_table(ladder, config.p)):
+            while _staging(ladder, config.p).violation is not None:
                 ladder_retries += 1
                 if ladder_retries > config.retry_cap:
                     raise GenerationExhausted(

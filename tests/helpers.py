@@ -16,7 +16,6 @@ matrix L(1) ... L(p) U + C*I a chain factors.
 """
 
 from fractions import Fraction
-import random
 
 from banded_darboux import (
     BadFreeSpec,

@@ -15,27 +15,21 @@ from banded_darboux import (
     FreeEntrySpec,
     HypothesisViolated,
     InstanceConfig,
-    LambdaLadder,
-    OrthogonalityVector,
     ShiftedInstance,
     UnitLowerBanded,
     Z,
     bidiagonal_chain_factor,
-    build_nu,
-    canonical_nu,
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
     delta_det,
     det_exact,
     dual_sequence,
-    free_entries_from_nu,
     generate,
     is_p_orthogonal,
     lambda_of,
     moment_budget,
     multiply_window,
-    parse_rational,
     peel_stages,
     product_window,
     recurrence_values,

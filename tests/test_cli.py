@@ -1,12 +1,12 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,11 +31,11 @@ from banded_darboux.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SINGULAR,
-    exit_code_for,
     main,
 )
 from banded_darboux.errors import (
     BadFreeSpec,
+    BandedDarbouxError,
     ConsistencyFailure,
     DegreeExceedsMoments,
     IndexOutOfRange,
@@ -377,28 +377,55 @@ def test_report_dir_env_var_is_honored(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+# One instance of every library error class, with its documented exit code.
+_DOCUMENTED_EXITS = {
+    ConfigError("x"): EXIT_CONFIG,
+    GenerationExhausted("x"): EXIT_CONFIG,
+    BadFreeSpec("x"): EXIT_CONFIG,
+    NotMonicOrDegreeGap("x"): EXIT_CONFIG,
+    InsufficientMoments("x"): EXIT_CONFIG,
+    DegreeExceedsMoments(3, 2): EXIT_CONFIG,
+    HypothesisViolated(0, 1): EXIT_HYPOTHESIS,
+    LadderViolation(1, 0): EXIT_HYPOTHESIS,
+    SingularLeadingMinor(1): EXIT_SINGULAR,
+    ZeroPeelPivot(1, 2): EXIT_SINGULAR,
+    InternalCheckError("x"): EXIT_INTERNAL,
+    ConsistencyFailure(1): EXIT_INTERNAL,
+    NonzeroRemainder("x"): EXIT_INTERNAL,
+    ShapeMismatch("x"): EXIT_INTERNAL,
+    SizeMismatch("x"): EXIT_INTERNAL,
+    NotSquare("x"): EXIT_INTERNAL,
+    IndexOutOfRange("x"): EXIT_INTERNAL,
+}
+
+
+def _subclasses(klass):
+    for sub in klass.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_exit_codes_are_total_over_library_errors():
-    expected = {
-        ConfigError("x"): EXIT_CONFIG,
-        GenerationExhausted("x"): EXIT_CONFIG,
-        BadFreeSpec("x"): EXIT_CONFIG,
-        NotMonicOrDegreeGap("x"): EXIT_CONFIG,
-        InsufficientMoments("x"): EXIT_CONFIG,
-        DegreeExceedsMoments(3, 2): EXIT_CONFIG,
-        HypothesisViolated(0, 1): EXIT_HYPOTHESIS,
-        LadderViolation(1, 0): EXIT_HYPOTHESIS,
-        SingularLeadingMinor(1): EXIT_SINGULAR,
-        ZeroPeelPivot(1, 2): EXIT_SINGULAR,
-        InternalCheckError("x"): EXIT_INTERNAL,
-        ConsistencyFailure(1): EXIT_INTERNAL,
-        NonzeroRemainder("x"): EXIT_INTERNAL,
-        ShapeMismatch("x"): EXIT_INTERNAL,
-        SizeMismatch("x"): EXIT_INTERNAL,
-        NotSquare("x"): EXIT_INTERNAL,
-        IndexOutOfRange("x"): EXIT_INTERNAL,
-    }
-    for exc, code in expected.items():
-        assert exit_code_for(exc) == code
+    documented = {type(exc): code for exc, code in _DOCUMENTED_EXITS.items()}
+    assert BandedDarbouxError.exit_code == EXIT_INTERNAL
+    for klass in _subclasses(BandedDarbouxError):
+        assert klass in documented, f"{klass.__name__} has no documented exit code"
+        assert klass.exit_code == documented[klass], klass.__name__
+
+
+@pytest.mark.parametrize("exc", list(_DOCUMENTED_EXITS), ids=lambda exc: type(exc).__name__)
+def test_each_library_error_ends_the_run_with_its_exit_code(tmp_path, capsys, monkeypatch, exc):
+    def fail(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate", fail)
+    config = write_config(tmp_path)
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, config) == _DOCUMENTED_EXITS[exc]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {exc}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "reports").exists()
 
 
 def test_config_validation_matches_direct_construction():
@@ -505,8 +532,7 @@ _DOCUMENTS = st.recursive(
 @example(payload={"10": _section([]), "2": {}, "é\n": _section({"x": [1.5, None, True]})})
 def test_report_writer_matches_json_dumps_byte_for_byte(payload):
     with tempfile.TemporaryDirectory() as tmp:
-        args = argparse.Namespace(report_dir=tmp, out=None)
-        path = cli._write_report(args, None, "doc", payload, time.perf_counter())
+        path = cli._write_report(Path(tmp) / "doc.json", payload, time.perf_counter())
         assert os.listdir(tmp) == ["doc.json"]
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
@@ -525,9 +551,8 @@ def test_failed_report_write_removes_its_temp_file_and_keeps_the_old_report(tmp_
 
     # The first section fills several write batches before the second fails.
     payload = {"a": "x" * 300_000, "b": unprintable}
-    args = argparse.Namespace(report_dir=str(tmp_path), out=None)
     with pytest.raises(ConfigError, match="unprintable"):
-        cli._write_report(args, None, "doc", payload, time.perf_counter())
+        cli._write_report(old, payload, time.perf_counter())
     assert os.listdir(tmp_path) == ["doc.json"]
     assert old.read_text() == "old report\n"
 

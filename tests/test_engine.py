@@ -9,7 +9,6 @@ import pytest
 from banded_darboux import (
     ConfigError,
     ConsistencyFailure,
-    DenseMatrix,
     FreeEntrySpec,
     HypothesisViolated,
     IndexOutOfRange,
@@ -19,8 +18,6 @@ from banded_darboux import (
     LowerBidiagonalUnit,
     OrthogonalityVector,
     ShiftedInstance,
-    bidiagonal_chain_factor,
-    build_nu,
     canonical_nu,
     chain_from_instance,
     delta_det,
@@ -40,6 +37,7 @@ from banded_darboux import (
     transformed_polys,
 )
 from banded_darboux.engine import _staging
+from banded_darboux.generate import random_ladder
 from helpers import catalan_hessenberg, check_hypotheses, draw_rational
 
 
@@ -190,6 +188,23 @@ def test_staged_minors_agree_both_routes():
         for j, m, value in staging.deltas:
             assert delta_det(ladder, j, m) == value
             assert delta_det(staging.stage_ladders[j], 0, m) == value
+
+
+def test_staging_violation_is_any_zero_source_minor():
+    # generate resamples random ladders on this decision; small bounds make
+    # zero minors at every stage common.
+    rng = random.Random(505)
+    zero_seen = 0
+    for p in range(1, 6):
+        for bound in (1, 2, 3, 9):
+            for _ in range(40):
+                ladder = random_ladder(rng, p, bound)
+                any_zero = any(
+                    delta_det(ladder, j, m) == 0 for j in range(p) for m in range(1, p - j)
+                )
+                assert (_staging(ladder, p).violation is not None) == any_zero
+                zero_seen += any_zero
+    assert zero_seen > 100
 
 
 # --------------------------------------------------------------- rotations

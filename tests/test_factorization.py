@@ -7,11 +7,8 @@ import pytest
 
 from banded_darboux import (
     BadFreeSpec,
-    BandedHessenberg,
-    BidiagonalChain,
     FreeEntrySpec,
     IndexOutOfRange,
-    LowerBidiagonalUnit,
     Polynomial,
     ShiftedInstance,
     SingularLeadingMinor,
@@ -26,7 +23,6 @@ from banded_darboux import (
     multiply_window,
     peel_stages,
     product_window,
-    recurrence_values,
     shifted_lu,
     transformed_polys,
 )

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from banded_darboux import (
     BandedHessenberg,
     DegreeExceedsMoments,
-    DenseMatrix,
     IndexOutOfRange,
     InsufficientMoments,
     LadderViolation,
