@@ -22,6 +22,10 @@ whole document is written: a failed command leaves no report, and an older
 report at that path stays as it was. `timings` is written last, so
 `total_s` includes formatting and writing. factorize and transform check
 their results printable (exact.check_printable) before formatting any.
+transform checks the last row's lowest-band entry of each J(j) it prints,
+j >= 1, a product of p + 1 chain values, before it forms any J(j): entry
+sizes grow with the row index, so an unprintable J(j) fails there first,
+without being formed. Each J(j) it forms is then checked in full.
 
 Every command runs through one runner (`_run`): load the config, start the
 clock, generate the instance, run the command, write its report, then print
@@ -64,6 +68,7 @@ from .factorization import (
     chain_from_instance,
     darboux_rotations,
     darboux_transform,
+    last_row_lowest_entry,
     transformed_polys,
 )
 from .functionals import lambda_of
@@ -242,9 +247,14 @@ def cmd_transform(config: InstanceConfig, built) -> CommandResult:
     _free, chain = _build_chain(config, built, config.n)
     check_printable(chain.printed_values())
     index = config.transform_index
+    # The last-row check of every J(j) to print, j >= 1, before any is formed.
+    if index is None:
+        check_printable(last_row_lowest_entry(chain, j) for j in range(1, config.p + 1))
+    elif index:
+        check_printable([last_row_lowest_entry(chain, index)])
     # J(0) is the source matrix itself; J(1..p) share their halves. All are
-    # formed and checked printable before anything is formatted: "chain"
-    # sorts before "transforms", so the report writes them last.
+    # formed and checked printable in full before anything is formatted:
+    # "chain" sorts before "transforms", so the report writes them last.
     if index is None:
         rotations = chain_iter([(0, built.instance.J)], darboux_rotations(chain))
     elif index == 0:

@@ -446,6 +446,32 @@ def darboux_transform(chain: BidiagonalChain, j: int) -> BandedHessenberg:
     return _rotation(chain, head, product_window(chain.factors[:j]) if j else None)
 
 
+def last_row_lowest_entry(chain: BidiagonalChain, j: int) -> Fraction:
+    """J(j)'s lowest-band entry in its last row, a(N-1, N-1-p), without
+    forming J(j).
+
+    Only one path through L(j+1) ... L(p) U L(1) ... L(j) falls p bands:
+    every L steps one row down and U keeps to its diagonal. So, with
+    l_k(r) = L(k)(r, r-1), the entry is the product of p + 1 chain values
+
+        u(N-1-p+j) * prod_{k=j+1..p} l_k(N-k+j) * prod_{k=1..j} l_k(N-p+j-k).
+
+    Entry sizes grow with the row index, so this is where an unprintable
+    J(j) shows first in practice.
+    """
+    p, n = chain.p, chain.n
+    if not 0 <= j <= p:
+        raise IndexOutOfRange(f"transform index {j} outside 0..{p}")
+    if n <= p:
+        raise IndexOutOfRange(f"a {n} x {n} truncation has no band -{p}")
+    value = chain.upper.diag[n - 1 - p + j]
+    for k in range(j + 1, p + 1):
+        value *= chain.factors[k - 1].sub_at_row(n - k + j)
+    for k in range(1, j + 1):
+        value *= chain.factors[k - 1].sub_at_row(n - p + j - k)
+    return value
+
+
 def darboux_rotations(chain: BidiagonalChain) -> Iterator[tuple[int, BandedHessenberg]]:
     """(j, J(j)) for j = 1 .. p in turn, from shared halves.
 

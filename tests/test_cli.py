@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from banded_darboux import (
     SingularLeadingMinor,
     generate,
 )
-from banded_darboux import cli
+from banded_darboux import cli, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -610,27 +611,58 @@ def test_unprintable_chain_writes_nothing(tmp_path, capsys, command, existing):
         assert not reports.exists() or os.listdir(reports) == []
 
 
-def test_transform_checks_every_rotation_before_formatting(tmp_path, capsys, monkeypatch):
-    # Under a 640-digit limit this chain prints but J(1) does not: transform
-    # must stop before it formats the chain or J(0).
+def _run_unprintable_transforms(tmp_path, monkeypatch):
+    """Under a 640-digit limit, the p = 1, N = 100, bound 1000 chain prints
+    but its J(1) does not. Runs factorize, then transform for all rotations
+    and for --j 1; returns the exit codes of the transforms, the classes
+    formatted and the windowed products formed by the transforms."""
     config = write_config(tmp_path, p=1, N=100, window=8, seed=1, bound=1000)
-    formatted = []
+    formatted, products = [], []
     for klass in (BidiagonalChain, BandedHessenberg):
         original = klass.to_json_dict
         monkeypatch.setattr(
             klass, "to_json_dict",
             lambda self, original=original: formatted.append(type(self)) or original(self),
         )
+    multiply = factorization.multiply_window
+    monkeypatch.setattr(
+        factorization, "multiply_window",
+        lambda a, b: products.append((a.n, b.n)) or multiply(a, b),
+    )
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         assert run_cli(tmp_path, "factorize", config) == EXIT_OK
         formatted.clear()
-        assert run_cli(tmp_path, "transform", config) == EXIT_CONFIG
+        products.clear()
+        codes = [run_cli(tmp_path, "transform", config, *extra) for extra in ((), ("--j", "1"))]
     finally:
         sys.set_int_max_str_digits(old)
+    return codes, formatted, products
+
+
+def test_transform_checks_every_rotation_before_formatting(tmp_path, capsys, monkeypatch):
+    # J(1)'s last-row lowest-band entry already fails: transform must stop
+    # before it forms J(1) or formats the chain or J(0).
+    codes, formatted, products = _run_unprintable_transforms(tmp_path, monkeypatch)
+    assert codes == [EXIT_CONFIG, EXIT_CONFIG]
     assert formatted == []
-    assert "640-digit" in capsys.readouterr().err
+    assert products == []
+    assert capsys.readouterr().err.count("640-digit") == 2
+    assert os.listdir(tmp_path / "reports") == ["factorize.json"]
+
+
+def test_transform_full_check_still_rejects_a_rotation_the_last_row_passes(
+    tmp_path, capsys, monkeypatch
+):
+    # With the last-row check blinded, the full check of the formed J(1)
+    # must still stop transform before anything is formatted.
+    monkeypatch.setattr(cli, "last_row_lowest_entry", lambda chain, j: Fraction(0))
+    codes, formatted, products = _run_unprintable_transforms(tmp_path, monkeypatch)
+    assert codes == [EXIT_CONFIG, EXIT_CONFIG]
+    assert formatted == []
+    assert len(products) == 2  # J(1) was formed once per run, then refused
+    assert capsys.readouterr().err.count("640-digit") == 2
     assert os.listdir(tmp_path / "reports") == ["factorize.json"]
 
 

@@ -26,6 +26,7 @@ from banded_darboux import (
     shifted_lu,
     transformed_polys,
 )
+from banded_darboux.factorization import last_row_lowest_entry
 from helpers import (
     catalan_hessenberg,
     dense_mul,
@@ -241,6 +242,27 @@ def test_rotation_index_bounds():
         darboux_transform(chain, 3)
     with pytest.raises(IndexOutOfRange):
         darboux_transform(chain, -1)
+
+
+def test_last_row_lowest_entry_matches_the_formed_rotation():
+    # The product route is the reference: the chain-only entry must equal
+    # the formed J(j)'s a(N-1, N-1-p) for every j, the source's at j = 0.
+    for seed in (83, 84, 85):
+        rng = random.Random(seed)
+        for p in range(1, 5):
+            for n in (p + 1, p + 3, 9):
+                inst, chain = make_chain(rng, p, n, shift=Fraction(seed - 84, 3))
+                for j in range(p + 1):
+                    expected = darboux_transform(chain, j).a(n - 1, n - 1 - p)
+                    assert last_row_lowest_entry(chain, j) == expected
+                assert last_row_lowest_entry(chain, 0) == inst.J.a(n - 1, n - 1 - p)
+    _, chain = make_chain(rng, 2, 6)
+    for j in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            last_row_lowest_entry(chain, j)
+    # N <= p: the truncation has no band -p at all.
+    with pytest.raises(IndexOutOfRange):
+        last_row_lowest_entry(chain.leading(2), 1)
 
 
 def test_g_matrix_p1_is_the_upper_factor():
