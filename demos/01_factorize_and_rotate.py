@@ -6,25 +6,28 @@ rotate to J(1) = U*L, and watch the classical kernel-polynomial formula
 fall out of the rotation.
 """
 
+from itertools import zip_longest
+
 from banded_darboux import (
+    BandedHessenberg,
     FreeEntrySpec,
+    Polynomial,
     ShiftedInstance,
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
-    hessenberg_from_recurrence,
     shifted_lu,
     transformed_polys,
 )
 
 N = 8
-J = hessenberg_from_recurrence(1, N, lambda i, m: 2 if i == m else 1)
+J = BandedHessenberg(1, N, {0: [2] * N, -1: [0] + [1] * (N - 1)})
 print("J: tridiagonal, diagonal 2, subdiagonal 1, unit superdiagonal")
 
 # -- characteristic sequence ------------------------------------------------
 
-P = characteristic_polys(J, 5)
-for n, poly in enumerate(P):
+P = characteristic_polys(J, N)
+for n, poly in enumerate(P[:6]):
     print(f"  P_{n} = {poly}")
 
 # -- shifted LU (shift C = 0 is admissible: no P_n vanishes there) ----------
@@ -35,9 +38,9 @@ print("\nJ = L * U")
 print("  U diagonal   :", ", ".join(str(v) for v in U.diag))
 print("  L subdiagonal:", ", ".join(str(v) for v in L.band(-1)[1:]))
 print("  (each U entry is -P_{n+1}(0)/P_n(0))")
-values = inst.values_at_shift
+# P_n(0) is P_n's constant coefficient.
 for n in range(N):
-    assert U.diag[n] == -values[n + 1] / values[n]
+    assert U.diag[n] == -P[n + 1].coefficients[0] / P[n].coefficients[0]
 
 # -- rotate the factorization ------------------------------------------------
 
@@ -54,9 +57,13 @@ for n, poly in enumerate(K):
     print(f"  K_{n} = {poly}")
 
 print("\nclassical check: K_n = (P_{n+1} - (P_{n+1}(0)/P_n(0)) P_n) / z")
-P_full = characteristic_polys(J, 6)
+# The ratio cancels the constant term, so dividing by z drops it.
 for n in range(5):
-    ratio = P_full[n + 1](0) / P_full[n](0)
-    expected = (P_full[n + 1] - ratio * P_full[n]).deflate(0)
-    assert K[n] == expected
+    ratio = P[n + 1].coefficients[0] / P[n].coefficients[0]
+    numerator = [
+        a - ratio * b
+        for a, b in zip_longest(P[n + 1].coefficients, P[n].coefficients, fillvalue=0)
+    ]
+    assert numerator[0] == 0
+    assert K[n] == Polynomial(numerator[1:])
 print("  exact for n = 0..4")

@@ -44,11 +44,10 @@ for label, rows in [
 # -- every rotation is again banded Hessenberg -------------------------------
 
 chain = chain_from_instance(inst, FreeEntrySpec(p, [[1, 2], [3]]), inst.n)
-print("\nglobal coefficient tiling (first two blocks):")
-for t in range(1, 2 * (p + 1) + 1):
-    kind, j, r = chain.gamma_location(t)
-    slot = "U diag" if kind == "upper" else f"L({j}) sub"
-    print(f"  index {t:>2} -> {slot} at row {r}: {chain.gamma(t)}")
+print("\nchain with free entries [[1, 2], [3]], J - C*I = L(1) L(2) L(3) U:")
+for f in chain.factors:
+    print(f"  L({f.index}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")
+print(f"  U diagonal starts: {', '.join(str(v) for v in chain.upper.diag[:3])}, ...")
 
 for j in range(p + 1):
     hess = darboux_transform(chain, j)

@@ -54,7 +54,8 @@ except HypothesisViolated as err:
 
 # -- but its full rotation still transports ------------------------------------
 
-chain = chain_from_instance(built_canon.instance, FreeEntrySpec.zeros(p), built_canon.instance.n)
+zeros = FreeEntrySpec(p, [[0] * (p - j) for j in range(1, p)])
+chain = chain_from_instance(built_canon.instance, zeros, built_canon.instance.n)
 seq = transformed_polys(chain, p, window)
 rotated = transformed_nu(built_canon.nu, built_canon.instance.shift, p)
 print(

@@ -20,7 +20,6 @@ from .banded import (
     UnitLowerBanded,
     UpperBidiagonal,
     characteristic_polys,
-    hessenberg_from_recurrence,
     multiply_window,
     product_window,
     recurrence_values,
@@ -48,7 +47,6 @@ from .errors import (
     InsufficientMoments,
     InternalCheckError,
     LadderViolation,
-    NonzeroRemainder,
     NotMonicOrDegreeGap,
     NotSquare,
     ShapeMismatch,
@@ -59,7 +57,6 @@ from .errors import (
 from .exact import (
     DenseMatrix,
     Polynomial,
-    Z,
     check_printable,
     det_exact,
     format_rational,

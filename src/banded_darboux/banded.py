@@ -10,10 +10,6 @@ rows are stored but unspecified.
 Index conventions (0-based throughout):
   * BandedHessenberg J: entries a(i, m) for max(0, i - p) <= m <= i plus a
     stored unit superdiagonal.
-  * The factor chain's global index for its coefficients: block q >= 0 covers
-    indices q*(p+1)+1 .. q*(p+1)+p+1; index q*(p+1)+1 is the diagonal of the
-    upper bidiagonal at row q, and q*(p+1)+1+j is factor j's subdiagonal
-    entry at row q+1.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain as chain_iter
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exact import (
@@ -92,10 +88,6 @@ class BandMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "BandMatrix":
-        return BandMatrix(n, 0, 0, {0: _unit_band(n, 0)})
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -206,13 +198,6 @@ class BandedHessenberg(BandMatrix):
             raise IndexOutOfRange(f"a({i}, {m}) outside the band of row {i}")
         return self._bands[m - i][i]
 
-    @property
-    def is_regular(self) -> bool:
-        """Lowest-band entries a(i, i-p) all nonzero on trustworthy rows."""
-        return all(
-            self._bands[-self.p][i] != 0 for i in range(self.p, self.valid_rows)
-        )
-
     @classmethod
     def from_band_matrix(cls, bm: BandMatrix, p: int) -> "BandedHessenberg":
         """Reinterpret a windowed product as a Hessenberg truncation.
@@ -264,17 +249,6 @@ class BandedHessenberg(BandMatrix):
         return cls(p, n, bands)
 
 
-def hessenberg_from_recurrence(
-    p: int, n: int, coeff_provider: Callable[[int, int], ScalarLike]
-) -> BandedHessenberg:
-    """Populate the band from a coefficient provider a(i, m)."""
-    bands: dict[int, list[ScalarLike]] = {d: [0] * n for d in range(-p, 1)}
-    for i in range(n):
-        for m in range(max(0, i - p), i + 1):
-            bands[m - i][i] = coeff_provider(i, m)
-    return BandedHessenberg(p, n, bands)
-
-
 class UnitLowerBanded(BandMatrix):
     """Unit lower triangular with w subdiagonals given by `bands`."""
 
@@ -311,10 +285,6 @@ class LowerBidiagonalUnit(BandMatrix):
             raise IndexOutOfRange(f"row {r} has no subdiagonal entry")
         return self._bands[-1][r]
 
-    @property
-    def is_regular(self) -> bool:
-        return all(v != 0 for v in self.sub)
-
     def leading_dense(self, k: int) -> DenseMatrix:
         return DenseMatrix.from_function(k, k, self.entry)
 
@@ -336,8 +306,7 @@ class BidiagonalChain:
     """Ordered factorization data: J - C*I = L(1) ... L(p) U.
 
     Holds the p unit lower bidiagonal factors, the upper bidiagonal U, and
-    the shift C. The chain's coefficients live on a single global index t:
-    see the module docstring for the tiling.
+    the shift C.
     """
 
     __slots__ = ("p", "n", "shift", "factors", "upper")
@@ -369,45 +338,6 @@ class BidiagonalChain:
     def __setattr__(self, name, value):
         raise AttributeError("BidiagonalChain is immutable")
 
-    def gamma_location(self, t: int) -> tuple[str, int, int]:
-        """Map global index t >= 1 to its slot.
-
-        Returns ("upper", 0, q) for the diagonal of U at row q, or
-        ("factor", j, r) for factor j's subdiagonal entry at row r.
-        """
-        if t < 1:
-            raise IndexOutOfRange(f"global index {t} must be >= 1")
-        q, pos = divmod(t - 1, self.p + 1)
-        if pos == 0:
-            if q >= self.n:
-                raise IndexOutOfRange(f"global index {t} beyond the truncation")
-            return ("upper", 0, q)
-        if q + 1 > self.n - 1:
-            raise IndexOutOfRange(f"global index {t} beyond the truncation")
-        return ("factor", pos, q + 1)
-
-    def gamma_index(self, kind: str, j: int, r: int) -> int:
-        """Inverse of gamma_location."""
-        if kind == "upper":
-            return r * (self.p + 1) + 1
-        if kind == "factor":
-            if not 1 <= j <= self.p:
-                raise IndexOutOfRange(f"factor index {j} outside 1..{self.p}")
-            return (r - 1) * (self.p + 1) + j + 1
-        raise IndexOutOfRange(f"unknown slot kind {kind!r}")
-
-    def gamma(self, t: int) -> Fraction:
-        kind, j, r = self.gamma_location(t)
-        if kind == "upper":
-            return self.upper.diag[r]
-        return self.factors[j - 1].sub_at_row(r)
-
-    @property
-    def is_regular(self) -> bool:
-        return all(f.is_regular for f in self.factors) and all(
-            v != 0 for v in self.upper.diag
-        )
-
     def leading(self, m: int) -> "BidiagonalChain":
         """The chain of the leading m x m block, 1 <= m <= n, same shift.
 
@@ -437,17 +367,6 @@ class BidiagonalChain:
             ],
             "U": {"diag": [format_rational(v) for v in self.upper.diag]},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "BidiagonalChain":
-        p = int(data["p"])
-        n = int(data["N"])
-        factors = [
-            LowerBidiagonalUnit(int(f["j"]), n, [parse_rational(v) for v in f["sub"]])
-            for f in data["factors"]
-        ]
-        upper = UpperBidiagonal(n, [parse_rational(v) for v in data["U"]["diag"]])
-        return cls(p, n, parse_rational(data["C"]), factors, upper)
 
     def __repr__(self):
         return f"BidiagonalChain(p={self.p}, n={self.n}, shift={self.shift})"

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import __version__
-from .banded import BandedHessenberg, BidiagonalChain, characteristic_polys
+from .banded import BandedHessenberg, BidiagonalChain
 from .engine import free_entries_from_nu, run_theorem
 from .errors import BandedDarbouxError, ConfigError
 from .exact import check_printable, format_rational
@@ -288,11 +288,7 @@ def cmd_polys(config: InstanceConfig, built) -> CommandResult:
     sequences = {}
     lines = []
     for j in indices:
-        polys = (
-            characteristic_polys(built.instance.J, nmax)
-            if j == 0
-            else transformed_polys(chain, j, nmax)
-        )
+        polys = built.source_polys[: nmax + 1] if j == 0 else transformed_polys(chain, j, nmax)
         sequences[str(j)] = [
             [format_rational(c) for c in poly.coefficients] for poly in polys
         ]

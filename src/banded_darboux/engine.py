@@ -330,6 +330,11 @@ def run_theorem(
         tuple(format_rational(v) for v in row) for row in staging.free_rows
     )
 
+    chain = None
+    partial = None
+    verdicts: list[StageVerdict] = []
+    transport_checks: list[tuple[int, int, bool]] = []
+    structure_ok = True
     if staging.violation is not None:
         stage, size = staging.violation
         if stage == 0:
@@ -344,50 +349,31 @@ def run_theorem(
             ),
             remainder_bands=remainder.w,
         )
-        return TheoremCertificate(
-            fingerprint=fingerprint,
-            p=p,
-            n=n,
-            shift=format_rational(c),
-            window=window,
-            moment_budget=budget,
-            hypotheses=hypotheses,
-            free_entries=free_fmt,
-            stage_verdicts=(),
-            transport_checks=(),
-            structure_ok=True,
-            partial=partial,
+    else:
+        # The rotations read the leading window + 1 rows and the transport
+        # checks s x s leading blocks with s <= p - 2.
+        chain = chain_from_instance(
+            inst, FreeEntrySpec(p, staging.free_rows), max(window + 1, p)
         )
+        for j in range(p):
+            for s in range(1, p - j):
+                ok = staircase_transport_identity(chain.factors, staging.stage_ladders, j, s)
+                transport_checks.append((j, s, ok))
 
-    # The rotations read the leading window + 1 rows and the transport
-    # checks s x s leading blocks with s <= p - 2.
-    chain = chain_from_instance(
-        inst, FreeEntrySpec(p, staging.free_rows), max(window + 1, p)
-    )
-    factors = chain.factors
+        rotated: list[OrthogonalityVector] = []
+        for j in range(1, p + 1):
+            polys_j = transformed_polys(chain, j, window)
+            nu_j = transformed_nu(nu, c, j)
+            rotated.append(nu_j)
+            verdicts.append(StageVerdict(j, is_p_orthogonal(nu_j, polys_j, p, window)))
 
-    transport_checks = []
-    for j in range(p):
-        for s in range(1, p - j):
-            ok = staircase_transport_identity(factors, staging.stage_ladders, j, s)
-            transport_checks.append((j, s, ok))
-
-    verdicts = []
-    rotated: list[OrthogonalityVector] = []
-    for j in range(1, p + 1):
-        polys_j = transformed_polys(chain, j, window)
-        nu_j = transformed_nu(nu, c, j)
-        rotated.append(nu_j)
-        verdicts.append(StageVerdict(j, is_p_orthogonal(nu_j, polys_j, p, window)))
-
-    # Rotations chain structurally: dropping one more leading entry must
-    # reproduce the tail of the previous rotation.
-    structure_ok = True
-    for j in range(1, p):
-        prev, cur = rotated[j - 1], rotated[j]
-        for i in range(1, p):
-            if not cur.entry(i).agrees_with(prev.entry(i + 1)):
-                structure_ok = False
+        # Rotations chain structurally: dropping one more leading entry must
+        # reproduce the tail of the previous rotation.
+        for j in range(1, p):
+            prev, cur = rotated[j - 1], rotated[j]
+            for i in range(1, p):
+                if not cur.entry(i).agrees_with(prev.entry(i + 1)):
+                    structure_ok = False
 
     return TheoremCertificate(
         fingerprint=fingerprint,
@@ -401,5 +387,6 @@ def run_theorem(
         stage_verdicts=tuple(verdicts),
         transport_checks=tuple(transport_checks),
         structure_ok=structure_ok,
+        partial=partial,
         chain=chain,
     )

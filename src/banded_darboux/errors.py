@@ -10,8 +10,8 @@ attribute. This is the one table of codes and classes:
     2  orthogonality hypothesis failure: HypothesisViolated, LadderViolation
     3  singular pivot: SingularLeadingMinor, ZeroPeelPivot
     4  internal consistency: every other class (InternalCheckError,
-       ConsistencyFailure, NonzeroRemainder, ShapeMismatch, SizeMismatch,
-       NotSquare, IndexOutOfRange), inherited from BandedDarbouxError
+       ConsistencyFailure, ShapeMismatch, SizeMismatch, NotSquare,
+       IndexOutOfRange), inherited from BandedDarbouxError
 
 A subclass that sets no `exit_code` exits 4.
 """
@@ -33,14 +33,6 @@ class ShapeMismatch(BandedDarbouxError):
 
 class SizeMismatch(BandedDarbouxError):
     """Incompatible truncation sizes in a banded product."""
-
-
-class NonzeroRemainder(BandedDarbouxError):
-    """Division of a polynomial by (z - c) left a remainder.
-
-    The divisions performed by this library are exact by theory, so a nonzero
-    remainder signals a violated identity upstream, not a user error.
-    """
 
 
 class SingularLeadingMinor(BandedDarbouxError):

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .errors import ConfigError, NonzeroRemainder, NotSquare, ShapeMismatch
+from .errors import ConfigError, NotSquare, ShapeMismatch
 
 ScalarLike = Union[Fraction, int, str]
 
@@ -111,16 +111,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: ScalarLike) -> "Polynomial":
-        return cls((rational(c),))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -137,89 +129,6 @@ class Polynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self._coeffs) and self._coeffs[-1] == 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
-
-    def __call__(self, z: ScalarLike) -> Fraction:
-        """Evaluate at z by Horner's scheme, exactly."""
-        z = rational(z)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self._coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def deflate(self, root: ScalarLike) -> "Polynomial":
-        """Divide exactly by (z - root).
-
-        Raises NonzeroRemainder unless root actually is a root; by the
-        theory, the callers' inputs always vanish there, so a remainder
-        means an identity broke upstream.
-        """
-        if self.is_zero:
-            return Polynomial.zero()
-        root = rational(root)
-        # Synthetic division: the running Horner accumulator visits the
-        # quotient coefficients from the top degree down, ending on the
-        # remainder.
-        acc = Fraction(0)
-        descending: list[Fraction] = []
-        for c in reversed(self._coeffs):
-            acc = acc * root + c
-            descending.append(acc)
-        remainder = descending.pop()
-        if remainder != 0:
-            raise NonzeroRemainder(f"remainder {remainder} dividing by (z - {root})")
-        descending.reverse()
-        return Polynomial(descending)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -253,18 +162,6 @@ class Polynomial:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-#: The identity polynomial z; convenient for building e.g. (Z - c) * q.
-Z = Polynomial((0, 1))
-
-
-def _as_poly(value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return NotImplemented
 
 
 class DenseMatrix:

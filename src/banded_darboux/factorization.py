@@ -106,12 +106,6 @@ class ShiftedInstance:
         raise AttributeError("ShiftedInstance is immutable")
 
     @property
-    def values_at_shift(self) -> tuple[Fraction, ...]:
-        """P_0(C) .. P_N(C) in lowest terms, recomputed on each read."""
-        nums, dens = recurrence_values(self.J, self.shift, self.n)
-        return tuple(Fraction(a, b) for a, b in zip(nums, dens))
-
-    @property
     def p(self) -> int:
         return self.J.p
 
@@ -237,20 +231,6 @@ class FreeEntrySpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeEntrySpec is immutable")
-
-    @classmethod
-    def zeros(cls, p: int) -> "FreeEntrySpec":
-        return cls(p, tuple((0,) * (p - j) for j in range(1, p)))
-
-    def value(self, j: int, r: int) -> Fraction:
-        """Free entry of factor j at subdiagonal row r (1-based both)."""
-        if not (1 <= j <= self.p - 1 and 1 <= r <= self.p - j):
-            raise BadFreeSpec(f"no free entry at factor {j}, row {r}")
-        return self.rows[j - 1][r - 1]
-
-    @property
-    def count(self) -> int:
-        return self.p * (self.p - 1) // 2
 
     def to_json_dict(self) -> dict:
         return {

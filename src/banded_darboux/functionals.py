@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .banded import BandedHessenberg
 from .errors import (
@@ -42,7 +42,6 @@ from .exact import (
     det_exact,
     format_rational,
     integer_image,
-    parse_rational,
     rational,
 )
 
@@ -89,25 +88,9 @@ class LinearFunctional:
             )
         return LinearFunctional(self.moments[: max_degree + 1])
 
-    def scaled(self, c: ScalarLike) -> "LinearFunctional":
-        c = rational(c)
-        return LinearFunctional(tuple(c * m for m in self.moments))
-
-    def __add__(self, other):
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
+    def agrees_with(self, other: "LinearFunctional") -> bool:
+        """Moment-vector equality over the common degree range."""
         m = min(self.max_degree, other.max_degree)
-        return LinearFunctional(
-            tuple(a + b for a, b in zip(self.moments[: m + 1], other.moments[: m + 1]))
-        )
-
-    def agrees_with(self, other: "LinearFunctional", up_to: int | None = None) -> bool:
-        """Moment-vector equality up to a degree (default: common range)."""
-        m = min(self.max_degree, other.max_degree)
-        if up_to is not None:
-            if up_to > m:
-                raise InsufficientMoments(f"cannot compare up to degree {up_to} with budget {m}")
-            m = up_to
         return self.moments[: m + 1] == other.moments[: m + 1]
 
     def __eq__(self, other):
@@ -126,13 +109,6 @@ class LinearFunctional:
             "M": self.max_degree,
             "moments": [format_rational(v) for v in self.moments],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LinearFunctional":
-        moments = [parse_rational(v) for v in data["moments"]]
-        if len(moments) != int(data["M"]) + 1:
-            raise ShapeMismatch("moment count disagrees with declared degree bound")
-        return cls(moments)
 
 
 class OrthogonalityVector:
@@ -184,10 +160,6 @@ class OrthogonalityVector:
     def to_json_dict(self) -> dict:
         return {"entries": [f.to_json_dict() for f in self.entries]}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "OrthogonalityVector":
-        return cls([LinearFunctional.from_json_dict(f) for f in data["entries"]])
-
 
 class LambdaLadder:
     """Strictly lower-staircase coefficient table over a dual sequence.
@@ -223,10 +195,6 @@ class LambdaLadder:
             return _ZERO
         return self.rows[i - 1][k]
 
-    @property
-    def is_regular(self) -> bool:
-        return all(row[i - 1] != 0 for i, row in enumerate(self.rows, start=1))
-
     def check_regular(self) -> None:
         for i, row in enumerate(self.rows, start=1):
             if row[i - 1] == 0:
@@ -242,16 +210,6 @@ class LambdaLadder:
 
     def __repr__(self):
         return f"LambdaLadder(nrows={self.nrows}, stage={self.stage})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.nrows,
-            "lambda": [[format_rational(v) for v in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LambdaLadder":
-        return cls([[parse_rational(v) for v in row] for row in data["lambda"]])
 
 
 def _validate_monic_run(polys: Sequence[Polynomial]) -> None:

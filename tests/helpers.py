@@ -4,7 +4,7 @@ The oracles here deliberately avoid the library code paths they check:
 determinants by cofactor expansion, products by dense triple loops,
 polynomial division by long division on coefficient lists. The slow
 `Fraction` routes that the integer kernels replaced live here too: the
-recurrence in `Polynomial` arithmetic, the dual sequence by inverting the
+recurrence in `Poly` arithmetic, the dual sequence by inverting the
 coefficient triangle, and the scan by applying each functional to z^k P_n.
 So does the rotation over the whole chain that `transformed_polys` narrowed
 to a leading block, and the routes that exact-where-printed replaced: the
@@ -13,6 +13,12 @@ rows, and each rotation as one left-to-right chained product. The rest
 are checks only the tests call: the intertwining matrices G(j), a unit
 lower triangular solve, the table of staircase minors, z^k P, and the
 matrix L(1) ... L(p) U + C*I a chain factors.
+
+What the package itself no longer carries, because no command uses it,
+lives here as well: polynomial arithmetic and evaluation (`Poly`, `Z`,
+`as_polys`, `divide_exactly`), sums and multiples of functionals
+(`Functional`), the chain's global coefficient index (`gamma`), and the
+readers of the chain and vector wire formats (`read_chain`, `read_vector`).
 """
 
 from fractions import Fraction
@@ -21,12 +27,14 @@ from banded_darboux import (
     BadFreeSpec,
     BandedHessenberg,
     HypothesisViolated,
+    BidiagonalChain,
     FreeEntrySpec,
     IndexOutOfRange,
     LinearFunctional,
     LowerBidiagonalUnit,
     NotMonicOrDegreeGap,
     OrthogonalityReport,
+    OrthogonalityVector,
     Polynomial,
     ShapeMismatch,
     ShiftedInstance,
@@ -37,17 +45,157 @@ from banded_darboux import (
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
+    UpperBidiagonal,
     delta_det,
-    hessenberg_from_recurrence,
+    parse_rational,
     product_window,
     rational,
 )
 
 
+class Poly(Polynomial):
+    """A `Polynomial` with evaluation and ring arithmetic; every result is
+    a `Poly`. A plain `Polynomial` or a rational may stand on either side."""
+
+    __slots__ = ()
+
+    def __call__(self, z):
+        """Evaluate at z by Horner's scheme, exactly."""
+        z = rational(z)
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * z + c
+        return acc
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-c for c in self.coefficients)
+
+    def __sub__(self, other):
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return Poly()
+        out = [Fraction(0)] * (self.degree + other.degree + 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+
+def _as_poly(value):
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, Polynomial):
+        return Poly(value.coefficients)
+    if isinstance(value, (int, Fraction)):
+        return Poly((value,))
+    return NotImplemented
+
+
+#: The identity polynomial z, for building e.g. (Z - c) * q.
+Z = Poly((0, 1))
+
+
+def as_polys(polys):
+    """A sequence of `Polynomial`s as `Poly`s, for arithmetic on them."""
+    return tuple(Poly(q.coefficients) for q in polys)
+
+
+def divide_exactly(poly, root):
+    """poly / (z - root) by `long_division`, which must leave no remainder."""
+    quot, rem = long_division(poly.coefficients, (-rational(root), 1))
+    assert rem == [], f"remainder {rem} dividing by (z - {root})"
+    return Poly(quot)
+
+
+class Functional(LinearFunctional):
+    """A `LinearFunctional` with multiples and sums; a sum keeps the moments
+    both terms carry."""
+
+    __slots__ = ()
+
+    def scaled(self, c):
+        c = rational(c)
+        return Functional(c * m for m in self.moments)
+
+    def __add__(self, other):
+        if not isinstance(other, LinearFunctional):
+            return NotImplemented
+        m = min(self.max_degree, other.max_degree)
+        return Functional(a + b for a, b in zip(self.moments[: m + 1], other.moments[: m + 1]))
+
+
+def gamma(chain, t):
+    """The chain's coefficient at global index t >= 1.
+
+    Block q >= 0 covers indices q(p+1)+1 .. q(p+1)+p+1: index q(p+1)+1 is
+    U's diagonal at row q, and q(p+1)+1+j is factor j's subdiagonal entry
+    at row q+1.
+    """
+    if t < 1:
+        raise IndexOutOfRange(f"global index {t} must be >= 1")
+    q, j = divmod(t - 1, chain.p + 1)
+    if j == 0:
+        return chain.upper.diag[q]
+    return chain.factors[j - 1].sub_at_row(q + 1)
+
+
+def read_chain(data):
+    """A `BidiagonalChain` from its wire format."""
+    n = data["N"]
+    factors = [
+        LowerBidiagonalUnit(f["j"], n, [parse_rational(v) for v in f["sub"]])
+        for f in data["factors"]
+    ]
+    upper = UpperBidiagonal(n, [parse_rational(v) for v in data["U"]["diag"]])
+    return BidiagonalChain(data["p"], n, parse_rational(data["C"]), factors, upper)
+
+
+def read_vector(data):
+    """An `OrthogonalityVector` from its wire format; each functional's
+    moment count must match its declared degree bound."""
+    entries = []
+    for f in data["entries"]:
+        moments = [parse_rational(v) for v in f["moments"]]
+        if len(moments) != f["M"] + 1:
+            raise ShapeMismatch("moment count disagrees with declared degree bound")
+        entries.append(LinearFunctional(moments))
+    return OrthogonalityVector(entries)
+
+
 def catalan_hessenberg(n):
     """p = 1, diagonal 2, subdiagonal 1: the first dual functional of this
     matrix has the Catalan numbers as moments."""
-    return hessenberg_from_recurrence(1, n, lambda i, m: 2 if i == m else 1)
+    return BandedHessenberg(1, n, {0: [2] * n, -1: [0] + [1] * (n - 1)})
 
 
 def dense_rows(mat, n=None):
@@ -153,13 +301,12 @@ def make_chain(rng, p, n, shift=Fraction(0)):
 
 
 def characteristic_polys_by_polynomials(hess, nmax):
-    """The band recurrence in `Polynomial` arithmetic."""
+    """The band recurrence in `Poly` arithmetic."""
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(f"need rows 0..{nmax - 1}, have {hess.valid_rows}")
-    zed = Polynomial((0, 1))
-    polys = [Polynomial.one()]
+    polys = [Poly((1,))]
     for n in range(nmax):
-        acc = (zed - hess.a(n, n)) * polys[n]
+        acc = (Z - hess.a(n, n)) * polys[n]
         for s in range(1, hess.p + 1):
             if n - s >= 0:
                 acc = acc - hess.a(n, n - s) * polys[n - s]
@@ -174,7 +321,7 @@ def dual_sequence_by_inversion(polys):
         if poly.degree != n or not poly.is_monic:
             raise NotMonicOrDegreeGap(f"position {n} holds degree {poly.degree}")
     m = len(polys) - 1
-    rows = [[polys[i].coefficient(k) for k in range(m + 1)] for i in range(m + 1)]
+    rows = [list(q.coefficients) + [Fraction(0)] * (m - q.degree) for q in polys]
     columns = []
     for j in range(m + 1):
         x = [Fraction(0)] * (m + 1)

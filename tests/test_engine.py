@@ -145,7 +145,7 @@ def test_free_entries_single_band_is_empty():
 def test_free_entries_two_bands_single_ratio():
     ladder = LambdaLadder([[2], [3, 5]])
     free = free_entries_from_nu(ladder, 2)
-    assert free.value(1, 1) == Fraction(5, 3)  # lambda(2,1)/lambda(2,0)
+    assert free.rows == ((Fraction(5, 3),),)  # lambda(2,1)/lambda(2,0)
 
 
 def test_free_entries_alternating_sum_oracle():

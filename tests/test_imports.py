@@ -71,3 +71,75 @@ def unused_imports(root: Path) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_reads():
     assert unused_imports(ROOT) == []
+
+
+PACKAGE = ROOT / "src" / "banded_darboux"
+# Called by the json encoder, not by name: the JSONEncoder protocol.
+PROTOCOL = {"_ReportEncoder.default"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, line) of each module-level function or class
+    and of each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def _reads(node: ast.AST, inside: frozenset = frozenset()) -> set[str]:
+    """Names and attributes loaded under `node`, skipping a read of X made
+    inside a definition named X (a recursive call, a classmethod's cls()).
+    Quoted annotations such as -> "Polynomial" count as reads."""
+    read = set()
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        read.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read.add(node.attr)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for annotation in filter(None, _annotations(ast.Module([node], []))):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    quoted = ast.parse(sub.value, mode="eval")
+                    read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    for child in ast.iter_child_nodes(node):
+        read |= _reads(child, inside)
+    return read - inside
+
+
+def unreached_definitions(package: Path) -> list[str]:
+    """`module:line: name` for every function, class or method of the
+    package whose name no module of the package reads, `__init__.py`'s
+    re-exports aside."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+    read = set()
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            read |= _reads(tree)
+    return [
+        f"{path.name}:{line}: {qualified}"
+        for path, tree in trees.items()
+        for qualified, name, line in _definitions(tree)
+        if name not in read and qualified not in PROTOCOL
+    ]
+
+
+def test_every_package_definition_is_read_in_the_package():
+    """What src/ defines, src/ uses: the five commands reach it, or it is
+    test-only and belongs in tests/helpers.py.
+
+    The match is by bare name, so a member that shares its name with one
+    that is read elsewhere (a `from_json_dict` beside the one the CLI calls,
+    a `value` beside `LambdaLadder.value`) is out of this test's reach.
+    """
+    assert unreached_definitions(PACKAGE) == []
