@@ -11,11 +11,11 @@ from itertools import zip_longest
 from banded_darboux import (
     BandedHessenberg,
     FreeEntrySpec,
-    Polynomial,
     ShiftedInstance,
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
+    format_polynomial,
     shifted_lu,
     transformed_polys,
 )
@@ -26,9 +26,10 @@ print("J: tridiagonal, diagonal 2, subdiagonal 1, unit superdiagonal")
 
 # -- characteristic sequence ------------------------------------------------
 
+# Each P_n is its tuple of coefficients, constant term first.
 P = characteristic_polys(J, N)
 for n, poly in enumerate(P[:6]):
-    print(f"  P_{n} = {poly}")
+    print(f"  P_{n} = {format_polynomial(poly)}")
 
 # -- shifted LU (shift C = 0 is admissible: no P_n vanishes there) ----------
 
@@ -40,7 +41,7 @@ print("  L subdiagonal:", ", ".join(str(v) for v in L.band(-1)[1:]))
 print("  (each U entry is -P_{n+1}(0)/P_n(0))")
 # P_n(0) is P_n's constant coefficient.
 for n in range(N):
-    assert U.diag[n] == -P[n + 1].coefficients[0] / P[n].coefficients[0]
+    assert U.diag[n] == -P[n + 1][0] / P[n][0]
 
 # -- rotate the factorization ------------------------------------------------
 
@@ -54,16 +55,13 @@ print("  new diagonal:", ", ".join(str(J1.a(i, i)) for i in range(4)), "...")
 K = transformed_polys(chain, 1, 5)
 print("\nkernel sequence of the rotation:")
 for n, poly in enumerate(K):
-    print(f"  K_{n} = {poly}")
+    print(f"  K_{n} = {format_polynomial(poly)}")
 
 print("\nclassical check: K_n = (P_{n+1} - (P_{n+1}(0)/P_n(0)) P_n) / z")
 # The ratio cancels the constant term, so dividing by z drops it.
 for n in range(5):
-    ratio = P[n + 1].coefficients[0] / P[n].coefficients[0]
-    numerator = [
-        a - ratio * b
-        for a, b in zip_longest(P[n + 1].coefficients, P[n].coefficients, fillvalue=0)
-    ]
+    ratio = P[n + 1][0] / P[n][0]
+    numerator = [a - ratio * b for a, b in zip_longest(P[n + 1], P[n], fillvalue=0)]
     assert numerator[0] == 0
-    assert K[n] == Polynomial(numerator[1:])
+    assert K[n] == tuple(numerator[1:])
 print("  exact for n = 0..4")

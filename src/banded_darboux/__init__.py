@@ -48,17 +48,14 @@ from .errors import (
     InternalCheckError,
     LadderViolation,
     NotMonicOrDegreeGap,
-    NotSquare,
     ShapeMismatch,
     SingularLeadingMinor,
     SizeMismatch,
     ZeroPeelPivot,
 )
 from .exact import (
-    DenseMatrix,
-    Polynomial,
     check_printable,
-    det_exact,
+    format_polynomial,
     format_rational,
     parse_rational,
     rational,

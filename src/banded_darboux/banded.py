@@ -22,8 +22,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exact import (
-    DenseMatrix,
-    Polynomial,
     ScalarLike,
     format_rational,
     integer_image,
@@ -285,9 +283,6 @@ class LowerBidiagonalUnit(BandMatrix):
             raise IndexOutOfRange(f"row {r} has no subdiagonal entry")
         return self._bands[-1][r]
 
-    def leading_dense(self, k: int) -> DenseMatrix:
-        return DenseMatrix.from_function(k, k, self.entry)
-
 
 class UpperBidiagonal(BandMatrix):
     """Upper bidiagonal with the given diagonal and a unit superdiagonal."""
@@ -411,22 +406,26 @@ def recurrence_values(
     return nums, dens
 
 
-def characteristic_polys(hess: BandedHessenberg, nmax: int) -> tuple[Polynomial, ...]:
+def characteristic_polys(
+    hess: BandedHessenberg, nmax: int
+) -> tuple[tuple[Fraction, ...], ...]:
     """Monic characteristic sequence P_0 .. P_nmax of the truncation.
 
-    Built by the band recurrence; P_n also equals det(z I_n - J_n), which
-    the tests assert independently. Each P_m is carried as integer
-    numerators over its least common denominator d_m: row n scales its
-    band entries to integers over their lcm e, combines P_n .. P_{n-p} over
-    L = lcm(d_n .. d_{n-p}), and divides out one gcd. Only the last p + 1
-    integer rows are kept; Fractions are built once per coefficient.
+    P_n is its coefficient tuple, lowest degree first: n + 1 Fractions, the
+    last of them 1. Built by the band recurrence; P_n also equals
+    det(z I_n - J_n), which the tests assert independently. Each P_m is
+    carried as integer numerators over its least common denominator d_m:
+    row n scales its band entries to integers over their lcm e, combines
+    P_n .. P_{n-p} over L = lcm(d_n .. d_{n-p}), and divides out one gcd.
+    Only the last p + 1 integer rows are kept; Fractions are built once per
+    coefficient.
     """
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(
             f"need rows 0..{nmax - 1} but only {hess.valid_rows} rows are trustworthy"
         )
     p = hess.p
-    polys = [Polynomial.one()]
+    polys = [(_ONE,)]
     nums: list[list[int]] = [[1]]
     dens = [1]
     for n in range(nmax):
@@ -445,7 +444,7 @@ def characteristic_polys(hess: BandedHessenberg, nmax: int) -> tuple[Polynomial,
         g = gcd(den, *acc)
         acc = [c // g for c in acc]
         den //= g
-        polys.append(Polynomial([Fraction(c, den) if c else _ZERO for c in acc]))
+        polys.append(tuple(Fraction(c, den) if c else _ZERO for c in acc))
         nums.append(acc)
         dens.append(den)
         if len(nums) > p + 1:

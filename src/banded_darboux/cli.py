@@ -62,7 +62,7 @@ from . import __version__
 from .banded import BandedHessenberg, BidiagonalChain
 from .engine import free_entries_from_nu, run_theorem
 from .errors import BandedDarbouxError, ConfigError
-from .exact import check_printable, format_rational
+from .exact import check_printable, format_polynomial, format_rational
 from .factorization import (
     FreeEntrySpec,
     chain_from_instance,
@@ -179,7 +179,7 @@ def _load_config(args) -> InstanceConfig:
 def _poly_table(label: str, polys) -> list[str]:
     lines = [label]
     for n, poly in enumerate(polys):
-        lines.append(f"  P_{n} = {poly}")
+        lines.append(f"  P_{n} = {format_polynomial(poly)}")
     return lines
 
 
@@ -289,9 +289,7 @@ def cmd_polys(config: InstanceConfig, built) -> CommandResult:
     lines = []
     for j in indices:
         polys = built.source_polys[: nmax + 1] if j == 0 else transformed_polys(chain, j, nmax)
-        sequences[str(j)] = [
-            [format_rational(c) for c in poly.coefficients] for poly in polys
-        ]
+        sequences[str(j)] = [[format_rational(c) for c in poly] for poly in polys]
         lines.extend(_poly_table(f"stage {j}:", polys))
     body = {"nmax": nmax, "sequences": sequences}
     return body, lambda: print("\n".join(lines)), EXIT_OK

@@ -38,7 +38,7 @@ from .errors import (
     IndexOutOfRange,
     InternalCheckError,
 )
-from .exact import DenseMatrix, ScalarLike, format_rational, rational
+from .exact import ScalarLike, format_rational, rational
 from .factorization import (
     FreeEntrySpec,
     ShiftedInstance,
@@ -179,18 +179,19 @@ def staircase_transport_identity(
 
     stair_j(s) is the s x s matrix with entry (r, c) = lambda_j(c + 2, r)
     built from the stage-j ladder, and stair_0(s) the offset-j slab of the
-    source ladder. Both routes to the hypothesis minors follow from this by
-    taking determinants (the left factors are unit triangular).
+    source ladder. L(k)_s is the leading s x s block of L(k). Both routes
+    to the hypothesis minors follow from this by taking determinants (the
+    left factors are unit triangular).
     """
-    lhs = DenseMatrix.identity(s)
-    for factor in factors[:j]:
-        lhs = lhs * factor.leading_dense(s)
-    stage = stage_ladders[j]
-    stair = DenseMatrix.from_function(s, s, lambda r, c: stage.value(c + 2, r))
-    slab = DenseMatrix.from_function(
-        s, s, lambda r, c: stage_ladders[0].value(j + 2 + c, r)
-    )
-    return lhs * stair == slab
+    stage, source = stage_ladders[j], stage_ladders[0]
+    rows = [[stage.value(c + 2, r) for c in range(s)] for r in range(s)]
+    # L(k)_s adds its entry (r, r - 1) times row r - 1 to row r; applied
+    # for k = j down to 1, each from the bottom row up.
+    for factor in reversed(factors[:j]):
+        for r in range(s - 1, 0, -1):
+            sub = factor.sub_at_row(r)
+            rows[r] = [a + sub * b for a, b in zip(rows[r], rows[r - 1])]
+    return rows == [[source.value(j + 2 + c, r) for c in range(s)] for r in range(s)]
 
 
 @dataclass(frozen=True)

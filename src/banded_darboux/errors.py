@@ -10,8 +10,8 @@ attribute. This is the one table of codes and classes:
     2  orthogonality hypothesis failure: HypothesisViolated, LadderViolation
     3  singular pivot: SingularLeadingMinor, ZeroPeelPivot
     4  internal consistency: every other class (InternalCheckError,
-       ConsistencyFailure, ShapeMismatch, SizeMismatch, NotSquare,
-       IndexOutOfRange), inherited from BandedDarbouxError
+       ConsistencyFailure, ShapeMismatch, SizeMismatch, IndexOutOfRange),
+       inherited from BandedDarbouxError
 
 A subclass that sets no `exit_code` exits 4.
 """
@@ -21,10 +21,6 @@ class BandedDarbouxError(Exception):
     """Base class for all library errors."""
 
     exit_code = 4
-
-
-class NotSquare(BandedDarbouxError):
-    """Determinant requested for a non-square matrix."""
 
 
 class ShapeMismatch(BandedDarbouxError):

@@ -43,7 +43,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroPeelPivot,
 )
-from .exact import Polynomial, ScalarLike, format_rational, rational
+from .exact import ScalarLike, format_rational, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -472,8 +472,9 @@ def darboux_rotations(chain: BidiagonalChain) -> Iterator[tuple[int, BandedHesse
 
 def transformed_polys(
     chain: BidiagonalChain, j: int, nmax: int
-) -> tuple[Polynomial, ...]:
-    """Monic sequence generated by J(j), degrees 0 .. nmax.
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Monic sequence generated by J(j), degrees 0 .. nmax, as coefficient
+    tuples (see `characteristic_polys`).
 
     Degrees up to nmax read rows 0 .. nmax-1 only, so J(j) is formed from
     the chain's leading (nmax+1) x (nmax+1) block; its safe window (nmax

@@ -35,15 +35,7 @@ from .errors import (
     NotMonicOrDegreeGap,
     ShapeMismatch,
 )
-from .exact import (
-    DenseMatrix,
-    Polynomial,
-    ScalarLike,
-    det_exact,
-    format_rational,
-    integer_image,
-    rational,
-)
+from .exact import ScalarLike, format_rational, integer_image, rational
 
 _ZERO = Fraction(0)
 
@@ -65,12 +57,11 @@ class LinearFunctional:
     def max_degree(self) -> int:
         return len(self.moments) - 1
 
-    def apply(self, q: Polynomial) -> Fraction:
-        if q.degree > self.max_degree:
-            raise DegreeExceedsMoments(q.degree, self.max_degree)
-        return sum(
-            (c * m for c, m in zip(q.coefficients, self.moments)), _ZERO
-        )
+    def apply(self, q: Sequence[Fraction]) -> Fraction:
+        """The value on the polynomial with coefficient tuple q."""
+        if len(q) - 1 > self.max_degree:
+            raise DegreeExceedsMoments(len(q) - 1, self.max_degree)
+        return sum((c * m for c, m in zip(q, self.moments)), _ZERO)
 
     def shift_multiply(self, c: ScalarLike) -> "LinearFunctional":
         """The functional q -> self[(z - c) q]; costs one degree of budget."""
@@ -212,11 +203,12 @@ class LambdaLadder:
         return f"LambdaLadder(nrows={self.nrows}, stage={self.stage})"
 
 
-def _validate_monic_run(polys: Sequence[Polynomial]) -> None:
+def _validate_monic_run(polys: Sequence[Sequence[Fraction]]) -> None:
     for n, poly in enumerate(polys):
-        if poly.degree != n or not poly.is_monic:
+        monic = bool(poly) and poly[-1] == 1
+        if len(poly) != n + 1 or not monic:
             raise NotMonicOrDegreeGap(
-                f"position {n} holds degree {poly.degree}, monic={poly.is_monic}"
+                f"position {n} holds degree {len(poly) - 1}, monic={monic}"
             )
 
 
@@ -274,7 +266,9 @@ def canonical_nu(duals: Sequence[LinearFunctional], p: int) -> OrthogonalityVect
     return OrthogonalityVector(duals[:p])
 
 
-def lambda_of(nu: OrthogonalityVector, polys: Sequence[Polynomial]) -> LambdaLadder:
+def lambda_of(
+    nu: OrthogonalityVector, polys: Sequence[Sequence[Fraction]]
+) -> LambdaLadder:
     """Recover the ladder from nu by lambda(i, k) = nu_i[P_k].
 
     Also validates the staircase: nu_i[P_k] must vanish for k >= i and the
@@ -338,8 +332,43 @@ def delta_det(ladder: LambdaLadder, j: int, m: int) -> Fraction:
         raise IndexOutOfRange(
             f"minor (offset {j}, size {m}) needs ladder row {j + m + 1}, have {ladder.nrows}"
         )
-    matrix = DenseMatrix.from_function(m, m, lambda r, c: ladder.value(j + 2 + c, r))
-    return det_exact(matrix)
+    return _det([[ladder.value(j + 2 + c, r) for c in range(m)] for r in range(m)])
+
+
+def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix of Fractions, given by its rows.
+
+    Each row is scaled to integers over its own least common denominator,
+    and fraction-free (Bareiss) elimination keeps every intermediate
+    integral: each is a minor of the scaled matrix (Sylvester's identity),
+    so the division by the previous pivot is exact. A row swap flips the
+    sign.
+    """
+    n = len(rows)
+    scale = 1
+    work = []
+    for row in rows:
+        ints, d = integer_image(row)
+        scale *= d
+        work.append(ints)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                return _ZERO
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot, row_k = work[k][k], work[k]
+        for row_i in work[k + 1:]:
+            lead = row_i[k]
+            row_i[k + 1:] = [
+                (x * pivot - lead * y) // prev
+                for x, y in zip(row_i[k + 1:], row_k[k + 1:])
+            ]
+        prev = pivot
+    return Fraction(sign * work[-1][-1], scale) if n else Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -389,7 +418,7 @@ class OrthogonalityReport:
 
 def is_p_orthogonal(
     nu: OrthogonalityVector,
-    polys: Sequence[Polynomial],
+    polys: Sequence[Sequence[Fraction]],
     p: int,
     window: int,
 ) -> OrthogonalityReport:
@@ -406,7 +435,7 @@ def is_p_orthogonal(
         raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
     # nu_r[z^k P_n] = sum_i c_{n,i} m_{r,i+k}, computed as an integer dot
     # product over the denominators d_nu * d_P; Fractions only for witnesses.
-    coeffs = [integer_image(polys[n].coefficients) for n in range(window + 1)]
+    coeffs = [integer_image(polys[n]) for n in range(window + 1)]
     failures: list[Witness] = []
     zero_checks = 0
     nonzero_checks = 0

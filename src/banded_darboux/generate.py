@@ -22,7 +22,7 @@ from .errors import (
     SingularLeadingMinor,
     SizeMismatch,
 )
-from .exact import Polynomial, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .factorization import ShiftedInstance
 from .functionals import (
     LambdaLadder,
@@ -218,7 +218,7 @@ class GeneratedInstance:
     config_echo: dict
     instance: ShiftedInstance
     nu: OrthogonalityVector
-    source_polys: tuple[Polynomial, ...]
+    source_polys: tuple[tuple[Fraction, ...], ...]
     ladder_rows: Optional[tuple[tuple[Fraction, ...], ...]]
     shift_retries: tuple[str, ...]
     ladder_retries: int

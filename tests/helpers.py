@@ -15,8 +15,13 @@ lower triangular solve, the table of staircase minors, z^k P, and the
 matrix L(1) ... L(p) U + C*I a chain factors.
 
 What the package itself no longer carries, because no command uses it,
-lives here as well: polynomial arithmetic and evaluation (`Poly`, `Z`,
-`as_polys`, `divide_exactly`), sums and multiples of functionals
+lives here as well: the polynomial type with its printed form, arithmetic
+and evaluation (`Poly`, `Z`, `as_polys`, `divide_exactly`; the package's
+polynomials are coefficient tuples, and `Poly.__str__` is the oracle for
+`format_polynomial`), dense matrices with their product and the Bareiss
+determinant (`DenseMatrix`, `det_exact`, `NotSquare`; the oracles for the
+elimination in `delta_det` and the row updates in
+`staircase_transport_identity`), sums and multiples of functionals
 (`Functional`), the chain's global coefficient index (`gamma`), and the
 readers of the chain and vector wire formats (`read_chain`, `read_vector`).
 """
@@ -35,7 +40,6 @@ from banded_darboux import (
     NotMonicOrDegreeGap,
     OrthogonalityReport,
     OrthogonalityVector,
-    Polynomial,
     ShapeMismatch,
     ShiftedInstance,
     SingularLeadingMinor,
@@ -51,13 +55,84 @@ from banded_darboux import (
     product_window,
     rational,
 )
+from banded_darboux.exact import integer_image
 
 
-class Poly(Polynomial):
-    """A `Polynomial` with evaluation and ring arithmetic; every result is
-    a `Poly`. A plain `Polynomial` or a rational may stand on either side."""
+class Poly:
+    """Dense univariate polynomial in z with Fraction coefficients, with
+    evaluation and ring arithmetic; every result is a `Poly`, and a rational
+    may stand on either side.
 
-    __slots__ = ()
+    Immutable. `coefficients[k]` is the coefficient of z^k; trailing zeros
+    are trimmed, so the zero polynomial has an empty coefficient tuple and
+    degree -1. The package's polynomials are plain coefficient tuples:
+    `Poly(q)` wraps one, and `.coefficients` gives it back.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coefficients=()):
+        coeffs = [rational(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @property
+    def coefficients(self):
+        return self._coeffs
+
+    @property
+    def degree(self):
+        return len(self._coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self._coeffs
+
+    @property
+    def is_monic(self):
+        return bool(self._coeffs) and self._coeffs[-1] == 1
+
+    def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self._coeffs == other._coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._coeffs)
+
+    def __repr__(self):
+        return f"Poly({self})"
+
+    def __str__(self):
+        """The form `format_polynomial` prints, built term by term."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self._coeffs[k]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                var = "z" if k == 1 else f"z^{k}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = (first_sign if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
 
     def __call__(self, z):
         """Evaluate at z by Horner's scheme, exactly."""
@@ -114,8 +189,6 @@ class Poly(Polynomial):
 def _as_poly(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, Polynomial):
-        return Poly(value.coefficients)
     if isinstance(value, (int, Fraction)):
         return Poly((value,))
     return NotImplemented
@@ -126,8 +199,8 @@ Z = Poly((0, 1))
 
 
 def as_polys(polys):
-    """A sequence of `Polynomial`s as `Poly`s, for arithmetic on them."""
-    return tuple(Poly(q.coefficients) for q in polys)
+    """A sequence of coefficient tuples as `Poly`s, for arithmetic on them."""
+    return tuple(Poly(q) for q in polys)
 
 
 def divide_exactly(poly, root):
@@ -333,10 +406,8 @@ def dual_sequence_by_inversion(polys):
 
 
 def times_z_power(poly, k):
-    """z^k * poly, by prepending k zero coefficients."""
-    if poly.is_zero:
-        return poly
-    return Polynomial((Fraction(0),) * k + poly.coefficients)
+    """z^k * poly for a coefficient tuple, by prepending k zeros."""
+    return (Fraction(0),) * k + tuple(poly) if poly else ()
 
 
 def reconstruct(chain):
@@ -487,6 +558,18 @@ def solve_unit_lower_triangular(t, b):
     return tuple(x)
 
 
+def transport_identity_by_dense(factors, stage_ladders, j, s):
+    """`staircase_transport_identity` as dense products: the leading s x s
+    blocks of L(1) .. L(j), multiplied left to right, times stair_j(s)."""
+    lhs = DenseMatrix.identity(s)
+    for factor in factors[:j]:
+        lhs = lhs * DenseMatrix.from_function(s, s, factor.entry)
+    stage, source = stage_ladders[j], stage_ladders[0]
+    stair = DenseMatrix.from_function(s, s, lambda r, c: stage.value(c + 2, r))
+    slab = DenseMatrix.from_function(s, s, lambda r, c: source.value(j + 2 + c, r))
+    return lhs * stair == slab
+
+
 def check_hypotheses(ladder, p):
     """Every staircase minor Delta_j(m) the theorem needs, as (j, m, value);
     raises HypothesisViolated on the first zero. For p = 1 the table is
@@ -497,3 +580,113 @@ def check_hypotheses(ladder, p):
         if value == 0:
             raise HypothesisViolated(j, m, value)
     return table
+
+
+class NotSquare(ValueError):
+    """Determinant requested for a non-square matrix."""
+
+
+class DenseMatrix:
+    """Small immutable dense matrix of Fractions (row-major)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        grid = tuple(tuple(rational(v) for v in row) for row in rows)
+        if grid:
+            width = len(grid[0])
+            if any(len(row) != width for row in grid):
+                raise ShapeMismatch("ragged rows")
+        object.__setattr__(self, "_rows", grid)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DenseMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n):
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @classmethod
+    def from_function(cls, rows, cols, fn):
+        return cls(tuple(tuple(fn(i, j) for j in range(cols)) for i in range(rows)))
+
+    @property
+    def rows(self):
+        return len(self._rows)
+
+    @property
+    def cols(self):
+        return len(self._rows[0]) if self._rows else 0
+
+    def entry(self, i, j):
+        return self._rows[i][j]
+
+    def as_rows(self):
+        return self._rows
+
+    def __mul__(self, other):
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        ocols = other.cols
+        out = []
+        for i in range(self.rows):
+            arow = self._rows[i]
+            out.append(
+                tuple(
+                    sum((arow[k] * other._rows[k][j] for k in range(self.cols)), Fraction(0))
+                    for j in range(ocols)
+                )
+            )
+        return DenseMatrix(out)
+
+    def __eq__(self, other):
+        if isinstance(other, DenseMatrix):
+            return self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(v) for v in row) for row in self._rows)
+        return f"DenseMatrix[{body}]"
+
+
+def det_exact(m):
+    """Exact determinant of a `DenseMatrix` by fraction-free (Bareiss)
+    elimination over rows scaled to integers; a row swap flips the sign.
+    The oracle for the elimination that `delta_det` runs on ladder rows."""
+    if m.rows != m.cols:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    scale = 1
+    work = []
+    for row in m.as_rows():
+        ints, mult = integer_image(row)
+        scale *= mult
+        work.append(ints)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            for i in range(k + 1, n):
+                if work[i][k] != 0:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            row_k = work[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return Fraction(sign * work[n - 1][n - 1], scale)

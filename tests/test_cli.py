@@ -42,7 +42,6 @@ from banded_darboux.errors import (
     InsufficientMoments,
     LadderViolation,
     NotMonicOrDegreeGap,
-    NotSquare,
     ShapeMismatch,
     SizeMismatch,
     ZeroPeelPivot,
@@ -166,6 +165,78 @@ def test_transform_and_polys_commands(tmp_path, capsys):
     assert list(sequences) == ["1"]
     out = capsys.readouterr().out
     assert "P_0 = 1" in out
+
+
+# The `polys` stdout of two fixed configs, stage by stage: a random instance
+# with fractional coefficients, and an explicit integer matrix whose
+# sequences have unit, negative and zero coefficients.
+_POLYS_STAGES = {
+    "random": (
+        """stage 0:
+  P_0 = 1
+  P_1 = z + 6
+  P_2 = z^2 + 20/3*z + 17/4
+  P_3 = z^3 + 44/3*z^2 + 703/12*z + 122/3
+  P_4 = z^4 + 47/3*z^3 + 2645/36*z^2 + 2767/27*z + 469/9""",
+        """stage 1:
+  P_0 = 1
+  P_1 = z + 19/2
+  P_2 = z^2 + 564/85*z + 4031/1020
+  P_3 = z^3 + 1097/84*z^2 + 68429/1428*z + 196009/5712
+  P_4 = z^4 + 639613/40758*z^3 + 36102811/489096*z^2 + 152217431/1467288*z + 103713425/1956384""",
+        """stage 2:
+  P_0 = 1
+  P_1 = z + 143/24
+  P_2 = z^2 + 260/51*z - 3187/612
+  P_3 = z^3 + 1755/122*z^2 + 120073/2196*z + 361175/13176
+  P_4 = z^4 + 92411/5628*z^3 + 711427/8442*z^2 + 29071675/202608*z + 102625/1407""",
+    ),
+    "explicit": (
+        """stage 0:
+  P_0 = 1
+  P_1 = z
+  P_2 = z^2 + 1
+  P_3 = z^3 + 2*z - 1
+  P_4 = z^4 + 3*z^2 - 2*z + 1""",
+        """stage 1:
+  P_0 = 1
+  P_1 = z + 18/5
+  P_2 = z^2 + 5/14*z + 16/7
+  P_3 = z^3 - 28/3*z^2 - 4/3*z - 67/3
+  P_4 = z^4 - 3*z^3 + 31*z^2 + 2*z + 68""",
+        """stage 2:
+  P_0 = 1
+  P_1 = z - 2
+  P_2 = z^2 + 2/5*z + 11/5
+  P_3 = z^3 - 6*z^2 - 15
+  P_4 = z^4 + 18/13*z^3 + 61/13*z^2 + 2*z + 29/13""",
+    ),
+}
+_POLYS_CONFIGS = {
+    "random": {"window": 4},
+    "explicit": {
+        "N": 12,
+        "window": 4,
+        "seed": 3,
+        "C": "1/2",
+        "matrix": {
+            "source": "explicit",
+            "bands": {"0": ["0"] * 12, "-1": ["-1"] * 11, "-2": ["1"] * 10},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POLYS_CONFIGS))
+@pytest.mark.parametrize("j", [None, 2])
+def test_polys_stdout_is_pinned(tmp_path, capsys, name, j):
+    config = write_config(tmp_path, **_POLYS_CONFIGS[name])
+    extra = () if j is None else ("--j", str(j))
+    capsys.readouterr()
+    assert run_cli(tmp_path, "polys", config, *extra) == EXIT_OK
+    stages = _POLYS_STAGES[name] if j is None else _POLYS_STAGES[name][j:j + 1]
+    report = tmp_path / "reports" / "polys.json"
+    assert capsys.readouterr().out == "\n".join(stages) + f"\nreport: {report}\n"
 
 
 def test_window_too_large_is_a_config_error(tmp_path, capsys):
@@ -393,7 +464,6 @@ _DOCUMENTED_EXITS = {
     ConsistencyFailure(1): EXIT_INTERNAL,
     ShapeMismatch("x"): EXIT_INTERNAL,
     SizeMismatch("x"): EXIT_INTERNAL,
-    NotSquare("x"): EXIT_INTERNAL,
     IndexOutOfRange("x"): EXIT_INTERNAL,
 }
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from banded_darboux import (
     ConfigError,
@@ -38,7 +40,12 @@ from banded_darboux import (
 )
 from banded_darboux.engine import _staging
 from banded_darboux.generate import random_ladder
-from helpers import catalan_hessenberg, check_hypotheses, draw_rational
+from helpers import (
+    catalan_hessenberg,
+    check_hypotheses,
+    draw_rational,
+    transport_identity_by_dense,
+)
 
 
 def seeded_regular_ladder(rng, p):
@@ -133,6 +140,49 @@ def test_stage_ladder_matches_transport_matrix_identity():
                 assert staircase_transport_identity(
                     factors, staging.stage_ladders, j, s
                 )
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(2, 4), kind=st.sampled_from(["staged", "factor", "ladder"]), data=st.data())
+def test_transport_identity_matches_dense_products(p, kind, data):
+    """Factors from the staging of a drawn ladder satisfy the identity; one
+    perturbed factor entry or stage-ladder entry usually breaks it. Either
+    way the row updates must give the dense products' verdict."""
+    nonzero = small_fractions.filter(bool)
+    ladder = LambdaLadder(
+        [data.draw(st.lists(small_fractions, min_size=i - 1, max_size=i - 1))
+         + [data.draw(nonzero)] for i in range(1, p + 1)]
+    )
+    staging = _staging(ladder, p)
+    assume(staging.violation is None)
+    n = p + data.draw(st.integers(0, 2))
+    subs = [
+        list(row) + data.draw(st.lists(small_fractions, min_size=n - 1 - len(row),
+                                       max_size=n - 1 - len(row)))
+        for row in staging.free_rows
+    ]
+    stage_ladders = list(staging.stage_ladders)
+    if kind == "factor":
+        j = data.draw(st.integers(0, p - 2))
+        r = data.draw(st.integers(0, n - 2))
+        subs[j][r] += data.draw(nonzero)
+    elif kind == "ladder":
+        j = data.draw(st.integers(1, p - 1))
+        rows = [list(row) for row in stage_ladders[j].rows]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(st.integers(0, i))
+        rows[i][k] += data.draw(nonzero)
+        stage_ladders[j] = LambdaLadder(rows, stage=j)
+    factors = [LowerBidiagonalUnit(j + 1, n, sub) for j, sub in enumerate(subs)]
+    for j in range(p):
+        for s in range(1, p - j):
+            expected = transport_identity_by_dense(factors, stage_ladders, j, s)
+            assert staircase_transport_identity(factors, stage_ladders, j, s) == expected
+            if kind == "staged":
+                assert expected
 
 
 # ------------------------------------------------------------ free entries

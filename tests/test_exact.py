@@ -1,29 +1,30 @@
-"""Scalar, polynomial, and dense-matrix layer."""
+"""Scalar helpers of `exact`, and the polynomial and dense-matrix oracles
+that the tests build on."""
 
 from fractions import Fraction
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banded_darboux import (
     ConfigError,
-    DenseMatrix,
-    NotSquare,
-    Polynomial,
     ShapeMismatch,
     check_printable,
-    det_exact,
+    format_polynomial,
     format_rational,
     parse_rational,
 )
 from helpers import (
+    DenseMatrix,
+    NotSquare,
     Poly,
     Z,
     catalan_hessenberg,
     cofactor_det,
     dense_rows,
+    det_exact,
     divide_exactly,
     solve_unit_lower_triangular,
 )
@@ -105,10 +106,26 @@ def test_poly_eval_cubic_against_power_sum():
 
 
 def test_poly_degree_and_trimming():
-    assert Polynomial([1, 2, 0, 0]).degree == 1
-    assert Polynomial([]).degree == -1
-    assert Polynomial([0, 0]).is_zero
+    assert Poly([1, 2, 0, 0]).degree == 1
+    assert Poly([]).degree == -1
+    assert Poly([0, 0]).is_zero
     assert (Z * Z + 1).is_monic
+
+
+# Coefficients with many zeros and units, negative and fractional entries.
+coefficient_st = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions_st
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(coefficient_st, max_size=7).map(tuple))
+@example(coeffs=())
+@example(coeffs=(Fraction(0), Fraction(0)))
+@example(coeffs=(Fraction(-3, 2),))
+@example(coeffs=(Fraction(1), Fraction(-3, 2), Fraction(0), Fraction(1)))
+def test_format_polynomial_matches_the_oracle(coeffs):
+    assert format_polynomial(coeffs) == str(Poly(coeffs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +144,7 @@ def test_deflate_perfect_square():
 
 
 def test_deflate_monomial():
-    assert divide_exactly(Z, 0) == Polynomial.one()
+    assert divide_exactly(Z, 0) == Poly.one()
 
 
 def test_deflate_rejects_non_root():

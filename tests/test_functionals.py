@@ -4,7 +4,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banded_darboux import (
@@ -17,7 +17,6 @@ from banded_darboux import (
     LinearFunctional,
     NotMonicOrDegreeGap,
     OrthogonalityVector,
-    Polynomial,
     build_nu,
     canonical_nu,
     characteristic_polys,
@@ -26,12 +25,15 @@ from banded_darboux import (
     is_p_orthogonal,
     lambda_of,
 )
+from banded_darboux.functionals import _det
 from helpers import (
+    DenseMatrix,
     Functional,
     Poly,
     Z,
     catalan_hessenberg,
     cofactor_det,
+    det_exact,
     draw_rational,
     dual_sequence_by_inversion,
     random_hessenberg_local,
@@ -54,18 +56,18 @@ def seeded_regular_ladder(rng, p):
 
 def test_apply_evaluation_at_zero():
     f = LinearFunctional([1, 0, 0])
-    assert f.apply(Z - 2) == -2
+    assert f.apply((Z - 2).coefficients) == -2
 
 
 def test_apply_telescoping_moments():
     f = LinearFunctional([1, 1, 1])
-    assert f.apply(Z * Z - 1) == 0
+    assert f.apply((Z * Z - 1).coefficients) == 0
 
 
 def test_apply_degree_guard():
     f = LinearFunctional([1, 2])
     with pytest.raises(DegreeExceedsMoments):
-        f.apply(Z * Z)
+        f.apply((Z * Z).coefficients)
 
 
 def test_apply_dual_against_catalan_sequence():
@@ -102,7 +104,8 @@ def test_shift_multiply_is_adjoint_to_linear_factor(moments, q, c):
     poly = Poly(q)
     if poly.degree + 1 > f.max_degree:
         poly = Poly(q[: f.max_degree])
-    assert f.shift_multiply(c).apply(poly) == f.apply((Z - c) * poly)
+    lhs = f.shift_multiply(c).apply(poly.coefficients)
+    assert lhs == f.apply(((Z - c) * poly).coefficients)
 
 
 # ------------------------------------------------------------ dual sequence
@@ -143,9 +146,9 @@ def test_dual_sequence_diagonal_is_one():
 
 def test_dual_sequence_rejects_bad_input():
     with pytest.raises(NotMonicOrDegreeGap):
-        dual_sequence_by_inversion((Polynomial.one(), 2 * Z))
+        dual_sequence_by_inversion((Poly.one(), 2 * Z))
     with pytest.raises(NotMonicOrDegreeGap):
-        dual_sequence_by_inversion((Polynomial.one(), Z * Z))
+        dual_sequence_by_inversion((Poly.one(), Z * Z))
 
 
 def test_dual_sequence_needs_trustworthy_rows():
@@ -268,6 +271,50 @@ def test_delta_first_sizes_read_off_the_ladder():
     assert delta_det(ladder, 0, 1) == 3
     assert delta_det(ladder, 1, 1) == 7
     assert delta_det(ladder, 0, 2) == 3 * 11 - 7 * 5
+
+
+@st.composite
+def square_matrices(draw):
+    """Square Fraction matrices of size 0..5, rich in zeros. From size 2 on,
+    a third have a zero first pivot (a row swap, unless the column is zero)
+    and a third a row that is a multiple of another (singular)."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), fractions_st)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2:
+        kind = draw(st.sampled_from(["any", "swap", "singular"]))
+        if kind == "swap":
+            rows[0][0] = Fraction(0)
+        elif kind == "singular":
+            i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            c = draw(fractions_st)
+            rows[i] = [c * x for x in rows[k]]
+    return rows
+
+
+def _grid(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=square_matrices())
+@example(rows=_grid([[0, 1], [1, 0]]))
+@example(rows=_grid([[0, 1, 2], [1, 0, 3], [4, 5, 0]]))
+@example(rows=_grid([[1, 2, 3], [2, 4, 5], [3, 6, 8]]))  # second pivot zero, singular
+@example(rows=_grid([[1, 2, 3], [2, 4, 7], [3, 7, 8]]))  # second pivot zero, regular
+@example(rows=_grid([[0, 0], [0, 1]]))  # zero first column
+def test_delta_elimination_matches_the_dense_oracle(rows):
+    assert _det(rows) == det_exact(DenseMatrix(rows))
+
+
+def test_lambda_of_rejects_a_sequence_that_is_not_monic():
+    duals = dual_sequence(catalan_hessenberg(4), 4)
+    nu = canonical_nu(duals, 2)
+    one = (Fraction(1),)
+    with pytest.raises(NotMonicOrDegreeGap, match="position 1 holds degree 1, monic=False"):
+        lambda_of(nu, (one, (Fraction(1), Fraction(2))))
+    with pytest.raises(NotMonicOrDegreeGap, match="position 1 holds degree 2, monic=True"):
+        lambda_of(nu, (one, (Fraction(0), Fraction(0), Fraction(1))))
 
 
 def test_delta_bounds():
