@@ -10,7 +10,6 @@ from itertools import zip_longest
 
 from banded_darboux import (
     BandedHessenberg,
-    FreeEntrySpec,
     ShiftedInstance,
     chain_from_instance,
     characteristic_polys,
@@ -45,7 +44,7 @@ for n in range(N):
 
 # -- rotate the factorization ------------------------------------------------
 
-chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+chain = chain_from_instance(inst, (), inst.n)  # p = 1: no free entries
 J1 = darboux_transform(chain, 1)
 print("\nJ(1) = U * L + 0*I, trustworthy on rows 0..", J1.valid_rows - 1)
 print("  new diagonal:", ", ".join(str(J1.a(i, i)) for i in range(4)), "...")

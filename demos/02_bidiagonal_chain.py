@@ -9,7 +9,6 @@ from fractions import Fraction
 import random
 
 from banded_darboux import (
-    FreeEntrySpec,
     ShiftedInstance,
     bidiagonal_chain_factor,
     chain_from_instance,
@@ -32,8 +31,7 @@ for label, rows in [
     ("zeros", [[0, 0], [0]]),
     ("ones ", [[1, 1], [1]]),
 ]:
-    free = FreeEntrySpec(p, rows)
-    factors = bidiagonal_chain_factor(L, free)
+    factors = bidiagonal_chain_factor(L, rows)
     print(f"\nfree entries {label}:")
     for f in factors:
         head = ", ".join(str(v) for v in f.sub[:4])
@@ -43,7 +41,7 @@ for label, rows in [
 
 # -- every rotation is again banded Hessenberg -------------------------------
 
-chain = chain_from_instance(inst, FreeEntrySpec(p, [[1, 2], [3]]), inst.n)
+chain = chain_from_instance(inst, [[1, 2], [3]], inst.n)
 print("\nchain with free entries [[1, 2], [3]], J - C*I = L(1) L(2) L(3) U:")
 for f in chain.factors:
     print(f"  L({f.index}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")

@@ -13,7 +13,6 @@ the minor hypothesis and is rejected up front, yet its full rotation
 """
 
 from banded_darboux import (
-    FreeEntrySpec,
     HypothesisViolated,
     InstanceConfig,
     chain_from_instance,
@@ -54,7 +53,7 @@ except HypothesisViolated as err:
 
 # -- but its full rotation still transports ------------------------------------
 
-zeros = FreeEntrySpec(p, [[0] * (p - j) for j in range(1, p)])
+zeros = [[0] * (p - j) for j in range(1, p)]  # free_rows[j-1]: L(j)'s first p-j entries
 chain = chain_from_instance(built_canon.instance, zeros, built_canon.instance.n)
 seq = transformed_polys(chain, p, window)
 rotated = transformed_nu(built_canon.nu, built_canon.instance.shift, p)

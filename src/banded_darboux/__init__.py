@@ -28,7 +28,6 @@ from .engine import (
     PartialFactorization,
     StageVerdict,
     TheoremCertificate,
-    free_entries_from_nu,
     moment_budget,
     run_theorem,
     stage_ladder,
@@ -61,7 +60,6 @@ from .exact import (
     rational,
 )
 from .factorization import (
-    FreeEntrySpec,
     ShiftedInstance,
     bidiagonal_chain_factor,
     chain_from_instance,
@@ -78,7 +76,6 @@ from .functionals import (
     OrthogonalityVector,
     Witness,
     build_nu,
-    canonical_nu,
     delta_det,
     dual_sequence,
     is_p_orthogonal,

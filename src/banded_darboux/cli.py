@@ -60,25 +60,21 @@ from typing import Callable, Iterable
 
 from . import __version__
 from .banded import BandedHessenberg, BidiagonalChain
-from .engine import free_entries_from_nu, run_theorem
-from .errors import BandedDarbouxError, ConfigError
+from .engine import run_theorem
+from .errors import BandedDarbouxError, ConfigError, HypothesisViolated
 from .exact import check_printable, format_polynomial, format_rational
 from .factorization import (
-    FreeEntrySpec,
     chain_from_instance,
     darboux_rotations,
     darboux_transform,
     last_row_lowest_entry,
     transformed_polys,
 )
-from .functionals import lambda_of
 from .generate import InstanceConfig, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
-EXIT_SINGULAR = 3
-EXIT_INTERNAL = 4
 
 
 def _report_dir(args, config: InstanceConfig) -> Path:
@@ -199,8 +195,8 @@ def cmd_gen(config: InstanceConfig, built) -> CommandResult:
         "nu": built.nu.to_json_dict(),
         "ladder": (
             None
-            if built.ladder_rows is None
-            else [[format_rational(v) for v in row] for row in built.ladder_rows]
+            if config.nu_source == "canonical"
+            else [[format_rational(v) for v in row] for row in built.ladder.rows]
         ),
     }
 
@@ -213,13 +209,14 @@ def cmd_gen(config: InstanceConfig, built) -> CommandResult:
 
 
 def cmd_factorize(config: InstanceConfig, built) -> CommandResult:
-    free, chain = _build_chain(config, built, config.n)
+    chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     # The report and stdout print the same strings, so they are formatted
     # once, here, and the chain is the one section held.
     chain_json = chain.to_json_dict()
     shift = format_rational(built.instance.shift)
-    body = {"C": shift, "free_entries": free.to_json_dict(), "chain": chain_json}
+    rows = [[format_rational(v) for v in row] for row in built.staging.free_rows]
+    body = {"C": shift, "free_entries": {"p": config.p, "rows": rows}, "chain": chain_json}
 
     def show():
         print(f"J - C*I = L(1)..L({config.p}) * U with C = {shift}")
@@ -230,13 +227,12 @@ def cmd_factorize(config: InstanceConfig, built) -> CommandResult:
     return body, show, EXIT_OK
 
 
-def _build_chain(
-    config: InstanceConfig, built, rows: int
-) -> tuple[FreeEntrySpec, BidiagonalChain]:
-    """The free entries and the chain of the leading rows x rows block."""
-    ladder = lambda_of(built.nu, built.source_polys)
-    free = free_entries_from_nu(ladder, config.p)
-    return free, chain_from_instance(built.instance, free, rows)
+def _build_chain(built, rows: int) -> BidiagonalChain:
+    """The chain of the leading rows x rows block, with the free entries of
+    the ladder's staging; a zero staged minor leaves no chain to build."""
+    if built.staging.violation is not None:
+        raise HypothesisViolated(*built.staging.violation, 0)
+    return chain_from_instance(built.instance, built.staging.free_rows, rows)
 
 
 def _transform_json(hess: BandedHessenberg) -> dict:
@@ -244,7 +240,7 @@ def _transform_json(hess: BandedHessenberg) -> dict:
 
 
 def cmd_transform(config: InstanceConfig, built) -> CommandResult:
-    _free, chain = _build_chain(config, built, config.n)
+    chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     index = config.transform_index
     # The last-row check of every J(j) to print, j >= 1, before any is formed.
@@ -279,7 +275,7 @@ def cmd_transform(config: InstanceConfig, built) -> CommandResult:
 
 def cmd_polys(config: InstanceConfig, built) -> CommandResult:
     nmax = config.window
-    _free, chain = _build_chain(config, built, nmax + 1)
+    chain = _build_chain(built, nmax + 1)
     indices = (
         range(config.p + 1)
         if config.transform_index is None

@@ -16,6 +16,10 @@ orthogonality for its characteristic sequence, the engine
   5. certifies by exhaustive scan that nu(j) is a vector of staircase
      orthogonality for the transformed sequence.
 
+Steps 2 and 3 are `_staging`. `generate` stages its ladder once, and the
+chain commands (factorize, transform, polys) read that staging;
+`run_theorem` certifies any nu, so it recovers the ladder and stages it.
+
 Every stage is audited redundantly: the staged minors are recomputed from
 the source ladder and must agree exactly; the unit-triangular staircase
 transport identity is asserted as matrices, not just determinants.
@@ -40,7 +44,6 @@ from .errors import (
 )
 from .exact import ScalarLike, format_rational, rational
 from .factorization import (
-    FreeEntrySpec,
     ShiftedInstance,
     chain_from_instance,
     peel_stages,
@@ -114,12 +117,15 @@ def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> Lamb
         if ladder.value(k + 1, k) != expected_last:
             raise ConsistencyFailure(k)
         new_rows.append(x)
-    return LambdaLadder(new_rows, stage=ladder.stage + 1)
+    return LambdaLadder(new_rows)
 
 
 @dataclass(frozen=True)
 class StagingResult:
-    """Stage ladders, per-stage minors (computed two ways), free entries."""
+    """Stage ladders, per-stage minors (computed two ways), free entries.
+
+    `stage_ladders[j]` is the stage-j ladder; `violation` is the (stage,
+    size) of the first zero staged minor, or None."""
 
     stage_ladders: tuple[LambdaLadder, ...]
     free_rows: tuple[tuple[Fraction, ...], ...]
@@ -160,16 +166,6 @@ def _staging(ladder: LambdaLadder, p: int) -> StagingResult:
         cur = stage_ladder(cur, row)
         stage_ladders.append(cur)
     return StagingResult(tuple(stage_ladders), tuple(free_rows), tuple(deltas), None)
-
-
-def free_entries_from_nu(ladder: LambdaLadder, p: int) -> FreeEntrySpec:
-    """Free entries making the chain transport this ladder's vector."""
-    ladder.check_regular()
-    result = _staging(ladder, p)
-    if result.violation is not None:
-        j, m = result.violation
-        raise HypothesisViolated(j, m, _ZERO)
-    return FreeEntrySpec(p, result.free_rows)
 
 
 def staircase_transport_identity(
@@ -353,9 +349,7 @@ def run_theorem(
     else:
         # The rotations read the leading window + 1 rows and the transport
         # checks s x s leading blocks with s <= p - 2.
-        chain = chain_from_instance(
-            inst, FreeEntrySpec(p, staging.free_rows), max(window + 1, p)
-        )
+        chain = chain_from_instance(inst, staging.free_rows, max(window + 1, p))
         for j in range(p):
             for s in range(1, p - j):
                 ok = staircase_transport_identity(chain.factors, staging.stage_ladders, j, s)

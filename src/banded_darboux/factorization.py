@@ -11,7 +11,7 @@ each again a (p+2)-banded Hessenberg matrix with unit superdiagonal on its
 safe window.
 
 Both the LU and the split are row-ordered, so `chain_from_instance(inst,
-free, rows)` computes them exactly only on the leading rows a command
+free_rows, rows)` computes them exactly only on the leading rows a command
 keeps. Past those rows, `shifted_lu(inst, rows)` hands L's rows to
 `peel_stages` as residue rows mod q = 2^61 - 1, which only have to show
 every peel divisor nonzero. A residue that cannot decide raises
@@ -43,7 +43,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroPeelPivot,
 )
-from .exact import ScalarLike, format_rational, rational
+from .exact import ScalarLike, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -207,49 +207,6 @@ def _lu_tail(
     return tail
 
 
-class FreeEntrySpec:
-    """The p(p-1)/2 prescribed subdiagonal entries of the chain split.
-
-    Factor j (j = 1 .. p-1) gets its first p-j subdiagonal rows prescribed;
-    the last factor L(p) gets none. `rows[j-1]` holds factor j's values in
-    row order.
-    """
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p: int, rows: Sequence[Iterable[ScalarLike]] = ()):
-        if p < 1:
-            raise BadFreeSpec(f"band count must be >= 1, got {p}")
-        rows = tuple(tuple(rational(v) for v in row) for row in rows)
-        if len(rows) != p - 1:
-            raise BadFreeSpec(f"need rows for factors 1..{p - 1}, got {len(rows)}")
-        for j, row in enumerate(rows, start=1):
-            if len(row) != p - j:
-                raise BadFreeSpec(f"factor {j} needs {p - j} free entries, got {len(row)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeEntrySpec is immutable")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": [[format_rational(v) for v in row] for row in self.rows],
-        }
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeEntrySpec):
-            return NotImplemented
-        return (self.p, self.rows) == (other.p, other.rows)
-
-    def __hash__(self):
-        return hash((self.p, self.rows))
-
-    def __repr__(self):
-        return f"FreeEntrySpec(p={self.p}, rows={self.rows})"
-
-
 def _stage_rows(
     block: list[list[Fraction]], prescribed: list[Fraction], j: int, w: int
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -363,24 +320,27 @@ def peel_stages(
 
 
 def bidiagonal_chain_factor(
-    L: UnitLowerBanded, free: FreeEntrySpec, tail: Sequence[_ResidueRow] = ()
+    L: UnitLowerBanded,
+    free_rows: Sequence[Sequence[ScalarLike]],
+    tail: Sequence[_ResidueRow] = (),
 ) -> list[LowerBidiagonalUnit]:
     """Split L into p unit lower bidiagonal factors, L = L(1) ... L(p).
 
-    The free entries pin down factors 1..p-1; the last stage's remainder is
-    itself bidiagonal and becomes L(p). Deterministic: identical inputs give
-    identical factors. `tail` continues L as residue rows (see peel_stages).
+    `free_rows[j-1]` prescribes the first p-j subdiagonal entries of L(j),
+    j = 1..p-1; the last stage's remainder is itself bidiagonal and becomes
+    L(p). Deterministic: identical inputs give identical factors. `tail`
+    continues L as residue rows (see peel_stages).
     """
     p = L.w
-    if free.p != p:
-        raise BadFreeSpec(f"free entries sized for {free.p} bands, matrix has {p}")
-    factors, remainder = peel_stages(L, free.rows, p - 1, tail)
+    if len(free_rows) != p - 1:
+        raise BadFreeSpec(f"need rows for factors 1..{p - 1}, got {len(free_rows)}")
+    factors, remainder = peel_stages(L, free_rows, p - 1, tail)
     factors.append(LowerBidiagonalUnit(p, L.n, remainder.band(-1)[1:]))
     return factors
 
 
 def chain_from_instance(
-    inst: ShiftedInstance, free: FreeEntrySpec, rows: int
+    inst: ShiftedInstance, free_rows: Sequence[Sequence[ScalarLike]], rows: int
 ) -> BidiagonalChain:
     """shifted_lu plus the chain split, bundled with the shift.
 
@@ -393,14 +353,18 @@ def chain_from_instance(
     convention come out as on the exact route.
     """
     try:
-        return _chain(inst, free, rows)
+        return _chain(inst, free_rows, rows)
     except _UndecidedResidue:
-        return _chain(inst, free, inst.n).leading(rows)
+        return _chain(inst, free_rows, inst.n).leading(rows)
 
 
-def _chain(inst: ShiftedInstance, free: FreeEntrySpec, rows: int) -> BidiagonalChain:
+def _chain(
+    inst: ShiftedInstance, free_rows: Sequence[Sequence[ScalarLike]], rows: int
+) -> BidiagonalChain:
     L, U, tail = shifted_lu(inst, rows)
-    return BidiagonalChain(inst.p, rows, inst.shift, bidiagonal_chain_factor(L, free, tail), U)
+    return BidiagonalChain(
+        inst.p, rows, inst.shift, bidiagonal_chain_factor(L, free_rows, tail), U
+    )
 
 
 def _rotation(

@@ -157,19 +157,17 @@ class LambdaLadder:
 
     Row i (1-based, i = 1..nrows) holds lambda(i, k) for k = 0..i-1. The
     table is regular when every diagonal entry lambda(i, i-1) is nonzero.
-    `stage` tags which transform stage the ladder belongs to (0 = source).
     Entries with k >= i read as structural zeros.
     """
 
-    __slots__ = ("rows", "stage")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Iterable[ScalarLike]], stage: int = 0):
+    def __init__(self, rows: Sequence[Iterable[ScalarLike]]):
         rows = tuple(tuple(rational(v) for v in row) for row in rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ShapeMismatch(f"ladder row {i} needs {i} values, got {len(row)}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "stage", stage)
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaLadder is immutable")
@@ -194,13 +192,13 @@ class LambdaLadder:
     def __eq__(self, other):
         if not isinstance(other, LambdaLadder):
             return NotImplemented
-        return (self.rows, self.stage) == (other.rows, other.stage)
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.rows, self.stage))
+        return hash(self.rows)
 
     def __repr__(self):
-        return f"LambdaLadder(nrows={self.nrows}, stage={self.stage})"
+        return f"LambdaLadder(nrows={self.nrows})"
 
 
 def _validate_monic_run(polys: Sequence[Sequence[Fraction]]) -> None:
@@ -254,18 +252,6 @@ def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[LinearFunctional, 
     return tuple(LinearFunctional(column) for column in columns)
 
 
-def canonical_nu(duals: Sequence[LinearFunctional], p: int) -> OrthogonalityVector:
-    """The existence witness (dual_0, .., dual_{p-1}).
-
-    Note: for p >= 2 this vector generically fails the staircase-minor
-    hypotheses of the transform engine (its minor at stage 0, size 1 is the
-    structural zero lambda(2, 0)); it is the canonical negative test there.
-    """
-    if len(duals) < p:
-        raise ShapeMismatch(f"need {p} dual functionals, got {len(duals)}")
-    return OrthogonalityVector(duals[:p])
-
-
 def lambda_of(
     nu: OrthogonalityVector, polys: Sequence[Sequence[Fraction]]
 ) -> LambdaLadder:
@@ -290,7 +276,7 @@ def lambda_of(
         if diag == 0:
             raise LadderViolation(i, i - 1, diag, f"nu_{i}[P_{i - 1}] = 0, expected nonzero")
         rows.append([f.apply(polys[k]) for k in range(i - 1)] + [diag])
-    return LambdaLadder(rows, stage=0)
+    return LambdaLadder(rows)
 
 
 def build_nu(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .banded import BandedHessenberg, characteristic_polys
-from .engine import _staging, moment_budget
+from .engine import StagingResult, _staging, moment_budget
 from .errors import (
     ConfigError,
     GenerationExhausted,
@@ -28,7 +28,6 @@ from .functionals import (
     LambdaLadder,
     OrthogonalityVector,
     build_nu,
-    canonical_nu,
     dual_sequence,
 )
 
@@ -213,13 +212,15 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance plus vector, with the retries it took to get there."""
+    """Instance plus vector, the ladder nu was built from with its staging,
+    and the retries it took to get there."""
 
     config_echo: dict
     instance: ShiftedInstance
     nu: OrthogonalityVector
     source_polys: tuple[tuple[Fraction, ...], ...]
-    ladder_rows: Optional[tuple[tuple[Fraction, ...], ...]]
+    ladder: LambdaLadder
+    staging: StagingResult
     shift_retries: tuple[str, ...]
     ladder_retries: int
 
@@ -230,7 +231,8 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
     Shift admissibility: C is accepted only if every P_n(C), n <= N, is
     nonzero; otherwise C+1 is tried, up to the retry cap, recording each
     rejected value. Random ladders are likewise resampled while any
-    hypothesis minor vanishes (when require_hypotheses is set).
+    hypothesis minor vanishes (when require_hypotheses is set). The ladder
+    nu is built from is staged once; the chain commands read that staging.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -247,32 +249,31 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
 
     shift = parse_rational(config.shift)
     retries: list[str] = []
-    instance = None
-    if config.retry_cap == 0:
-        # No retry budget: the caller insists on this shift, so a singular
-        # minor propagates with its index instead of being retried away.
-        instance = ShiftedInstance(J, shift)
+    for _ in range(config.retry_cap + 1):
+        try:
+            instance = ShiftedInstance(J, shift)
+            break
+        except SingularLeadingMinor:
+            # Cap 0: the caller insists on this shift; the minor propagates.
+            if not config.retry_cap:
+                raise
+            retries.append(format_rational(shift))
+            shift = shift + 1
     else:
-        for _ in range(config.retry_cap + 1):
-            try:
-                instance = ShiftedInstance(J, shift)
-                break
-            except SingularLeadingMinor:
-                retries.append(format_rational(shift))
-                shift = shift + 1
-        if instance is None:
-            raise GenerationExhausted(
-                f"no admissible shift within {config.retry_cap} retries from {config.shift}"
-            )
+        raise GenerationExhausted(
+            f"no admissible shift within {config.retry_cap} retries from {config.shift}"
+        )
 
     budget = config.moment_budget
     source_polys = characteristic_polys(J, budget)
     duals = dual_sequence(J, budget)
 
-    ladder_rows = None
+    # Every source ends in one ladder, one nu and one staging of the ladder.
+    staging = None
     ladder_retries = 0
     if config.nu_source == "canonical":
-        nu = canonical_nu(duals, config.p)
+        # nu = (dual_0, .., dual_{p-1}) is the identity ladder.
+        ladder = LambdaLadder([[0] * i + [1] for i in range(config.p)])
     elif config.nu_source == "ladder":
         try:
             ladder = LambdaLadder(
@@ -282,27 +283,29 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             raise ConfigError(f"bad ladder: {exc}") from None
         if ladder.nrows != config.p:
             raise ConfigError(f"ladder has {ladder.nrows} rows, p is {config.p}")
-        ladder_rows = ladder.rows
-        nu = build_nu(ladder, duals)
     else:
         ladder = random_ladder(rng, config.p, config.bound)
-        if config.require_hypotheses:
-            while _staging(ladder, config.p).violation is not None:
-                ladder_retries += 1
-                if ladder_retries > config.retry_cap:
-                    raise GenerationExhausted(
-                        f"no hypothesis-satisfying ladder within {config.retry_cap} retries"
-                    )
-                ladder = random_ladder(rng, config.p, config.bound)
-        ladder_rows = ladder.rows
-        nu = build_nu(ladder, duals)
+        staging = _staging(ladder, config.p)
+        while config.require_hypotheses and staging.violation is not None:
+            ladder_retries += 1
+            if ladder_retries > config.retry_cap:
+                raise GenerationExhausted(
+                    f"no hypothesis-satisfying ladder within {config.retry_cap} retries"
+                )
+            ladder = random_ladder(rng, config.p, config.bound)
+            staging = _staging(ladder, config.p)
+    # build_nu checks a given ladder regular before it is staged.
+    nu = build_nu(ladder, duals)
+    if staging is None:
+        staging = _staging(ladder, config.p)
 
     return GeneratedInstance(
         config_echo=config.to_json_dict(),
         instance=instance,
         nu=nu,
         source_polys=source_polys,
-        ladder_rows=ladder_rows,
+        ladder=ladder,
+        staging=staging,
         shift_retries=tuple(retries),
         ladder_retries=ladder_retries,
     )

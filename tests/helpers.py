@@ -22,8 +22,10 @@ polynomials are coefficient tuples, and `Poly.__str__` is the oracle for
 determinant (`DenseMatrix`, `det_exact`, `NotSquare`; the oracles for the
 elimination in `delta_det` and the row updates in
 `staircase_transport_identity`), sums and multiples of functionals
-(`Functional`), the chain's global coefficient index (`gamma`), and the
-readers of the chain and vector wire formats (`read_chain`, `read_vector`).
+(`Functional`), the vector of the first p duals (`canonical_nu`; the
+package builds it from the identity ladder), the chain's global coefficient
+index (`gamma`), and the readers of the chain and vector wire formats
+(`read_chain`, `read_vector`).
 """
 
 from fractions import Fraction
@@ -33,7 +35,6 @@ from banded_darboux import (
     BandedHessenberg,
     HypothesisViolated,
     BidiagonalChain,
-    FreeEntrySpec,
     IndexOutOfRange,
     LinearFunctional,
     LowerBidiagonalUnit,
@@ -364,11 +365,9 @@ def make_chain(rng, p, n, shift=Fraction(0)):
             inst = ShiftedInstance(J, shift)
         except SingularLeadingMinor:
             continue
-        free = FreeEntrySpec(
-            p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
-        )
+        free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         try:
-            return inst, chain_from_instance(inst, free, n)
+            return inst, chain_from_instance(inst, free_rows, n)
         except ZeroPeelPivot:
             continue
 
@@ -568,6 +567,12 @@ def transport_identity_by_dense(factors, stage_ladders, j, s):
     stair = DenseMatrix.from_function(s, s, lambda r, c: stage.value(c + 2, r))
     slab = DenseMatrix.from_function(s, s, lambda r, c: source.value(j + 2 + c, r))
     return lhs * stair == slab
+
+
+def canonical_nu(duals, p):
+    """The existence witness (dual_0, .., dual_{p-1}): the oracle for the
+    vector `build_nu` makes from the identity ladder, the canonical source."""
+    return OrthogonalityVector(duals[:p])
 
 
 def check_hypotheses(ladder, p):

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from banded_darboux import (
-    FreeEntrySpec,
     HypothesisViolated,
     InstanceConfig,
     ShiftedInstance,
@@ -124,21 +123,19 @@ def test_03_chain_roundtrip_100_pairs_and_hand_example():
         assert attempts < 200
         p = done % 4 + 1
         L = random_unit_lower(rng, p, 8)
-        free = FreeEntrySpec(
-            p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
-        )
+        free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         try:
-            factors = bidiagonal_chain_factor(L, free)
+            factors = bidiagonal_chain_factor(L, free_rows)
         except Exception:
             continue
         assert product_window(factors) == L
         for j in range(1, p):
             for r in range(1, p - j + 1):
-                assert factors[j - 1].sub_at_row(r) == free.rows[j - 1][r - 1]
+                assert factors[j - 1].sub_at_row(r) == free_rows[j - 1][r - 1]
         done += 1
     n = 7
     L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, FreeEntrySpec(2, [[1]]))
+    factors = bidiagonal_chain_factor(L, [[1]])
     assert factors[0].sub == (1,) * (n - 1)
     assert factors[1].sub == (2,) * (n - 1)
     assert product_window(factors) == L
@@ -227,10 +224,8 @@ def test_06_full_rotation_ignores_minor_hypotheses():
                 require_hypotheses=False,
             )
             built = generate(cfg)
-            free = FreeEntrySpec(
-                p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
-            )
-            chain = chain_from_instance(built.instance, free, built.instance.n)
+            free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
+            chain = chain_from_instance(built.instance, free_rows, built.instance.n)
             seq = transformed_polys(chain, p, window)
             rotated = transformed_nu(built.nu, built.instance.shift, p)
             assert is_p_orthogonal(rotated, seq, p, window).passed
@@ -290,7 +285,7 @@ def test_08_negative_paths():
 def test_09_single_band_reduction():
     n = 13
     inst = ShiftedInstance(catalan_hessenberg(n), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+    chain = chain_from_instance(inst, (), inst.n)
     J1 = darboux_transform(chain, 1)
     dense = dense_mul(dense_rows(chain.upper), dense_rows(chain.factors[0]))
     for i in range(J1.valid_rows):

@@ -28,9 +28,7 @@ from banded_darboux import cli, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
-    EXIT_INTERNAL,
     EXIT_OK,
-    EXIT_SINGULAR,
     main,
 )
 from banded_darboux.errors import (
@@ -47,6 +45,12 @@ from banded_darboux.errors import (
     ZeroPeelPivot,
 )
 from helpers import read_chain, read_vector
+
+# The documented codes of a singular pivot and of an internal consistency
+# failure (the cli and errors docstrings); the package names no constant
+# for them, and the test does not read them off the error classes.
+EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -132,6 +136,30 @@ def test_verify_canonical_vector_exits_with_hypothesis_code(tmp_path, capsys):
     assert run_cli(tmp_path, "verify", config) == EXIT_HYPOTHESIS
     err = capsys.readouterr().err
     assert "stage 0, size 1" in err
+
+
+@pytest.mark.parametrize("command", ["factorize", "transform", "polys"])
+@pytest.mark.parametrize(
+    "overrides, size",
+    [
+        ({"nu": {"source": "canonical"}}, (0, 1)),
+        ({"nu": {"source": "ladder", "lambda": [["1"], ["0", "1"]]}}, (0, 1)),
+        (
+            {"p": 3, "N": 16, "nu": {"source": "ladder", "lambda": [[1], [1, 1], [0, 1, 1]]}},
+            (1, 1),
+        ),
+    ],
+    ids=["canonical", "identity-ladder", "stage-1-zero"],
+)
+def test_chain_commands_exit_2_on_a_zero_staged_minor(tmp_path, capsys, command, overrides, size):
+    # The staging generate recorded has no free entries past the zero
+    # minor, so no chain is built: one error line, no report.
+    config = write_config(tmp_path, **overrides)
+    assert run_cli(tmp_path, command, config) == EXIT_HYPOTHESIS
+    captured = capsys.readouterr()
+    assert captured.err == f"error: staircase minor (stage {size[0]}, size {size[1]}) is zero\n"
+    assert captured.out == ""
+    assert not (tmp_path / "reports").exists()
 
 
 def test_factorize_reports_first_singular_minor(tmp_path, capsys):

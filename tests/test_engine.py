@@ -2,6 +2,7 @@
 of vectors, and full certificate runs."""
 
 from fractions import Fraction
+import importlib
 import random
 
 import pytest
@@ -11,20 +12,20 @@ from hypothesis import strategies as st
 from banded_darboux import (
     ConfigError,
     ConsistencyFailure,
-    FreeEntrySpec,
+    GenerationExhausted,
     HypothesisViolated,
     IndexOutOfRange,
     InstanceConfig,
+    LadderViolation,
     LinearFunctional,
     LambdaLadder,
     LowerBidiagonalUnit,
     OrthogonalityVector,
     ShiftedInstance,
-    canonical_nu,
+    build_nu,
     chain_from_instance,
     delta_det,
     dual_sequence,
-    free_entries_from_nu,
     generate,
     is_p_orthogonal,
     lambda_of,
@@ -41,6 +42,7 @@ from banded_darboux import (
 from banded_darboux.engine import _staging
 from banded_darboux.generate import random_ladder
 from helpers import (
+    canonical_nu,
     catalan_hessenberg,
     check_hypotheses,
     draw_rational,
@@ -99,7 +101,6 @@ def test_stage_ladder_degenerate_identity_factor():
     old = LambdaLadder([[1], [1, 0], [3, 5, 0]])
     new = stage_ladder(old, [0, 0])
     assert new.rows == ((1,), (3, 5))
-    assert new.stage == 1
 
 
 def test_stage_ladder_one_by_one_solve():
@@ -175,7 +176,7 @@ def test_transport_identity_matches_dense_products(p, kind, data):
         i = data.draw(st.integers(0, len(rows) - 1))
         k = data.draw(st.integers(0, i))
         rows[i][k] += data.draw(nonzero)
-        stage_ladders[j] = LambdaLadder(rows, stage=j)
+        stage_ladders[j] = LambdaLadder(rows)
     factors = [LowerBidiagonalUnit(j + 1, n, sub) for j, sub in enumerate(subs)]
     for j in range(p):
         for s in range(1, p - j):
@@ -189,13 +190,16 @@ def test_transport_identity_matches_dense_products(p, kind, data):
 
 
 def test_free_entries_single_band_is_empty():
-    assert free_entries_from_nu(LambdaLadder([[5]]), 1) == FreeEntrySpec(1, ())
+    _, built = built_instance(1, seed=51, nu_source="ladder", nu_ladder=[["5"]])
+    assert built.ladder == LambdaLadder([[5]])
+    assert built.staging.free_rows == ()
+    assert built.staging.violation is None
 
 
 def test_free_entries_two_bands_single_ratio():
-    ladder = LambdaLadder([[2], [3, 5]])
-    free = free_entries_from_nu(ladder, 2)
-    assert free.rows == ((Fraction(5, 3),),)  # lambda(2,1)/lambda(2,0)
+    _, built = built_instance(2, seed=52, nu_source="ladder", nu_ladder=[["2"], ["3", "5"]])
+    assert built.staging.free_rows == ((Fraction(5, 3),),)  # lambda(2,1)/lambda(2,0)
+    assert built.staging.violation is None
 
 
 def test_free_entries_alternating_sum_oracle():
@@ -225,9 +229,13 @@ def test_free_entries_alternating_sum_oracle():
 
 
 def test_free_entries_raise_on_zero_minor():
-    ladder = LambdaLadder([[1], [0, 1], [0, 0, 1]])
-    with pytest.raises(HypothesisViolated):
-        free_entries_from_nu(ladder, 3)
+    # The staging records the zero minor and no free entries; the chain
+    # commands turn it into HypothesisViolated (test_cli, exit 2).
+    identity = [["1"], ["0", "1"], ["0", "0", "1"]]
+    for source, rows in (("ladder", identity), ("canonical", None)):
+        _, built = built_instance(3, seed=53, nu_source=source, nu_ladder=rows)
+        assert built.staging.violation == (0, 1)
+        assert built.staging.free_rows == ()
 
 
 def test_staged_minors_agree_both_routes():
@@ -255,6 +263,74 @@ def test_staging_violation_is_any_zero_source_minor():
                 assert (_staging(ladder, p).violation is not None) == any_zero
                 zero_seen += any_zero
     assert zero_seen > 100
+
+
+# ------------------------------------------------------ one ladder per run
+
+generate_module = importlib.import_module("banded_darboux.generate")
+
+
+@st.composite
+def ladder_configs(draw):
+    """Rows for the "ladder" source: small rationals, nonzero diagonal."""
+    p = draw(st.integers(1, 4))
+    scalar = st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 9))
+    nonzero = st.builds(
+        lambda n, d: f"{n}/{d}", st.integers(-9, 9).filter(bool), st.integers(1, 9)
+    )
+    rows = [draw(st.lists(scalar, min_size=i, max_size=i)) + [draw(nonzero)] for i in range(p)]
+    return p, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.sampled_from(["random", "canonical", "ladder"]),
+    p_and_rows=ladder_configs(),
+    window=st.sampled_from([8, 16]),
+    bound=st.sampled_from([1, 9]),
+    require_hypotheses=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_generate_stages_the_ladder_nu_is_built_from(
+    source, p_and_rows, window, bound, require_hypotheses, seed
+):
+    # The old route (recover the ladder from nu, stage it) is the oracle.
+    p, rows = p_and_rows
+    cfg = InstanceConfig(
+        p=p, n=moment_budget(window, p) + p + 1, window=window, seed=seed, bound=bound,
+        nu_source=source, nu_ladder=rows if source == "ladder" else None,
+        require_hypotheses=require_hypotheses,
+    )
+    try:
+        built = generate(cfg)
+    except GenerationExhausted:
+        return  # bound 1 at p = 4 can run out of admissible ladders
+    assert lambda_of(built.nu, built.source_polys) == built.ladder
+    assert _staging(built.ladder, p) == built.staging
+    if source == "random" and require_hypotheses:
+        assert built.staging.violation is None
+    if source == "canonical":
+        duals = dual_sequence(built.instance.J, cfg.moment_budget)
+        identity = LambdaLadder([[0] * i + [1] for i in range(p)])
+        assert built.ladder == identity
+        assert build_nu(identity, duals) == canonical_nu(duals, p) == built.nu
+
+
+def test_resampled_ladder_keeps_the_accepted_draws_staging():
+    # Two rejected draws before the third is accepted.
+    cfg = InstanceConfig(p=2, n=20, window=8, seed=1, bound=1, shift="1/2", retry_cap=2)
+    built = generate(cfg)
+    assert built.ladder_retries == 2
+    assert built.staging.violation is None
+    assert built.staging == _staging(built.ladder, 2)
+
+
+def test_zero_ladder_diagonal_stops_generate_before_staging(monkeypatch):
+    staged = []
+    monkeypatch.setattr(generate_module, "_staging", lambda *args: staged.append(args))
+    with pytest.raises(LadderViolation, match=r"ladder diagonal \(2, 1\) is zero"):
+        built_instance(2, seed=5, nu_source="ladder", nu_ladder=[["1"], ["0", "0"]])
+    assert staged == []
 
 
 # --------------------------------------------------------------- rotations
@@ -292,7 +368,7 @@ def test_classical_kernel_functional_p1():
     # sequence; checked by the direct scan.
     _, built = built_instance(1, seed=21, window=6)
     inst = built.instance
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+    chain = chain_from_instance(inst, (), inst.n)
     seq = transformed_polys(chain, 1, 6)
     rotated = transformed_nu(built.nu, inst.shift, 1)
     assert is_p_orthogonal(rotated, seq, 1, 6).passed
@@ -305,10 +381,8 @@ def test_full_rotation_needs_no_minor_hypothesis():
         _, built = built_instance(p, seed=seed, nu_source="canonical")
         inst = built.instance
         rng = random.Random(seed)
-        free = FreeEntrySpec(
-            p, [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
-        )
-        chain = chain_from_instance(inst, free, inst.n)
+        free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
+        chain = chain_from_instance(inst, free_rows, inst.n)
         window = 4 * p
         seq = transformed_polys(chain, p, window)
         rotated = transformed_nu(built.nu, inst.shift, p)
@@ -374,6 +448,7 @@ def test_certificate_partial_on_staged_zero():
     assert cert.partial.remainder_bands == 2
     ladder = lambda_of(built.nu, built.source_polys)
     staging = _staging(ladder, 3)
+    assert staging == built.staging
     L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1)
     assert product_window([factors[0], remainder]) == L

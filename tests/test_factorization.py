@@ -8,7 +8,6 @@ import pytest
 from banded_darboux import (
     BadFreeSpec,
     BandedHessenberg,
-    FreeEntrySpec,
     IndexOutOfRange,
     ShiftedInstance,
     SingularLeadingMinor,
@@ -102,7 +101,7 @@ def test_lu_pivots_are_minor_ratios():
 
 def test_peel_identity_with_zero_free_entries():
     L = UnitLowerBanded(3, 6, {})
-    factors = bidiagonal_chain_factor(L, FreeEntrySpec(3, [[0, 0], [0]]))
+    factors = bidiagonal_chain_factor(L, [[0, 0], [0]])
     for f in factors:
         assert all(v == 0 for v in f.sub)
     assert product_window(factors) == L
@@ -111,7 +110,7 @@ def test_peel_identity_with_zero_free_entries():
 def test_peel_hand_example_free_one():
     n = 6
     L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, FreeEntrySpec(2, [[1]]))
+    factors = bidiagonal_chain_factor(L, [[1]])
     assert factors[0].sub == (1,) * (n - 1)
     assert factors[1].sub == (2,) * (n - 1)
     assert product_window(factors) == L
@@ -123,7 +122,7 @@ def test_peel_hand_example_free_two_still_reconstructs():
     # remainder drops to 1; the product is the real contract.
     n = 6
     L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, FreeEntrySpec(2, [[2]]))
+    factors = bidiagonal_chain_factor(L, [[2]])
     assert factors[0].sub_at_row(1) == 2
     assert factors[0].sub_at_row(2) == Fraction(2, 1)
     assert factors[0].sub == (2,) * (n - 1)
@@ -137,23 +136,22 @@ def test_peel_seeded_roundtrip_and_prescribed_entries():
         for _ in range(6):
             L = random_unit_lower(rng, p, 8)
             rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
-            free = FreeEntrySpec(p, rows)
             try:
-                factors = bidiagonal_chain_factor(L, free)
+                factors = bidiagonal_chain_factor(L, rows)
             except ZeroPeelPivot:
                 continue
             assert product_window(factors) == L
             for j in range(1, p):
                 for r in range(1, p - j + 1):
-                    assert factors[j - 1].sub_at_row(r) == free.rows[j - 1][r - 1]
+                    assert factors[j - 1].sub_at_row(r) == rows[j - 1][r - 1]
 
 
 def test_peel_is_deterministic():
     rng = random.Random(78)
     L = random_unit_lower(rng, 3, 8)
-    free = FreeEntrySpec(3, [[1, 2], [3]])
-    once = bidiagonal_chain_factor(L, free)
-    twice = bidiagonal_chain_factor(L, free)
+    free_rows = [[1, 2], [3]]
+    once = bidiagonal_chain_factor(L, free_rows)
+    twice = bidiagonal_chain_factor(L, free_rows)
     assert once == twice
 
 
@@ -163,7 +161,7 @@ def test_peel_zero_pivot_is_reported():
     n = 5
     L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
     with pytest.raises(ZeroPeelPivot) as err:
-        bidiagonal_chain_factor(L, FreeEntrySpec(2, [[3]]))
+        bidiagonal_chain_factor(L, [[3]])
     assert (err.value.stage, err.value.row) == (1, 2)
 
 
@@ -172,17 +170,30 @@ def test_peel_vacuous_constraint_takes_zero():
     # entry is unconstrained and the canonical zero is chosen.
     n = 5
     L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1)})
-    factors = bidiagonal_chain_factor(L, FreeEntrySpec(2, [[3]]))
+    factors = bidiagonal_chain_factor(L, [[3]])
     assert product_window(factors) == L
 
 
 def test_free_spec_validation():
-    with pytest.raises(BadFreeSpec):
-        FreeEntrySpec(3, [[1, 2]])
-    with pytest.raises(BadFreeSpec):
-        FreeEntrySpec(2, [[1, 2]])
-    with pytest.raises(BadFreeSpec):
-        bidiagonal_chain_factor(UnitLowerBanded(2, 4, {}), FreeEntrySpec(3, [[1, 2], [3]]))
+    # Too few rows, a row too long, and rows sized for another p, given to
+    # the chain split and to the chain of an instance (p = 3 for both).
+    inst, _ = make_chain(random.Random(81), 3, 8)
+    L, _, _ = shifted_lu(inst, inst.n)
+    cases = [
+        ([[1, 2]], "need rows for factors 1..2, got 1"),
+        ([[1, 2], [3, 4]], "stage 2 needs 1 free entries, got 2"),
+        ([[1, 2, 3], [4]], "stage 1 needs 2 free entries, got 3"),
+        ([[1]], "need rows for factors 1..2, got 1"),
+        ([[1, 2, 3], [4, 5], [6]], "need rows for factors 1..2, got 3"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(BadFreeSpec, match=message):
+            bidiagonal_chain_factor(L, rows)
+        for keep in (3, inst.n):
+            with pytest.raises(BadFreeSpec, match=message):
+                chain_from_instance(inst, rows, keep)
+    with pytest.raises(BadFreeSpec, match="need rows for factors 1..1, got 2"):
+        bidiagonal_chain_factor(UnitLowerBanded(2, 4, {}), [[1, 2], [3]])
 
 
 def test_partial_peel_keeps_reconstruction():
@@ -206,7 +217,7 @@ def test_rotation_zero_is_the_source_matrix():
 
 def test_rotation_catalan_p1():
     inst = ShiftedInstance(catalan_hessenberg(6), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+    chain = chain_from_instance(inst, (), inst.n)
     J1 = darboux_transform(chain, 1)
     assert J1.a(0, 0) == Fraction(5, 2)
     assert J1.entry(0, 1) == 1
@@ -269,7 +280,7 @@ def test_last_row_lowest_entry_matches_the_formed_rotation():
 
 def test_g_matrix_p1_is_the_upper_factor():
     inst = ShiftedInstance(catalan_hessenberg(5), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+    chain = chain_from_instance(inst, (), inst.n)
     G = g_matrix(chain, 0)
     for i in range(5):
         assert G.entry(i, i) == chain.upper.diag[i]
@@ -344,7 +355,7 @@ def test_transformed_sequence_catalan_kernel_oracle():
     # p = 1: the rotated sequence must match the classical kernel formula
     # (P_{n+1} - (P_{n+1}(C)/P_n(C)) P_n) / (z - C) with C = 0.
     inst = ShiftedInstance(catalan_hessenberg(12), 0)
-    chain = chain_from_instance(inst, FreeEntrySpec(1, ()), inst.n)
+    chain = chain_from_instance(inst, (), inst.n)
     P = as_polys(characteristic_polys(inst.J, 11))
     got = as_polys(transformed_polys(chain, 1, 10))
     assert got[1] == Z - Fraction(5, 2)

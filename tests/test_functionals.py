@@ -18,7 +18,6 @@ from banded_darboux import (
     NotMonicOrDegreeGap,
     OrthogonalityVector,
     build_nu,
-    canonical_nu,
     characteristic_polys,
     delta_det,
     dual_sequence,
@@ -31,6 +30,7 @@ from helpers import (
     Functional,
     Poly,
     Z,
+    canonical_nu,
     catalan_hessenberg,
     cofactor_det,
     det_exact,

@@ -79,11 +79,21 @@ PROTOCOL = {"_ReportEncoder.default"}
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name, line) of each module-level function or class
-    and of each non-dunder method."""
+    """(qualified name, name, line) of each module-level function, class or
+    non-dunder name an assignment binds, and of each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id, name.id, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
@@ -115,9 +125,9 @@ def _reads(node: ast.AST, inside: frozenset = frozenset()) -> set[str]:
 
 
 def unreached_definitions(package: Path) -> list[str]:
-    """`module:line: name` for every function, class or method of the
-    package whose name no module of the package reads, `__init__.py`'s
-    re-exports aside."""
+    """`module:line: name` for every function, class, method or
+    module-level name of the package that no module of the package reads,
+    `__init__.py`'s re-exports aside."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(package.glob("*.py"))
@@ -136,7 +146,8 @@ def unreached_definitions(package: Path) -> list[str]:
 
 def test_every_package_definition_is_read_in_the_package():
     """What src/ defines, src/ uses: the five commands reach it, or it is
-    test-only and belongs in tests/helpers.py.
+    test-only and belongs in tests/helpers.py. That covers module-level
+    names too, such as a constant only the tests read.
 
     The match is by bare name, so a member that shares its name with one
     that is read elsewhere (a `from_json_dict` beside the one the CLI calls,
@@ -147,3 +158,12 @@ def test_every_package_definition_is_read_in_the_package():
     the exits 0-3, and list the members no command called.
     """
     assert unreached_definitions(PACKAGE) == []
+
+
+def test_the_guard_sees_module_level_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "READ = 1\nUNREAD, (PAIR, _HIDDEN) = 2, (3, 4)\nTYPED: int = 5\n"
+        "__version__ = '0'\nprint(READ, PAIR)\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import TYPED\nprint(TYPED)\n")
+    assert unreached_definitions(tmp_path) == ["a.py:2: UNREAD", "a.py:2: _HIDDEN"]

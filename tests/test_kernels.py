@@ -9,11 +9,12 @@ peel are checked against the exact route on all N rows, including inputs
 built so that a residue cannot decide.
 """
 
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction
 import io
 import json
 from pathlib import Path
+import sys
 import tempfile
 from unittest import mock
 
@@ -24,7 +25,6 @@ from banded_darboux import (
     BandedHessenberg,
     BidiagonalChain,
     DegreeExceedsMoments,
-    FreeEntrySpec,
     LambdaLadder,
     LinearFunctional,
     LowerBidiagonalUnit,
@@ -304,14 +304,14 @@ def instances(draw):
         -d: [draw(rationals(bound, nonzero=(d == p))) if i >= d else 0 for i in range(n)]
         for d in range(p + 1)
     }
-    free = FreeEntrySpec(p, [[draw(rationals(bound)) for _ in range(p - j)] for j in range(1, p)])
-    return BandedHessenberg(p, n, bands), draw(rationals(bound)), free
+    free_rows = [[draw(rationals(bound)) for _ in range(p - j)] for j in range(1, p)]
+    return BandedHessenberg(p, n, bands), draw(rationals(bound)), free_rows
 
 
-def full_chain(inst, free):
+def full_chain(inst, free_rows):
     """The chain over all N rows through the oracle peel."""
     L, U, _ = shifted_lu(inst, inst.n)
-    factors, remainder = peel_stages_full(L, free.rows, inst.p - 1)
+    factors, remainder = peel_stages_full(L, free_rows, inst.p - 1)
     factors.append(LowerBidiagonalUnit(inst.p, inst.n, remainder.band(-1)[1:]))
     return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
 
@@ -447,7 +447,7 @@ def test_undecided_peel_tail_reruns_the_exact_chain(n, bound, forced, data):
     }
     bands[0] = [shift + u[i] + (L.entry(i, i - 1) if i else 0) for i in range(n)]
     inst = ShiftedInstance(BandedHessenberg(2, n, bands), shift)
-    free = FreeEntrySpec(2, [[0]])
+    free = [[0]]
     spy = mock.Mock(wraps=factorization.shifted_lu)
     with mock.patch.object(factorization, "shifted_lu", spy):
         fast = chain_outcome(lambda: chain_from_instance(inst, free, rows))
@@ -495,7 +495,7 @@ def test_cli_on_leading_rows_matches_the_exact_route(config, command):
         fast = run_command(command, path, tmp)
         with mock.patch.object(
             factorization, "_chain",
-            lambda inst, free, rows: chain(inst, free, inst.n).leading(rows),
+            lambda inst, free_rows, rows: chain(inst, free_rows, inst.n).leading(rows),
         ):
             slow = run_command(command, path, tmp)
     assert fast == slow
@@ -519,16 +519,31 @@ def test_rotations_from_shared_halves_match_chained_product(chain):
 
 
 def test_rotations_take_3p_minus_2_products():
+    # The shared halves: 3p - 2 products for all of J(1..p), against p per
+    # J(j) one at a time (p^2 for J(1..p)). Every module global bound to
+    # multiply_window is patched, product_window's lookup in banded too.
+    sites = [
+        (module, name)
+        for key, module in list(sys.modules.items())
+        if key.startswith("banded_darboux") and module is not None
+        for name, value in vars(module).items()
+        if value is banded.multiply_window
+    ]
+    assert (banded, "multiply_window") in sites and (factorization, "multiply_window") in sites
     for p in range(1, 5):
         n = 6
         factors = [LowerBidiagonalUnit(j, n, [j] * (n - 1)) for j in range(1, p + 1)]
         chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
         counted = mock.Mock(wraps=banded.multiply_window)
-        with mock.patch.object(banded, "multiply_window", counted), \
-                mock.patch.object(factorization, "multiply_window", counted):
+        with ExitStack() as stack:
+            for module, name in sites:
+                stack.enter_context(mock.patch.object(module, name, counted))
             list(darboux_rotations(chain))
             assert counted.call_count == 3 * p - 2
+            one_at_a_time = 0
             for j in range(p + 1):
                 counted.reset_mock()
                 darboux_transform(chain, j)
                 assert counted.call_count == p
+                one_at_a_time += counted.call_count if j else 0
+            assert one_at_a_time == p * p
