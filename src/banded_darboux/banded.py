@@ -225,12 +225,13 @@ class BandedHessenberg(BandMatrix):
         return chain_iter.from_iterable(self._bands[-d][d:] for d in range(self.p + 1))
 
     def to_json_dict(self) -> dict:
+        """The JSON layout. Each band is a lazy `map` of format_rational,
+        formatted as it is read and read once (see cli._chunks)."""
         return {
             "p": self.p,
             "N": self.n,
             "bands": {
-                str(-d): [format_rational(self._bands[-d][i]) for i in range(d, self.n)]
-                for d in range(0, self.p + 1)
+                str(-d): map(format_rational, self._bands[-d][d:]) for d in range(self.p + 1)
             },
         }
 
@@ -352,15 +353,17 @@ class BidiagonalChain:
         return chain_iter((self.shift,), *(f.sub for f in self.factors), self.upper.diag)
 
     def to_json_dict(self) -> dict:
+        """The JSON layout. Each value list is a lazy `map` of
+        format_rational, formatted as it is read and read once (see
+        cli._chunks)."""
         return {
             "p": self.p,
             "N": self.n,
             "C": format_rational(self.shift),
             "factors": [
-                {"j": f.index, "sub": [format_rational(v) for v in f.sub]}
-                for f in self.factors
+                {"j": f.index, "sub": map(format_rational, f.sub)} for f in self.factors
             ],
-            "U": {"diag": [format_rational(v) for v in self.upper.diag]},
+            "U": {"diag": map(format_rational, self.upper.diag)},
         }
 
     def __repr__(self):

@@ -12,34 +12,39 @@ deterministic for a fixed (config, seed) and is what reproducibility
 comparisons should hash. Reports land in --report-dir, else the config's
 report_dir, else $BANDED_DARBOUX_REPORTS, else ./reports.
 
-A report is streamed: the bytes are those of json.dumps(document, indent=2,
-sort_keys=True) + "\n", but transform's chain and each J(j) are formatted
-only when the writer reaches them and dropped once written, so memory holds
-one section at a time, not the document (factorize formats its chain once,
-up front, as stdout prints the same strings). The writer fills a temporary
-file in the report directory and renames it onto the report only when the
-whole document is written: a failed command leaves no report, and an older
-report at that path stays as it was. `timings` is written last, so
-`total_s` includes formatting and writing. factorize and transform check
-their results printable (exact.check_printable) before formatting any.
-transform checks the last row's lowest-band entry of each J(j) it prints,
-j >= 1, a product of p + 1 chain values, before it forms any J(j): entry
-sizes grow with the row index, so an unprintable J(j) fails there first,
-without being formed. Each J(j) it forms is then checked in full.
+A report is streamed value by value: the bytes are those of
+json.dumps(document, indent=2, sort_keys=True) + "\n", but a list may be
+any iterator, such as a lazy `map` of format_rational, and a zero-argument
+callable is a section resolved only when the writer reaches it. So a command
+holds its numbers and the one value being written, not the formatted text.
+A command's stdout goes to a spool, a temporary file that the runner copies
+to stdout once the report is written; factorize formats each chain value
+once, as the writer reaches it, and copies it to the spool there. The writer
+fills a temporary file in the report directory and renames it onto the
+report only when the whole document is written: a failed command leaves no
+report and prints nothing to stdout, and an older report at that path stays
+as it was. `timings` is written last, so `total_s` includes formatting and
+writing. factorize and transform check their results printable
+(exact.check_printable) before formatting any. transform checks the last
+row's lowest-band entry of each J(j) it prints, j >= 1, a product of p + 1
+chain values, before it forms any J(j): entry sizes grow with the row
+index, so an unprintable J(j) fails there first, without being formed. It
+then forms every J(j) and checks it in full before it writes anything, and
+lets go of each J(j) once written.
 
 Every command runs through one runner (`_run`): load the config, start the
-clock, generate the instance, run the command, write its report, then print
-its stdout and the final `report: <path>` line. A library error ends the run
-with one `error:` line on stderr and its class's `exit_code`; the table of
-classes and codes is in `banded_darboux.errors`.
+clock, generate the instance, run the command, write its report, then copy
+its stdout from the spool and print the final `report: <path>` line. A
+library error ends the run with one `error:` line on stderr and its class's
+`exit_code`; the table of classes and codes is in `banded_darboux.errors`.
 
 Exit codes (total over library errors):
     0  success / certificate passed
     1  configuration or input problem, including bad JSON, missing files
-       and usage errors. This includes numbers beyond Python's 4300-digit
-       int/str conversion limit: a config integer literal that long, or a
-       result value that long in a report (N or bound too large for exact
-       JSON output).
+       and usage errors, and a config nested too deeply to parse. This
+       includes numbers beyond Python's 4300-digit int/str conversion
+       limit: a config integer literal that long, or a result value that
+       long in a report (N or bound too large for exact JSON output).
     2  orthogonality hypothesis failure, including non-passing verify
        verdicts
     3  singular pivot
@@ -51,15 +56,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
+from collections.abc import Iterator
 from functools import partial
-from itertools import chain as chain_iter
+from itertools import chain as chain_iter, repeat
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable, TextIO
 
 from . import __version__
-from .banded import BandedHessenberg, BidiagonalChain
+from .banded import BidiagonalChain
 from .engine import run_theorem
 from .errors import BandedDarbouxError, ConfigError, HypothesisViolated
 from .exact import check_printable, format_polynomial, format_rational
@@ -85,28 +93,64 @@ def _report_dir(args, config: InstanceConfig) -> Path:
     return Path(os.environ.get("BANDED_DARBOUX_REPORTS", "reports"))
 
 
-class _ReportEncoder(json.JSONEncoder):
-    """A zero-argument callable in a report is a deferred section: it is
-    called, and its result encoded, only when the writer reaches it."""
+_ESCAPE = json.encoder.encode_basestring_ascii
+# How _chunks encodes a member of exactly these types in place; anything else
+# it encodes in its own call. The bytes are those json.dumps writes.
+_INLINE = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+    float: json.dumps,
+}
 
-    def default(self, o):
-        if callable(o):
-            return o()
-        return super().default(o)
+
+def _chunks(o, indent: str) -> Iterator[str]:
+    """The text of json.dumps(o, indent=2, sort_keys=True), nested at
+    `indent`, in pieces of at most one value each.
+
+    A list may also be a tuple or any iterator (a generator, a `map`),
+    read once, item by item. A zero-argument callable is a deferred
+    section: it is called, until the result is no callable, only when the
+    writer reaches it. Dict keys must be strings.
+    """
+    while callable(o):
+        o = o()
+    if isinstance(o, dict):
+        opener, closer = "{", "}"
+        members = [(_ESCAPE(key) + ": ", value) for key, value in sorted(o.items())]
+    elif isinstance(o, (list, tuple, Iterator)):
+        opener, closer = "[", "]"
+        members = zip(repeat(""), o)
+    else:
+        yield _ESCAPE(o) if isinstance(o, str) else json.dumps(o)
+        return
+    inner = indent + "  "
+    lead = opener + "\n" + inner
+    for head, value in members:
+        encode = _INLINE.get(type(value))
+        if encode is None:
+            yield lead + head
+            yield from _chunks(value, inner)
+        else:
+            yield lead + head + encode(value)
+        lead = ",\n" + inner
+    # The lead is still the opener's when there was no member.
+    yield "\n" + indent + closer if lead[0] == "," else opener + closer
 
 
-# The writer joins encoder chunks up to this many characters per write. A
-# chunk can be one 4,300-digit value, so the bound is in characters.
+# The writer joins chunks up to this many characters per write. A chunk can
+# be one 4,300-digit value, so the bound is in characters.
 _BATCH_CHARS = 1 << 16
 
 
 def _write_report(path: Path, payload: dict, t0: float) -> Path:
     """Stream {"payload": payload, "timings": {"total_s": ...}} to `path`.
 
-    The bytes are json.dumps(document, indent=2, sort_keys=True) + "\n"
-    (the same pure-Python encoder, run incrementally). They go to a
-    temporary file beside the report, which replaces the report only once
-    complete; on any exception it is removed and the exception re-raised.
+    The bytes are json.dumps(document, indent=2, sort_keys=True) + "\n",
+    written as `_chunks` yields them. They go to a temporary file beside
+    the report, which replaces the report only once complete; on any
+    exception it is removed and the exception re-raised.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     document = {
@@ -119,7 +163,7 @@ def _write_report(path: Path, payload: dict, t0: float) -> Path:
         with temp.open("w", encoding="utf-8") as out:
             batch: list[str] = []
             size = 0
-            for chunk in _ReportEncoder(indent=2, sort_keys=True).iterencode(document):
+            for chunk in _chunks(document, ""):
                 batch.append(chunk)
                 size += len(chunk)
                 if size >= _BATCH_CHARS:
@@ -134,14 +178,15 @@ def _write_report(path: Path, payload: dict, t0: float) -> Path:
     return path
 
 
-def _write_list(label: str, items: Iterable[str]) -> None:
-    """print(label + ", ".join(items)), written piece by piece."""
-    write = sys.stdout.write
+def _tee(out: TextIO, label: str, items: Iterable[str]) -> Iterator[str]:
+    """Yield `items`, printing label + ", ".join(items) to `out` as they pass."""
+    write = out.write
     write(label)
     for k, item in enumerate(items):
         if k:
             write(", ")
         write(item)
+        yield item
     write("\n")
 
 
@@ -160,6 +205,8 @@ def _load_config(args) -> InstanceConfig:
             f"config holds an integer beyond Python's {sys.get_int_max_str_digits()}-digit "
             "str-to-int limit; N or bound is too large for exact JSON output"
         ) from exc
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     overrides = {
         "p": args.p,
         "seed": args.seed,
@@ -172,20 +219,14 @@ def _load_config(args) -> InstanceConfig:
     return InstanceConfig.from_json_dict(data)
 
 
-def _poly_table(label: str, polys) -> list[str]:
-    lines = [label]
-    for n, poly in enumerate(polys):
-        lines.append(f"  P_{n} = {format_polynomial(poly)}")
-    return lines
+# A command maps (config, built, out) to its payload body (every key but
+# "command", "tool_version" and "config", which the runner adds) and its exit
+# code. It prints its stdout to `out`, a spool the runner copies to stdout
+# once the report is written.
+CommandResult = tuple[dict, int]
 
 
-# A command maps (config, built) to its payload body (every key but
-# "command", "tool_version" and "config", which the runner adds), a callback
-# that prints its stdout once the report is written, and its exit code.
-CommandResult = tuple[dict, Callable[[], None], int]
-
-
-def cmd_gen(config: InstanceConfig, built) -> CommandResult:
+def cmd_gen(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     shift = format_rational(built.instance.shift)
     body = {
         "matrix": built.instance.J.to_json_dict(),
@@ -199,32 +240,27 @@ def cmd_gen(config: InstanceConfig, built) -> CommandResult:
             else [[format_rational(v) for v in row] for row in built.ladder.rows]
         ),
     }
-
-    def show():
-        print(f"instance p={config.p} N={config.n} seed={config.seed} C={shift}")
-        if built.shift_retries:
-            print(f"  rejected shifts: {', '.join(built.shift_retries)}")
-
-    return body, show, EXIT_OK
+    print(f"instance p={config.p} N={config.n} seed={config.seed} C={shift}", file=out)
+    if built.shift_retries:
+        print(f"  rejected shifts: {', '.join(built.shift_retries)}", file=out)
+    return body, EXIT_OK
 
 
-def cmd_factorize(config: InstanceConfig, built) -> CommandResult:
+def cmd_factorize(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
-    # The report and stdout print the same strings, so they are formatted
-    # once, here, and the chain is the one section held.
-    chain_json = chain.to_json_dict()
     shift = format_rational(built.instance.shift)
     rows = [[format_rational(v) for v in row] for row in built.staging.free_rows]
+    print(f"J - C*I = L(1)..L({config.p}) * U with C = {shift}", file=out)
+    # Each chain value is formatted once, when the writer reaches it, and
+    # printed as it passes: "U" sorts before "factors", so the writer reads
+    # the lists in stdout's order.
+    chain_json = chain.to_json_dict()
+    chain_json["U"]["diag"] = _tee(out, "U diagonal: ", chain_json["U"]["diag"])
+    for f in chain_json["factors"]:
+        f["sub"] = _tee(out, f"L({f['j']}) subdiagonal: ", f["sub"])
     body = {"C": shift, "free_entries": {"p": config.p, "rows": rows}, "chain": chain_json}
-
-    def show():
-        print(f"J - C*I = L(1)..L({config.p}) * U with C = {shift}")
-        _write_list("U diagonal: ", chain_json["U"]["diag"])
-        for f in chain_json["factors"]:
-            _write_list(f"L({f['j']}) subdiagonal: ", f["sub"])
-
-    return body, show, EXIT_OK
+    return body, EXIT_OK
 
 
 def _build_chain(built, rows: int) -> BidiagonalChain:
@@ -235,11 +271,7 @@ def _build_chain(built, rows: int) -> BidiagonalChain:
     return chain_from_instance(built.instance, built.staging.free_rows, rows)
 
 
-def _transform_json(hess: BandedHessenberg) -> dict:
-    return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
-
-
-def cmd_transform(config: InstanceConfig, built) -> CommandResult:
+def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     index = config.transform_index
@@ -249,31 +281,33 @@ def cmd_transform(config: InstanceConfig, built) -> CommandResult:
     elif index:
         check_printable([last_row_lowest_entry(chain, index)])
     # J(0) is the source matrix itself; J(1..p) share their halves. All are
-    # formed and checked printable in full before anything is formatted:
-    # "chain" sorts before "transforms", so the report writes them last.
+    # formed and checked printable in full before anything is written.
     if index is None:
         rotations = chain_iter([(0, built.instance.J)], darboux_rotations(chain))
     elif index == 0:
         rotations = [(0, built.instance.J)]
     else:
         rotations = [(index, darboux_transform(chain, index))]
-    matrices = []
+    matrices = {}
     for j, hess in rotations:
         check_printable(hess.printed_values())
-        matrices.append((j, hess))
+        matrices[str(j)] = hess
+    for key, hess in matrices.items():
+        print(f"J({key}): valid rows {hess.valid_rows} of {config.n}", file=out)
+
+    def section(key: str) -> dict:
+        # The section is J(j)'s last reader, so it lets go of it.
+        hess = matrices.pop(key)
+        return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
+
     body = {
         "chain": chain.to_json_dict,
-        "transforms": {str(j): partial(_transform_json, hess) for j, hess in matrices},
+        "transforms": {key: partial(section, key) for key in matrices},
     }
-
-    def show():
-        for j, hess in matrices:
-            print(f"J({j}): valid rows {hess.valid_rows} of {config.n}")
-
-    return body, show, EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_polys(config: InstanceConfig, built) -> CommandResult:
+def cmd_polys(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     nmax = config.window
     chain = _build_chain(built, nmax + 1)
     indices = (
@@ -282,41 +316,42 @@ def cmd_polys(config: InstanceConfig, built) -> CommandResult:
         else [config.transform_index]
     )
     sequences = {}
-    lines = []
     for j in indices:
         polys = built.source_polys[: nmax + 1] if j == 0 else transformed_polys(chain, j, nmax)
         sequences[str(j)] = [[format_rational(c) for c in poly] for poly in polys]
-        lines.extend(_poly_table(f"stage {j}:", polys))
+        print(f"stage {j}:", file=out)
+        for n, poly in enumerate(polys):
+            print(f"  P_{n} = {format_polynomial(poly)}", file=out)
     body = {"nmax": nmax, "sequences": sequences}
-    return body, lambda: print("\n".join(lines)), EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_verify(config: InstanceConfig, built) -> CommandResult:
+def cmd_verify(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     certificate = run_theorem(built.instance, built.nu, config.window)
-
-    def show():
-        print(f"verdict: {'pass' if certificate.passed else 'FAIL'}")
-        for verdict in certificate.stage_verdicts:
-            status = "pass" if verdict.passed else "FAIL"
+    print(f"verdict: {'pass' if certificate.passed else 'FAIL'}", file=out)
+    for verdict in certificate.stage_verdicts:
+        status = "pass" if verdict.passed else "FAIL"
+        print(
+            f"  j={verdict.j}: {status} "
+            f"({verdict.report.zero_checks} zero checks, "
+            f"{verdict.report.nonzero_checks} nonzero checks)",
+            file=out,
+        )
+        for witness in verdict.report.failures:
             print(
-                f"  j={verdict.j}: {status} "
-                f"({verdict.report.zero_checks} zero checks, "
-                f"{verdict.report.nonzero_checks} nonzero checks)"
+                f"    witness {witness.kind} (r={witness.r}, k={witness.k}, "
+                f"n={witness.n}) -> {format_rational(witness.value)}",
+                file=out,
             )
-            for witness in verdict.report.failures:
-                print(
-                    f"    witness {witness.kind} (r={witness.r}, k={witness.k}, "
-                    f"n={witness.n}) -> {format_rational(witness.value)}"
-                )
-        if certificate.partial is not None:
-            print(
-                f"  partial chain: {certificate.partial.stages} factor(s), "
-                f"minor (stage {certificate.partial.violated[0]}, "
-                f"size {certificate.partial.violated[1]}) = 0"
-            )
-
+    if certificate.partial is not None:
+        print(
+            f"  partial chain: {certificate.partial.stages} factor(s), "
+            f"minor (stage {certificate.partial.violated[0]}, "
+            f"size {certificate.partial.violated[1]}) = 0",
+            file=out,
+        )
     body = {"certificate": certificate.to_json_dict()}
-    return body, show, EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
+    return body, EXIT_OK if certificate.passed else EXIT_HYPOTHESIS
 
 
 _COMMANDS = {
@@ -350,17 +385,19 @@ def _run(args) -> int:
     config = _load_config(args)
     t0 = time.perf_counter()
     built = generate(config)
-    body, show, code = _COMMANDS[args.command](config, built)
-    payload = {
-        "command": args.command,
-        "tool_version": __version__,
-        "config": built.config_echo,
-        **body,
-    }
-    path = _write_report(
-        _report_dir(args, config) / (args.out or f"{args.command}.json"), payload, t0
-    )
-    show()
+    with tempfile.TemporaryFile("w+", buffering=_BATCH_CHARS, encoding="utf-8") as spool:
+        body, code = _COMMANDS[args.command](config, built, spool)
+        payload = {
+            "command": args.command,
+            "tool_version": __version__,
+            "config": built.config_echo,
+            **body,
+        }
+        path = _write_report(
+            _report_dir(args, config) / (args.out or f"{args.command}.json"), payload, t0
+        )
+        spool.seek(0)
+        shutil.copyfileobj(spool, sys.stdout)
     print(f"report: {path}")
     return code
 

@@ -290,6 +290,7 @@ def _fingerprint(inst: ShiftedInstance, nu: OrthogonalityVector, window: int) ->
             "window": window,
         },
         sort_keys=True,
+        default=list,  # J's bands are lazy maps
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -28,6 +28,7 @@ index (`gamma`), and the readers of the chain and vector wire formats
 (`read_chain`, `read_vector`).
 """
 
+import json
 from fractions import Fraction
 
 from banded_darboux import (
@@ -241,6 +242,12 @@ def gamma(chain, t):
     if j == 0:
         return chain.upper.diag[q]
     return chain.factors[j - 1].sub_at_row(q + 1)
+
+
+def plain_json(data):
+    """A `to_json_dict()` layout with its lazy value lists (`map`s) read
+    into lists, so it can be compared, measured and read more than once."""
+    return json.loads(json.dumps(data, default=list))
 
 
 def read_chain(data):

@@ -92,6 +92,65 @@ MUTANTS = (
         "if len(free_rows) not in (p - 1, p):",
         ("tests/test_factorization.py::test_free_spec_validation",),
     ),
+    Mutant(
+        "lu-tail-ignores-zero-pivot",
+        "src/banded_darboux/factorization.py",
+        "        if un == 0:\n            raise _UndecidedResidue\n        piv.pop(0)\n",
+        "        piv.pop(0)\n",
+        ("tests/test_kernels.py::test_undecided_lu_tail_reruns_the_exact_chain",),
+    ),
+    Mutant(
+        "undecided-residue-not-rerun",
+        "src/banded_darboux/factorization.py",
+        "    except _UndecidedResidue:\n        return _chain(inst, free_rows, inst.n).leading(rows)\n",
+        "    except _UndecidedResidue:\n        raise\n",
+        (
+            "tests/test_kernels.py::test_undecided_lu_tail_reruns_the_exact_chain",
+            "tests/test_kernels.py::test_undecided_peel_tail_reruns_the_exact_chain",
+        ),
+    ),
+    Mutant(
+        "rotation-halves-swapped",
+        "src/banded_darboux/factorization.py",
+        "yield j, _rotation(chain, heads.pop(), tail)",
+        "yield j, _rotation(chain, tail, heads.pop())",
+        ("tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",),
+    ),
+    Mutant(
+        "printable-denominator-at-the-limit",
+        "src/banded_darboux/exact.py",
+        "v.denominator >= bound",
+        "v.denominator > bound",
+        ("tests/test_exact.py::test_check_printable_agrees_with_str_at_the_limit",),
+    ),
+    Mutant(
+        "transform-formats-chain-before-rotation-checks",
+        "src/banded_darboux/cli.py",
+        "    index = config.transform_index\n",
+        "    index = config.transform_index\n"
+        "    json.dumps(chain.to_json_dict(), default=list)\n",
+        (
+            "tests/test_cli.py::test_transform_checks_every_rotation_before_formatting",
+            "tests/test_cli.py::test_transform_full_check_still_rejects_a_rotation_the_last_row_passes",
+        ),
+    ),
+    Mutant(
+        "section-resolved-once",
+        "src/banded_darboux/cli.py",
+        "    while callable(o):\n",
+        "    if callable(o):\n",
+        ("tests/test_cli.py::test_report_writer_matches_json_dumps_byte_for_byte",),
+    ),
+    Mutant(
+        "writer-keys-unsorted",
+        "src/banded_darboux/cli.py",
+        "sorted(o.items())",
+        "o.items()",
+        (
+            "tests/test_cli.py::test_report_writer_matches_json_dumps_byte_for_byte",
+            "tests/test_cli.py::test_transform_at_p_10_sorts_the_transform_keys_as_strings",
+        ),
+    ),
 )
 
 

@@ -28,6 +28,7 @@ from helpers import (
     det_exact,
     draw_rational,
     gamma,
+    plain_json,
     random_hessenberg_local,
     read_chain,
     reconstruct,
@@ -67,7 +68,7 @@ def test_hessenberg_band_access_and_bounds():
 def test_hessenberg_json_round_trip():
     rng = random.Random(17)
     J = random_hessenberg_local(rng, 2, 5)
-    again = BandedHessenberg.from_json_dict(J.to_json_dict())
+    again = BandedHessenberg.from_json_dict(plain_json(J.to_json_dict()))
     assert again == J
 
 
@@ -252,7 +253,8 @@ def test_chain_reconstruction_and_json_round_trip():
     for i in range(chain.n):
         expected[i][i] += chain.shift
     assert dense_rows(recon) == expected
-    assert read_chain(chain.to_json_dict()).to_json_dict() == chain.to_json_dict()
+    data = plain_json(chain.to_json_dict())
+    assert plain_json(read_chain(data).to_json_dict()) == data
 
 
 def test_printed_values_are_what_to_json_dict_prints():

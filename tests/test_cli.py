@@ -1,12 +1,16 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
+import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,7 @@ from banded_darboux import (
     SingularLeadingMinor,
     generate,
 )
-from banded_darboux import cli, factorization
+from banded_darboux import banded, cli, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -353,14 +357,20 @@ def _config_bytes(**sections) -> bytes:
         _config_bytes(matrix={"source": "explicit", "bands": {"0": 5}}),
         _config_bytes(nu={"source": "ladder", "lambda": 5}),
         _config_bytes(nu={"source": "ladder", "lambda": [[None]]}),
+        b"[" * 100_000 + b"]" * 100_000,
+        _config_bytes(matrix={}).replace(b"{}", b"[" * 5_000 + b"]" * 5_000),
     ],
-    ids=["not-utf8", "bands-list", "band-scalar", "ladder-scalar", "ladder-null"],
+    ids=["not-utf8", "bands-list", "band-scalar", "ladder-scalar", "ladder-null",
+         "deep-array", "deep-matrix"],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert run_cli(tmp_path, "verify", path) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize(
@@ -591,20 +601,28 @@ def canonical(text):
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def _resolve(value):
-    """The document with every deferred section rendered."""
-    if callable(value):
-        return _resolve(value())
-    if isinstance(value, dict):
-        return {key: _resolve(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_resolve(item) for item in value]
+# The writer reads a report's lists and sections once, so the documents are
+# drawn as pairs: the plain JSON value, and a function that builds a fresh
+# copy of it in the writer's lazy forms.
+def _same(value):
     return value
 
 
-def _section(value):
-    return lambda: value
+def _deferred(build, depth):
+    """A section that resolves to build() after `depth` calls."""
+    section = build
+    for _ in range(depth - 1):
+        section = partial(_same, section)
+    return section
 
+
+_LIST_FORMS = [
+    list,
+    tuple,
+    iter,
+    lambda items: (item for item in items),
+    lambda items: map(_same, items),
+]
 
 _JSON_ATOMS = st.one_of(
     st.none(),
@@ -614,20 +632,59 @@ _JSON_ATOMS = st.one_of(
     st.text(),
     # Long runs of one character, escaped or not, cross the write batches.
     st.builds(lambda c, k: c * k, st.characters(), st.integers(0, 30_000)),
-)
+).map(lambda value: (value, lambda: value))
+
+
+def _lists(inner):
+    def pair(items, form):
+        return [plain for plain, _ in items], lambda: form([build() for _, build in items])
+
+    return st.builds(pair, st.lists(inner, max_size=4), st.sampled_from(_LIST_FORMS))
+
+
+def _dicts(inner):
+    def pair(members):
+        plain = {key: value for key, (value, _) in members.items()}
+        return plain, lambda: {key: build() for key, (_, build) in members.items()}
+
+    return st.builds(pair, st.dictionaries(st.text(max_size=4), inner, max_size=4))
+
+
+def _sections(inner):
+    def pair(item, depth):
+        plain, build = item
+        return plain, lambda: _deferred(build, depth)
+
+    return st.builds(pair, inner, st.integers(1, 3))
+
+
 _DOCUMENTS = st.recursive(
     _JSON_ATOMS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-    | inner.map(_section),
+    lambda inner: _lists(inner) | _dicts(inner) | _sections(inner),
     max_leaves=12,
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(payload=_DOCUMENTS)
-@example(payload={"10": _section([]), "2": {}, "é\n": _section({"x": [1.5, None, True]})})
-def test_report_writer_matches_json_dumps_byte_for_byte(payload):
+@given(document=_DOCUMENTS)
+@example(
+    document=(
+        {"10": [], "2": {}, "é\n": {"x": [1.5, None, True]}},
+        lambda: {"10": lambda: [], "2": {}, "é\n": lambda: {"x": [1.5, None, True]}},
+    )
+)
+@example(
+    document=(
+        {"b": [[], ["x", 2], {"k": []}], "a": [{"y": None}]},
+        lambda: {
+            "b": (item for item in [iter([]), map(_same, ["x", 2]), {"k": iter(())}]),
+            "a": lambda: lambda: map(_same, [{"y": lambda: lambda: None}]),
+        },
+    )
+)
+def test_report_writer_matches_json_dumps_byte_for_byte(document):
+    plain, build = document
+    payload = build()
     with tempfile.TemporaryDirectory() as tmp:
         path = cli._write_report(Path(tmp) / "doc.json", payload, time.perf_counter())
         assert os.listdir(tmp) == ["doc.json"]
@@ -635,7 +692,7 @@ def test_report_writer_matches_json_dumps_byte_for_byte(payload):
             text = handle.read()
     timings = json.loads(text)["timings"]
     assert list(timings) == ["total_s"]
-    document = {"payload": _resolve(payload), "timings": timings}
+    document = {"payload": plain, "timings": timings}
     assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -710,8 +767,13 @@ def test_unprintable_chain_writes_nothing(tmp_path, capsys, command, existing):
 def _run_unprintable_transforms(tmp_path, monkeypatch):
     """Under a 640-digit limit, the p = 1, N = 100, bound 1000 chain prints
     but its J(1) does not. Runs factorize, then transform for all rotations
-    and for --j 1; returns the exit codes of the transforms, the classes
-    formatted and the windowed products formed by the transforms."""
+    and for --j 1; returns the exit codes of the transforms, what they
+    formatted and the windowed products they formed.
+
+    `formatted` records each call of the chain's and J(j)'s to_json_dict
+    (their layout) and each value their lazy lists format, through
+    format_rational as bound in `banded`. The factorize run must record
+    values, so an empty list is not for want of a hook."""
     config = write_config(tmp_path, p=1, N=100, window=8, seed=1, bound=1000)
     formatted, products = [], []
     for klass in (BidiagonalChain, BandedHessenberg):
@@ -720,6 +782,10 @@ def _run_unprintable_transforms(tmp_path, monkeypatch):
             klass, "to_json_dict",
             lambda self, original=original: formatted.append(type(self)) or original(self),
         )
+    format_value = banded.format_rational
+    monkeypatch.setattr(
+        banded, "format_rational", lambda v: formatted.append(v) or format_value(v)
+    )
     multiply = factorization.multiply_window
     monkeypatch.setattr(
         factorization, "multiply_window",
@@ -729,6 +795,8 @@ def _run_unprintable_transforms(tmp_path, monkeypatch):
     try:
         sys.set_int_max_str_digits(640)
         assert run_cli(tmp_path, "factorize", config) == EXIT_OK
+        assert formatted.count(BidiagonalChain) == 1
+        assert len(formatted) > 2 * 100  # the shift, 99 subdiagonal and 100 diagonal values
         formatted.clear()
         products.clear()
         codes = [run_cli(tmp_path, "transform", config, *extra) for extra in ((), ("--j", "1"))]
@@ -775,3 +843,58 @@ def test_transform_peak_memory_is_under_twice_its_report(tmp_path, capsys):
     assert code == EXIT_OK
     assert peak < 2 * (tmp_path / "reports" / "transform.json").stat().st_size
     capsys.readouterr()
+
+
+class _Discard(io.TextIOBase):
+    """Stdout that keeps nothing, so a test sees the command's own memory."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_factorize_peak_memory_is_under_its_report(tmp_path):
+    # Each chain value is formatted once, as the writer reaches it, and its
+    # stdout copy goes to a spool file: the peak is the numbers and the
+    # value in hand, not the formatted chain.
+    config = write_config(tmp_path, p=1, N=700, window=8, seed=1, bound=1000)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = run_cli(tmp_path, "factorize", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < (tmp_path / "reports" / "factorize.json").stat().st_size
+
+
+def _cli_subprocess(*args):
+    """The CLI in its own process, stdout and stderr through pipes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "banded_darboux.cli", *args],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+def test_factorize_and_transform_through_a_pipe(tmp_path):
+    # stdout is a pipe here, not pytest's capture: factorize's stdout replays
+    # its spool, and must list the chain its report holds.
+    config = write_config(tmp_path, p=3, N=40, window=8, seed=2, bound=1000)
+    reports = tmp_path / "reports"
+    run = _cli_subprocess("factorize", "--config", str(config), "--report-dir", str(reports))
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    chain = json.loads((reports / "factorize.json").read_text())["payload"]["chain"]
+    lines = run.stdout.splitlines()
+    assert lines[1] == "U diagonal: " + ", ".join(chain["U"]["diag"])
+    assert lines[2:5] == [
+        f"L({f['j']}) subdiagonal: " + ", ".join(f["sub"]) for f in chain["factors"]
+    ]
+    assert lines[5:] == [f"report: {reports / 'factorize.json'}"]
+    config = write_config(tmp_path, p=10, N=21, window=9, seed=1)
+    run = _cli_subprocess("transform", "--config", str(config), "--report-dir", str(reports))
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    text = (reports / "transform.json").read_text()
+    assert text == canonical(text)
+    assert list(json.loads(text)["payload"]["transforms"]) == sorted(str(j) for j in range(11))
+    assert sorted(os.listdir(reports)) == ["factorize.json", "transform.json"]

@@ -54,6 +54,7 @@ from helpers import (
     darboux_transform_chained,
     dual_sequence_by_inversion,
     peel_stages_full,
+    plain_json,
     recurrence_values_by_fractions,
     scan_by_apply,
     transformed_polys_full,
@@ -171,7 +172,7 @@ def test_scan_matches_apply(case, data):
 @given(chain=chains())
 def test_rotation_on_leading_block_matches_full_chain(chain):
     n = chain.n
-    assert chain.leading(n).to_json_dict() == chain.to_json_dict()
+    assert plain_json(chain.leading(n).to_json_dict()) == plain_json(chain.to_json_dict())
     for j in range(chain.p + 1):
         full = darboux_transform(chain, j)
         for nmax in range(full.valid_rows + 1):
@@ -338,7 +339,7 @@ def test_chain_on_leading_rows_matches_full_chain(case):
         return
     for rows in range(1, inst.n + 1):
         chain = chain_from_instance(inst, free, rows)
-        assert chain.to_json_dict() == slow.leading(rows).to_json_dict()
+        assert plain_json(chain.to_json_dict()) == plain_json(slow.leading(rows).to_json_dict())
     j0 = darboux_transform(chain, 0)
     assert j0 == J and j0.valid_rows == J.n
 
@@ -369,7 +370,7 @@ def test_lu_on_leading_rows_matches_full_exact_lu(case):
 def chain_outcome(build):
     """The chain as JSON, or the (stage, row) of the zero peel pivot."""
     try:
-        return build().to_json_dict()
+        return plain_json(build().to_json_dict())
     except ZeroPeelPivot as exc:
         return ("ZeroPeelPivot", exc.stage, exc.row)
 
@@ -515,7 +516,7 @@ def test_rotations_from_shared_halves_match_chained_product(chain):
             assert (got.lower, got.upper, got.valid_rows) == (
                 slow.lower, slow.upper, slow.valid_rows
             )
-            assert got.to_json_dict() == slow.to_json_dict()
+            assert plain_json(got.to_json_dict()) == plain_json(slow.to_json_dict())
 
 
 def test_rotations_take_3p_minus_2_products():
