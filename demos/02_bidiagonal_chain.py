@@ -6,6 +6,7 @@ the same L, and every chain rotates into new banded operators.
 """
 
 from fractions import Fraction
+from functools import reduce
 import random
 
 from banded_darboux import (
@@ -13,7 +14,7 @@ from banded_darboux import (
     bidiagonal_chain_factor,
     chain_from_instance,
     darboux_transform,
-    product_window,
+    multiply_window,
     random_hessenberg,
     shifted_lu,
 )
@@ -36,7 +37,7 @@ for label, rows in [
     for f in factors:
         head = ", ".join(str(v) for v in f.sub[:4])
         print(f"  L({f.index}) subdiagonal starts: {head}, ...")
-    assert product_window(factors) == L
+    assert reduce(multiply_window, factors) == L
     print("  product reconstructs L exactly")
 
 # -- every rotation is again banded Hessenberg -------------------------------
@@ -47,6 +48,5 @@ for f in chain.factors:
     print(f"  L({f.index}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")
 print(f"  U diagonal starts: {', '.join(str(v) for v in chain.upper.diag[:3])}, ...")
 
-for j in range(p + 1):
-    hess = darboux_transform(chain, j)
+for j, hess in darboux_transform(chain, range(p + 1)).items():
     print(f"J({j}): p={hess.p}, trustworthy rows {hess.valid_rows}/{N}")

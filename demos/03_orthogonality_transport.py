@@ -55,7 +55,7 @@ except HypothesisViolated as err:
 
 zeros = [[0] * (p - j) for j in range(1, p)]  # free_rows[j-1]: L(j)'s first p-j entries
 chain = chain_from_instance(built_canon.instance, zeros, built_canon.instance.n)
-seq = transformed_polys(chain, p, window)
+[(_, seq)] = transformed_polys(chain, window, [p])
 rotated = transformed_nu(built_canon.nu, built_canon.instance.shift, p)
 print(
     "full rotation of the canonical vector, arbitrary free entries:",

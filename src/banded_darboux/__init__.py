@@ -21,7 +21,6 @@ from .banded import (
     UpperBidiagonal,
     characteristic_polys,
     multiply_window,
-    product_window,
     recurrence_values,
 )
 from .engine import (
@@ -63,7 +62,6 @@ from .factorization import (
     ShiftedInstance,
     bidiagonal_chain_factor,
     chain_from_instance,
-    darboux_rotations,
     darboux_transform,
     peel_stages,
     shifted_lu,

@@ -15,7 +15,6 @@ Index conventions (0-based throughout):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import chain as chain_iter
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -158,11 +157,6 @@ def multiply_window(a: BandMatrix, b: BandMatrix) -> BandMatrix:
             row_band[i] = acc
     valid = max(0, min(a.valid_rows, b.valid_rows - a.upper))
     return BandMatrix(n, lower, upper, bands, valid)
-
-
-def product_window(factors: Sequence[BandMatrix]) -> BandMatrix:
-    """Left-to-right windowed product of a nonempty factor sequence."""
-    return reduce(multiply_window, factors)
 
 
 class BandedHessenberg(BandMatrix):

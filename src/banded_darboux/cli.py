@@ -4,7 +4,8 @@ Commands
     gen        build the seeded instance and vector, write them as JSON
     factorize  shifted LU plus the bidiagonal chain split
     transform  the rotated matrices J(j) (one j or all of them)
-    polys      characteristic sequences of the source and the transforms
+    polys      characteristic sequences of the source and the transforms;
+               with --j 0 only the source's, so it builds no chain
     verify     the full certificate run; exit status reflects the verdict
 
 Reports are JSON documents {"payload": ..., "timings": ...}; the payload is
@@ -29,8 +30,10 @@ writing. factorize and transform check their results printable
 row's lowest-band entry of each J(j) it prints, j >= 1, a product of p + 1
 chain values, before it forms any J(j): entry sizes grow with the row
 index, so an unprintable J(j) fails there first, without being formed. It
-then forms every J(j) and checks it in full before it writes anything, and
-lets go of each J(j) once written.
+then forms every J(j), j >= 1, in one darboux_transform call (J(0) is the
+source matrix), checks each in full before it writes anything, and lets go
+of each J(j) once written. polys and verify likewise take all their J(j)
+from one call, through transformed_polys.
 
 Every command runs through one runner (`_run`): load the config, start the
 clock, generate the instance, run the command, write its report, then copy
@@ -73,7 +76,6 @@ from .errors import BandedDarbouxError, ConfigError, HypothesisViolated
 from .exact import check_printable, format_polynomial, format_rational
 from .factorization import (
     chain_from_instance,
-    darboux_rotations,
     darboux_transform,
     last_row_lowest_entry,
     transformed_polys,
@@ -271,25 +273,26 @@ def _build_chain(built, rows: int) -> BidiagonalChain:
     return chain_from_instance(built.instance, built.staging.free_rows, rows)
 
 
+def _indices(config: InstanceConfig) -> range | list[int]:
+    """The transform indices a command reports: --j, else 0 .. p."""
+    index = config.transform_index
+    return range(config.p + 1) if index is None else [index]
+
+
 def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
-    index = config.transform_index
+    js = _indices(config)
+    rotated = [j for j in js if j]
     # The last-row check of every J(j) to print, j >= 1, before any is formed.
-    if index is None:
-        check_printable(last_row_lowest_entry(chain, j) for j in range(1, config.p + 1))
-    elif index:
-        check_printable([last_row_lowest_entry(chain, index)])
-    # J(0) is the source matrix itself; J(1..p) share their halves. All are
-    # formed and checked printable in full before anything is written.
-    if index is None:
-        rotations = chain_iter([(0, built.instance.J)], darboux_rotations(chain))
-    elif index == 0:
-        rotations = [(0, built.instance.J)]
-    else:
-        rotations = [(index, darboux_transform(chain, index))]
+    check_printable(last_row_lowest_entry(chain, j) for j in rotated)
+    # J(0) is the source matrix itself; the rotated J(j) come from one
+    # builder call. All are formed and checked printable in full before
+    # anything is written.
+    rotations = darboux_transform(chain, rotated)
     matrices = {}
-    for j, hess in rotations:
+    for j in js:
+        hess = rotations.pop(j) if j else built.instance.J
         check_printable(hess.printed_values())
         matrices[str(j)] = hess
     for key, hess in matrices.items():
@@ -309,15 +312,16 @@ def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
 
 def cmd_polys(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     nmax = config.window
-    chain = _build_chain(built, nmax + 1)
-    indices = (
-        range(config.p + 1)
-        if config.transform_index is None
-        else [config.transform_index]
-    )
+    js = _indices(config)
+    rotated = [j for j in js if j]
+    # J(0)'s sequence is the source's, so the chain is built only when a
+    # rotated sequence is asked for.
+    stages = [(0, built.source_polys[: nmax + 1])] if 0 in js else []
+    if rotated:
+        chain = _build_chain(built, nmax + 1)
+        stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
     sequences = {}
-    for j in indices:
-        polys = built.source_polys[: nmax + 1] if j == 0 else transformed_polys(chain, j, nmax)
+    for j, polys in stages:
         sequences[str(j)] = [[format_rational(c) for c in poly] for poly in polys]
         print(f"stage {j}:", file=out)
         for n, poly in enumerate(polys):

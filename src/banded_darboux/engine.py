@@ -357,8 +357,7 @@ def run_theorem(
                 transport_checks.append((j, s, ok))
 
         rotated: list[OrthogonalityVector] = []
-        for j in range(1, p + 1):
-            polys_j = transformed_polys(chain, j, window)
+        for j, polys_j in transformed_polys(chain, window, range(1, p + 1)):
             nu_j = transformed_nu(nu, c, j)
             rotated.append(nu_j)
             verdicts.append(StageVerdict(j, is_p_orthogonal(nu_j, polys_j, p, window)))

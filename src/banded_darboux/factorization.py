@@ -8,7 +8,8 @@ subdiagonal entries, and forms the cyclic permutations
     J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j),   j = 0 .. p,
 
 each again a (p+2)-banded Hessenberg matrix with unit superdiagonal on its
-safe window.
+safe window. `darboux_transform(chain, js)`, the one route from a chain to
+its rotations, forms the requested J(j) from halves shared between them.
 
 Both the LU and the split are row-ordered, so `chain_from_instance(inst,
 free_rows, rows)` computes them exactly only on the leading rows a command
@@ -34,7 +35,6 @@ from .banded import (
     UpperBidiagonal,
     characteristic_polys,
     multiply_window,
-    product_window,
     recurrence_values,
 )
 from .errors import (
@@ -375,19 +375,39 @@ def _rotation(
     return BandedHessenberg.from_band_matrix(prod.plus_scaled_identity(chain.shift), p=chain.p)
 
 
-def darboux_transform(chain: BidiagonalChain, j: int) -> BandedHessenberg:
-    """Cyclic permutation J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j).
+def darboux_transform(chain: BidiagonalChain, js: Iterable[int]) -> dict[int, BandedHessenberg]:
+    """The cyclic permutations J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j)
+    for each j in `js`, keyed by j in increasing order.
 
-    Formed as C*I + S(j+1) T(j) from the halves S(k) = L(k) ... L(p) U and
-    T(j) = L(1) ... L(j), T(0) = I: p windowed products, the ones
-    `darboux_rotations` shares between the j. j = 0 reproduces the source
+    Formed as C*I + S(j+1) T(j) from the halves S(p+1) = U,
+    S(k) = L(k) S(k+1) and T(0) = I, T(j) = T(j-1) L(j), each built once
+    and only as far as the requested j reach: p - min js products for the
+    heads, max(max js - 1, 0) for the tails and one per j >= 1 to join them.
+    That is 3p - 2 windowed products for j = 1 .. p and p for a single j. Each
+    half is released once no later j reads it. j = 0 reproduces the source
     matrix exactly; j >= 1 is trustworthy on all rows but the last (one
     upper band crosses the truncation edge once).
     """
-    if not 0 <= j <= chain.p:
-        raise IndexOutOfRange(f"transform index {j} outside 0..{chain.p}")
-    head = product_window(chain.factors[j:] + (chain.upper,))
-    return _rotation(chain, head, product_window(chain.factors[:j]) if j else None)
+    p = chain.p
+    wanted = set(js)
+    for j in sorted(wanted):
+        if not 0 <= j <= p:
+            raise IndexOutOfRange(f"transform index {j} outside 0..{p}")
+    # heads[j] = S(j+1), kept only for the wanted j.
+    heads = {p: chain.upper}
+    for k in range(p, min(wanted, default=p), -1):
+        heads[k - 1] = multiply_window(
+            chain.factors[k - 1], heads[k] if k in wanted else heads.pop(k)
+        )
+    rotations = {}
+    if 0 in wanted:
+        rotations[0] = _rotation(chain, heads.pop(0), None)
+    tail = None
+    for j, factor in enumerate(chain.factors[: max(wanted, default=0)], start=1):
+        tail = factor if tail is None else multiply_window(tail, factor)
+        if j in wanted:
+            rotations[j] = _rotation(chain, heads.pop(j), tail)
+    return rotations
 
 
 def last_row_lowest_entry(chain: BidiagonalChain, j: int) -> Fraction:
@@ -416,33 +436,19 @@ def last_row_lowest_entry(chain: BidiagonalChain, j: int) -> Fraction:
     return value
 
 
-def darboux_rotations(chain: BidiagonalChain) -> Iterator[tuple[int, BandedHessenberg]]:
-    """(j, J(j)) for j = 1 .. p in turn, from shared halves.
-
-    S(p+1) = U and S(k) = L(k) S(k+1) for k = p .. 2; T(1) = L(1) and
-    T(j) = T(j-1) L(j). That is 3p - 2 windowed products for all p
-    rotations, against p per rotation in `darboux_transform`. Each half is
-    released after the rotation that last reads it, and each J(j) is formed
-    only when the caller asks for it.
-    """
-    heads = [chain.upper]
-    for factor in reversed(chain.factors[1:]):
-        heads.append(multiply_window(factor, heads[-1]))
-    tail = None
-    for j, factor in enumerate(chain.factors, start=1):
-        tail = factor if tail is None else multiply_window(tail, factor)
-        yield j, _rotation(chain, heads.pop(), tail)
-
-
 def transformed_polys(
-    chain: BidiagonalChain, j: int, nmax: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Monic sequence generated by J(j), degrees 0 .. nmax, as coefficient
-    tuples (see `characteristic_polys`).
+    chain: BidiagonalChain, nmax: int, js: Iterable[int]
+) -> Iterator[tuple[int, tuple[tuple[Fraction, ...], ...]]]:
+    """(j, monic sequence generated by J(j), degrees 0 .. nmax) for each j
+    in `js`, in increasing j, as coefficient tuples (see
+    `characteristic_polys`).
 
-    Degrees up to nmax read rows 0 .. nmax-1 only, so J(j) is formed from
-    the chain's leading (nmax+1) x (nmax+1) block; its safe window (nmax
-    rows for j >= 1) covers exactly those rows.
+    Degrees up to nmax read rows 0 .. nmax-1 only, so the J(j) are formed
+    by one `darboux_transform` call on the chain's leading (nmax+1) x
+    (nmax+1) block; its safe window (nmax rows for j >= 1) covers exactly
+    those rows. Each sequence is computed only when the iterator reaches
+    it, and its J(j) released then.
     """
     m = min(chain.n, max(nmax, 0) + 1)
-    return characteristic_polys(darboux_transform(chain.leading(m), j), nmax)
+    rotations = darboux_transform(chain.leading(m), js)
+    return ((j, characteristic_polys(rotations.pop(j), nmax)) for j in list(rotations))

@@ -24,12 +24,15 @@ elimination in `delta_det` and the row updates in
 `staircase_transport_identity`), sums and multiples of functionals
 (`Functional`), the vector of the first p duals (`canonical_nu`; the
 package builds it from the identity ladder), the chain's global coefficient
-index (`gamma`), and the readers of the chain and vector wire formats
-(`read_chain`, `read_vector`).
+index (`gamma`), the readers of the chain and vector wire formats
+(`read_chain`, `read_vector`), and the left-to-right windowed product of
+a factor sequence (`product_window`; the package forms its products one
+`multiply_window` at a time).
 """
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 from banded_darboux import (
     BadFreeSpec,
@@ -53,8 +56,8 @@ from banded_darboux import (
     darboux_transform,
     UpperBidiagonal,
     delta_det,
+    multiply_window,
     parse_rational,
-    product_window,
     rational,
 )
 from banded_darboux.exact import integer_image
@@ -416,6 +419,11 @@ def times_z_power(poly, k):
     return (Fraction(0),) * k + tuple(poly) if poly else ()
 
 
+def product_window(factors):
+    """Left-to-right windowed product of a nonempty factor sequence."""
+    return reduce(multiply_window, factors)
+
+
 def reconstruct(chain):
     """L(1) ... L(p) U + C*I, the matrix the chain factors, by windowed
     products."""
@@ -454,7 +462,7 @@ def scan_by_apply(nu, polys, p, window):
 
 def transformed_polys_full(chain, j, nmax):
     """The sequence of J(j) with J(j) formed over all N rows of the chain."""
-    return characteristic_polys(darboux_transform(chain, j), nmax)
+    return characteristic_polys(darboux_transform(chain, [j])[j], nmax)
 
 
 def recurrence_values_by_fractions(hess, z, nmax):

@@ -6,28 +6,46 @@
 A mutant names a file under src/, an exact text that occurs there once, its
 replacement, and the tests that are to catch it: the mutant is killed when
 one of them fails. The script copies src/ and tests/ into a temporary
-directory and first runs every listed test there unmutated (they must
-pass). Then, one mutant at a time, it applies the replacement to a fresh
-copy of the file and runs only that mutant's tests with pytest
+directory, and each mutant's src/ into a directory of its own with the
+replacement applied. It runs every listed test on the unmutated src/ (they
+must pass) and each mutant's tests on its src/, with pytest
 (HYPOTHESIS_PROFILE=mutants: derandomized, no shrinking). It exits 1 if a
 mutant survives, if its text no longer occurs exactly once, or if its tests
 cannot run. A mutant whose code is rewritten is rewritten here for the new
 code, not dropped.
+
+Most of a separate pytest process would be its start-up, so pytest and
+Hypothesis are imported here once and each test run is a forked child
+(POSIX only) that imports the package from its own src/. JOBS children run
+at a time.
 
 The file is not named test_*.py, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import compileall
+import importlib
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
+
+# Imported before any fork, so that no child imports them again (pytest
+# then warns that it cannot rewrite Hypothesis' asserts; each child runs
+# with that warning off). The package itself is imported only in the
+# children.
+for _module in ("hypothesis", "_hypothesis_pytestplugin"):
+    importlib.import_module(_module)
+
 ROOT = Path(__file__).resolve().parents[1]
+# Test runs at once.
+JOBS = 2
 
 
 @dataclass(frozen=True)
@@ -112,9 +130,40 @@ MUTANTS = (
     Mutant(
         "rotation-halves-swapped",
         "src/banded_darboux/factorization.py",
-        "yield j, _rotation(chain, heads.pop(), tail)",
-        "yield j, _rotation(chain, tail, heads.pop())",
+        "rotations[j] = _rotation(chain, heads.pop(j), tail)",
+        "rotations[j] = _rotation(chain, tail, heads.pop(j))",
         ("tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",),
+    ),
+    Mutant(
+        "tail-multiplied-on-the-left",
+        "src/banded_darboux/factorization.py",
+        "else multiply_window(tail, factor)",
+        "else multiply_window(factor, tail)",
+        (
+            "tests/test_kernels.py::test_rotations_built_once_for_any_index_set",
+            "tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",
+        ),
+    ),
+    Mutant(
+        "heads-stop-one-short",
+        "src/banded_darboux/factorization.py",
+        "for k in range(p, min(wanted, default=p), -1):",
+        "for k in range(p, min(wanted, default=p) + 1, -1):",
+        ("tests/test_kernels.py::test_rotations_built_once_for_any_index_set",),
+    ),
+    Mutant(
+        "tails-built-past-the-last-index",
+        "src/banded_darboux/factorization.py",
+        "enumerate(chain.factors[: max(wanted, default=0)], start=1)",
+        "enumerate(chain.factors, start=1)",
+        ("tests/test_kernels.py::test_rotations_built_once_for_any_index_set",),
+    ),
+    Mutant(
+        "polys-j-0-builds-the-chain",
+        "src/banded_darboux/cli.py",
+        "    if rotated:\n        chain = _build_chain(built, nmax + 1)\n",
+        "    chain = _build_chain(built, nmax + 1)\n    if rotated:\n",
+        ("tests/test_cli.py::test_polys_of_j_0_builds_no_chain",),
     ),
     Mutant(
         "printable-denominator-at-the-limit",
@@ -126,9 +175,9 @@ MUTANTS = (
     Mutant(
         "transform-formats-chain-before-rotation-checks",
         "src/banded_darboux/cli.py",
-        "    index = config.transform_index\n",
-        "    index = config.transform_index\n"
-        "    json.dumps(chain.to_json_dict(), default=list)\n",
+        "    # The last-row check of every J(j) to print",
+        "    json.dumps(chain.to_json_dict(), default=list)\n"
+        "    # The last-row check of every J(j) to print",
         (
             "tests/test_cli.py::test_transform_checks_every_rotation_before_formatting",
             "tests/test_cli.py::test_transform_full_check_still_rejects_a_rotation_the_last_row_passes",
@@ -154,12 +203,54 @@ MUTANTS = (
 )
 
 
-def _pytest(workdir: Path, tests) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), HYPOTHESIS_PROFILE="mutants")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=workdir, env=env, capture_output=True, text=True,
-    )
+def _start(work: Path, src: Path, tests) -> int:
+    """Fork a child that runs `tests` with pytest in `work`, importing the
+    package from `src`, its output to pytest.log beside `src`; returns the
+    child's pid."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 3
+    try:
+        fd = os.open(src.parent / "pytest.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(fd, 1)
+        os.dup2(fd, 2)
+        os.chdir(work)
+        # In place of this script's directory.
+        sys.path[0] = str(src)
+        # Hypothesis' plugin is the one the tests need; not scanning for the
+        # others saves a good part of a run.
+        os.environ.update(
+            PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutants", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"
+        )
+        code = pytest.main([
+            "-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin",
+            "-W", "ignore::pytest.PytestAssertRewriteWarning", *tests,
+        ])
+    except BaseException:
+        traceback.print_exc()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(int(code))
+
+
+def _run_all(work: Path, runs: dict) -> dict:
+    """Each run's pytest exit code, with at most JOBS children at a time;
+    `runs` maps a key to (src, tests)."""
+    codes = {}
+    running = {}
+    pending = list(runs)
+    while pending or running:
+        if pending and len(running) < JOBS:
+            name = pending.pop(0)
+            src, tests = runs[name]
+            running[_start(work, src, tests)] = name
+            continue
+        pid, status = os.wait()
+        codes[running.pop(pid)] = os.waitstatus_to_exitcode(status)
+    return codes
 
 
 def main(argv: list[str]) -> int:
@@ -174,30 +265,40 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         for top in ("src", "tests"):
             shutil.copytree(ROOT / top, work / top, ignore=ignore)
-        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
-        clean = _pytest(work, tests)
-        if clean.returncode != 0:
-            print(f"the listed tests fail on the unmutated tree:\n{clean.stdout}{clean.stderr}")
-            return 1
+        # Compiled once here, so that each mutant's copy recompiles only its
+        # mutated file.
+        compileall.compile_dir(work / "src", quiet=1)
+        # The clean run is keyed None, each mutant's by its name.
+        runs = {None: (work / "src", tuple(dict.fromkeys(t for m in chosen for t in m.tests)))}
         for mutant in chosen:
-            target = work / mutant.path
             original = (ROOT / mutant.path).read_text(encoding="utf-8")
             if original.count(mutant.old) != 1:
                 failed.append(mutant.name)
                 print(f"STALE    {mutant.name}: its text occurs {original.count(mutant.old)} "
                       f"times in {mutant.path}; rewrite it for the current code")
                 continue
+            home = work / "mutants" / mutant.name
+            shutil.copytree(work / "src", home / "src")
+            target = home / mutant.path
             target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            try:
-                run = _pytest(work, mutant.tests)
-            finally:
-                target.write_text(original, encoding="utf-8")
-            if run.returncode == 1:
+            for stale in (target.parent / "__pycache__").glob(f"{target.stem}.*.pyc"):
+                stale.unlink()
+            runs[mutant.name] = (home / "src", mutant.tests)
+        codes = _run_all(work, runs)
+        if codes[None] != 0:
+            log = (work / "pytest.log").read_text()
+            print(f"the listed tests fail on the unmutated tree:\n{log}")
+            return 1
+        for mutant in chosen:
+            if mutant.name not in codes:
+                continue
+            if codes[mutant.name] == 1:
                 print(f"killed   {mutant.name}")
             else:
                 failed.append(mutant.name)
-                verdict = "SURVIVED" if run.returncode == 0 else f"ERROR {run.returncode}"
-                print(f"{verdict:8} {mutant.name}\n{run.stdout}{run.stderr}")
+                verdict = "SURVIVED" if codes[mutant.name] == 0 else f"ERROR {codes[mutant.name]}"
+                log = (work / "mutants" / mutant.name / "pytest.log").read_text()
+                print(f"{verdict:8} {mutant.name}\n{log}")
     print(f"{len(chosen) - len(failed)} of {len(chosen)} mutants killed")
     return 1 if failed else 0
 

@@ -27,7 +27,6 @@ from banded_darboux import (
     moment_budget,
     multiply_window,
     peel_stages,
-    product_window,
     recurrence_values,
     run_theorem,
     shifted_lu,
@@ -49,6 +48,7 @@ from helpers import (
     g_matrix,
     gamma,
     make_chain,
+    product_window,
     random_hessenberg_local,
     random_unit_lower,
     recurrence_values_by_fractions,
@@ -151,7 +151,7 @@ def test_04_kernel_relations_50_chains():
         inst, chain = make_chain(rng, p, n, shift=draw_rational(rng))
         shift = inst.shift
         nmax = n - p - 1
-        seqs = [as_polys(transformed_polys(chain, j, nmax)) for j in range(p + 1)]
+        seqs = [as_polys(polys) for _, polys in transformed_polys(chain, nmax, range(p + 1))]
         for j in range(p):
             G = g_matrix(chain, j)
             for m in range(n - p - 1):
@@ -181,8 +181,8 @@ def test_05_dual_chain_relations_50_chains():
         inst, chain = make_chain(rng, p, n, shift=draw_rational(rng))
         shift = inst.shift
         duals = [
-            [Functional(f.moments) for f in dual_sequence(darboux_transform(chain, j), depth)]
-            for j in range(p + 1)
+            [Functional(f.moments) for f in dual_sequence(hess, depth)]
+            for hess in darboux_transform(chain, range(p + 1)).values()
         ]
         values = recurrence_values_by_fractions(inst.J, shift, n)
         for j in range(p):
@@ -226,7 +226,7 @@ def test_06_full_rotation_ignores_minor_hypotheses():
             built = generate(cfg)
             free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
             chain = chain_from_instance(built.instance, free_rows, built.instance.n)
-            seq = transformed_polys(chain, p, window)
+            [(_, seq)] = transformed_polys(chain, window, [p])
             rotated = transformed_nu(built.nu, built.instance.shift, p)
             assert is_p_orthogonal(rotated, seq, p, window).passed
             runs += 1
@@ -286,13 +286,14 @@ def test_09_single_band_reduction():
     n = 13
     inst = ShiftedInstance(catalan_hessenberg(n), 0)
     chain = chain_from_instance(inst, (), inst.n)
-    J1 = darboux_transform(chain, 1)
+    J1 = darboux_transform(chain, [1])[1]
     dense = dense_mul(dense_rows(chain.upper), dense_rows(chain.factors[0]))
     for i in range(J1.valid_rows):
         for j in range(n):
             assert J1.entry(i, j) == dense[i][j] + (0 if i != j else chain.shift)
     P = as_polys(characteristic_polys(inst.J, 11))
-    got = as_polys(transformed_polys(chain, 1, 10))
+    [(_, got)] = transformed_polys(chain, 10, [1])
+    got = as_polys(got)
     assert got[1] == Z - Fraction(5, 2)
     for m in range(11):
         ratio = P[m + 1](0) / P[m](0)

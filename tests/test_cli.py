@@ -166,6 +166,42 @@ def test_chain_commands_exit_2_on_a_zero_staged_minor(tmp_path, capsys, command,
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"nu": {"source": "canonical"}}, EXIT_HYPOTHESIS),
+        (
+            {
+                "p": 3, "N": 20, "seed": 9, "bound": 1,
+                "nu": {"source": "random", "require_hypotheses": False},
+            },
+            EXIT_SINGULAR,
+        ),
+    ],
+    ids=["canonical", "zero-peel-pivot"],
+)
+def test_polys_of_j_0_builds_no_chain(tmp_path, capsys, overrides, code):
+    # J(0)'s sequence is the source's, so polys --j 0 prints it where no
+    # chain can be built; the commands that need the chain still stop.
+    config = write_config(tmp_path, **overrides)
+    for command in ("polys", "transform", "verify"):
+        assert run_cli(tmp_path, command, config) == code
+    assert not (tmp_path / "reports").exists()
+    capsys.readouterr()
+    assert run_cli(tmp_path, "polys", config, "--j", "0") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    sequences = read_report(tmp_path, "polys")["payload"]["sequences"]
+    assert list(sequences) == ["0"]
+    # The same seed with a random vector has the same source matrix.
+    reference = write_config(
+        tmp_path, "reference.json", **{**overrides, "nu": {"source": "random"}}
+    )
+    assert run_cli(tmp_path, "polys", reference, "--j", "0") == EXIT_OK
+    assert capsys.readouterr().out == captured.out
+    assert read_report(tmp_path, "polys")["payload"]["sequences"] == sequences
+
+
 def test_factorize_reports_first_singular_minor(tmp_path, capsys):
     bands = {"0": ["2"] * 14, "-1": ["1"] * 13}
     config = write_config(
@@ -585,8 +621,9 @@ def test_verify_with_more_bands_than_window_rows(tmp_path, capsys):
 
 
 def test_transform_of_one_index_matches_the_full_report(tmp_path, capsys):
-    # All j come from shared halves (J(0) from the instance); one j from
-    # its own product. Both routes must print the same matrix.
+    # All j come from one builder call (J(0) from the instance), one j from
+    # a call that builds only the halves it reaches. Both must print the
+    # same matrix.
     config = write_config(tmp_path, p=3, N=16, window=6)
     assert run_cli(tmp_path, "transform", config) == EXIT_OK
     full = read_report(tmp_path, "transform")["payload"]["transforms"]

@@ -31,7 +31,6 @@ from banded_darboux import (
     lambda_of,
     moment_budget,
     peel_stages,
-    product_window,
     run_theorem,
     shifted_lu,
     stage_ladder,
@@ -46,6 +45,7 @@ from helpers import (
     catalan_hessenberg,
     check_hypotheses,
     draw_rational,
+    product_window,
     transport_identity_by_dense,
 )
 
@@ -369,7 +369,7 @@ def test_classical_kernel_functional_p1():
     _, built = built_instance(1, seed=21, window=6)
     inst = built.instance
     chain = chain_from_instance(inst, (), inst.n)
-    seq = transformed_polys(chain, 1, 6)
+    [(_, seq)] = transformed_polys(chain, 6, [1])
     rotated = transformed_nu(built.nu, inst.shift, 1)
     assert is_p_orthogonal(rotated, seq, 1, 6).passed
 
@@ -384,7 +384,7 @@ def test_full_rotation_needs_no_minor_hypothesis():
         free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         chain = chain_from_instance(inst, free_rows, inst.n)
         window = 4 * p
-        seq = transformed_polys(chain, p, window)
+        [(_, seq)] = transformed_polys(chain, window, [p])
         rotated = transformed_nu(built.nu, inst.shift, p)
         assert is_p_orthogonal(rotated, seq, p, window).passed
 
@@ -474,7 +474,7 @@ def test_mixed_vectors_from_adjacent_stages():
     cert = run_theorem(inst, built.nu, window)
     assert cert.passed
     chain = cert.chain
-    seqs = {j: transformed_polys(chain, j, window) for j in range(p + 1)}
+    seqs = dict(transformed_polys(chain, window, range(p + 1)))
     vectors = {0: built.nu}
     for j in range(1, p + 1):
         vectors[j] = transformed_nu(built.nu, inst.shift, j)

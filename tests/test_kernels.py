@@ -9,7 +9,7 @@ peel are checked against the exact route on all N rows, including inputs
 built so that a residue cannot decide.
 """
 
-from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 import io
 import json
@@ -25,6 +25,7 @@ from banded_darboux import (
     BandedHessenberg,
     BidiagonalChain,
     DegreeExceedsMoments,
+    InstanceConfig,
     LambdaLadder,
     LinearFunctional,
     LowerBidiagonalUnit,
@@ -37,13 +38,14 @@ from banded_darboux import (
     build_nu,
     chain_from_instance,
     characteristic_polys,
-    darboux_rotations,
     darboux_transform,
     dual_sequence,
+    generate,
     is_p_orthogonal,
     moment_budget,
     peel_stages,
     recurrence_values,
+    run_theorem,
     shifted_lu,
     transformed_polys,
 )
@@ -174,13 +176,13 @@ def test_rotation_on_leading_block_matches_full_chain(chain):
     n = chain.n
     assert plain_json(chain.leading(n).to_json_dict()) == plain_json(chain.to_json_dict())
     for j in range(chain.p + 1):
-        full = darboux_transform(chain, j)
+        full = darboux_transform(chain, [j])[j]
         for nmax in range(full.valid_rows + 1):
-            fast = transformed_polys(chain, j, nmax)
+            [(_, fast)] = transformed_polys(chain, nmax, [j])
             slow = transformed_polys_full(chain, j, nmax)
             assert fast == slow
         for m in range(1, n + 1):
-            lead = darboux_transform(chain.leading(m), j)
+            lead = darboux_transform(chain.leading(m), [j])[j]
             assert lead.valid_rows == (m if j == 0 else m - 1)
             for i in range(lead.valid_rows):
                 for c in range(m):
@@ -340,7 +342,7 @@ def test_chain_on_leading_rows_matches_full_chain(case):
     for rows in range(1, inst.n + 1):
         chain = chain_from_instance(inst, free, rows)
         assert plain_json(chain.to_json_dict()) == plain_json(slow.leading(rows).to_json_dict())
-    j0 = darboux_transform(chain, 0)
+    j0 = darboux_transform(chain, [0])[0]
     assert j0 == J and j0.valid_rows == J.n
 
 
@@ -505,11 +507,11 @@ def test_cli_on_leading_rows_matches_the_exact_route(config, command):
 @settings(max_examples=30, deadline=None)
 @given(chain=chains())
 def test_rotations_from_shared_halves_match_chained_product(chain):
-    rotations = dict(darboux_rotations(chain))
+    rotations = darboux_transform(chain, range(1, chain.p + 1))
     assert list(rotations) == list(range(1, chain.p + 1))
     for j in range(chain.p + 1):
         slow = darboux_transform_chained(chain, j)
-        for got in (darboux_transform(chain, j), rotations.get(j)):
+        for got in (darboux_transform(chain, [j])[j], rotations.get(j)):
             if got is None:
                 continue
             assert got == slow
@@ -519,10 +521,10 @@ def test_rotations_from_shared_halves_match_chained_product(chain):
             assert plain_json(got.to_json_dict()) == plain_json(slow.to_json_dict())
 
 
-def test_rotations_take_3p_minus_2_products():
-    # The shared halves: 3p - 2 products for all of J(1..p), against p per
-    # J(j) one at a time (p^2 for J(1..p)). Every module global bound to
-    # multiply_window is patched, product_window's lookup in banded too.
+@contextmanager
+def counted_products():
+    """A Mock wrapping multiply_window, patched in at every module global of
+    the package bound to it, so that it counts every windowed product."""
     sites = [
         (module, name)
         for key, module in list(sys.modules.items())
@@ -531,20 +533,61 @@ def test_rotations_take_3p_minus_2_products():
         if value is banded.multiply_window
     ]
     assert (banded, "multiply_window") in sites and (factorization, "multiply_window") in sites
+    counted = mock.Mock(wraps=banded.multiply_window)
+    with ExitStack() as stack:
+        for module, name in sites:
+            stack.enter_context(mock.patch.object(module, name, counted))
+        yield counted
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=chains(), data=st.data())
+def test_rotations_built_once_for_any_index_set(chain, data):
+    # Only the halves the requested j reach: p - min js heads, max js - 1
+    # tails and one product per j >= 1 to join them.
+    p = chain.p
+    js = data.draw(st.sets(st.integers(0, p), min_size=1))
+    with counted_products() as counted:
+        rotations = darboux_transform(chain, js)
+    assert list(rotations) == sorted(js)
+    expected = (p - min(js)) + max(max(js) - 1, 0) + sum(1 for j in js if j >= 1)
+    assert counted.call_count == expected
+    for j, got in rotations.items():
+        slow = darboux_transform_chained(chain, j)
+        assert got == slow
+        assert (got.lower, got.upper, got.valid_rows) == (
+            slow.lower, slow.upper, slow.valid_rows
+        )
+        assert plain_json(got.to_json_dict()) == plain_json(slow.to_json_dict())
+
+
+def test_rotations_take_3p_minus_2_products():
+    # The shared halves: 3p - 2 products for all of J(1..p), against p per
+    # J(j) one at a time (p^2 for J(1..p)). verify (run_theorem) and polys
+    # form J(1..p) in one builder call, so they take 3p - 2 too.
     for p in range(1, 5):
         n = 6
         factors = [LowerBidiagonalUnit(j, n, [j] * (n - 1)) for j in range(1, p + 1)]
         chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
-        counted = mock.Mock(wraps=banded.multiply_window)
-        with ExitStack() as stack:
-            for module, name in sites:
-                stack.enter_context(mock.patch.object(module, name, counted))
-            list(darboux_rotations(chain))
+        with counted_products() as counted:
+            darboux_transform(chain, range(1, p + 1))
             assert counted.call_count == 3 * p - 2
             one_at_a_time = 0
             for j in range(p + 1):
                 counted.reset_mock()
-                darboux_transform(chain, j)
+                darboux_transform(chain, [j])
                 assert counted.call_count == p
                 one_at_a_time += counted.call_count if j else 0
             assert one_at_a_time == p * p
+        config = {"p": p, "N": 20, "window": 8, "seed": p}
+        built = generate(InstanceConfig.from_json_dict(config))
+        with counted_products() as counted:
+            assert run_theorem(built.instance, built.nu, 8).passed
+        assert counted.call_count == 3 * p - 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            with counted_products() as counted:
+                code, _, _, payload = run_command("polys", path, tmp)
+            assert code == 0 and list(payload["sequences"]) == [str(j) for j in range(p + 1)]
+            assert counted.call_count == 3 * p - 2
