@@ -31,7 +31,6 @@ from .engine import (
     run_theorem,
     stage_ladder,
     staircase_transport_identity,
-    transformed_nu,
 )
 from .errors import (
     BadFreeSpec,

@@ -97,12 +97,6 @@ class BandMatrix:
     def band(self, offset: int) -> tuple[Fraction, ...]:
         return self._bands[offset]
 
-    def plus_scaled_identity(self, c: ScalarLike) -> "BandMatrix":
-        c = rational(c)
-        bands = dict(self._bands)
-        bands[0] = tuple(v + c for v in self._bands[0])
-        return BandMatrix(self.n, self.lower, self.upper, bands, self.valid_rows)
-
     def _key(self) -> tuple:
         """n and the bands that are not identically zero: equal keys hold
         exactly when every entry agrees, whatever the stored widths."""
@@ -191,8 +185,9 @@ class BandedHessenberg(BandMatrix):
         return self._bands[m - i][i]
 
     @classmethod
-    def from_band_matrix(cls, bm: BandMatrix, p: int) -> "BandedHessenberg":
-        """Reinterpret a windowed product as a Hessenberg truncation.
+    def from_band_matrix(cls, bm: BandMatrix, p: int, shift: Fraction) -> "BandedHessenberg":
+        """Reinterpret shift*I + bm, bm a windowed product, as a Hessenberg
+        truncation; the shift is added to the diagonal as it is read.
 
         Checks the structure on trustworthy rows: nothing above the
         superdiagonal, nothing below band -p, and a unit superdiagonal.
@@ -211,7 +206,8 @@ class BandedHessenberg(BandMatrix):
             for i in range(min(bm.valid_rows, bm.n - 1)):
                 if bm.band(1)[i] != 1:
                     raise SizeMismatch(f"superdiagonal entry ({i}, {i + 1}) is {bm.band(1)[i]}, not 1")
-        bands = {d: bm.band(d) for d in range(-min(p, bm.lower), 1)}
+        bands = {d: bm.band(d) for d in range(-min(p, bm.lower), 0)}
+        bands[0] = [v + shift for v in bm.band(0)]
         return cls(p, bm.n, bands, bm.valid_rows)
 
     def printed_values(self) -> Iterator[Fraction]:
@@ -364,19 +360,17 @@ class BidiagonalChain:
         return f"BidiagonalChain(p={self.p}, n={self.n}, shift={self.shift})"
 
 
-def recurrence_values(
-    hess: BandedHessenberg, z: ScalarLike, nmax: int
-) -> tuple[list[int], list[int]]:
-    """Values P_0(z) .. P_nmax(z) of the characteristic sequence at a point,
-    as unreduced integer pairs: P_n(z) = nums[n] / dens[n].
+def recurrence_values(hess: BandedHessenberg, z: ScalarLike, nmax: int) -> list[int]:
+    """Numerators of the values P_0(z) .. P_nmax(z) of the characteristic
+    sequence at a point: P_n(z) = nums[n] / d_n with d_n > 0.
 
     P_{n+1}(z) = (z - a(n,n)) P_n(z) - sum_{s=1..p} a(n, n-s) P_{n-s}(z),
     with P_0 = 1 and vanishing negative-index terms. Row n is scaled by e_n,
     the lcm of its band denominators and z's denominator, so
-    dens[n+1] = e_n dens[n] and dens[n] / dens[n-s] = e_{n-1} ... e_{n-s}.
-    Everything stays in ints and no gcd is taken: callers that only ask
-    whether a value is zero read nums[n]. Row n of the truncation must be
-    trustworthy, so nmax <= valid_rows.
+    d_n = e_0 ... e_{n-1} and d_n / d_{n-s} = e_{n-1} ... e_{n-s}.
+    Everything stays in ints and no gcd is taken: the caller asks only
+    whether a value is zero, which nums[n] shows. Row n of the truncation
+    must be trustworthy, so nmax <= valid_rows.
     """
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(
@@ -384,7 +378,6 @@ def recurrence_values(
         )
     z = rational(z)
     nums = [1]
-    dens = [1]
     scales: list[int] = []
     for n in range(nmax):
         row = [hess.a(n, n - s) for s in range(min(n, hess.p) + 1)]
@@ -398,9 +391,8 @@ def recurrence_values(
             if v:
                 acc -= v.numerator * (e // v.denominator) * ratio * nums[n - s]
         nums.append(acc)
-        dens.append(e * dens[n])
         scales.append(e)
-    return nums, dens
+    return nums
 
 
 def characteristic_polys(

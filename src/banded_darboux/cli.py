@@ -64,7 +64,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterator
-from functools import partial
+from functools import cache, partial
 from itertools import chain as chain_iter, repeat
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -367,7 +367,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="banded-darboux",
         description="Exact Darboux factorizations of banded Hessenberg matrices",

@@ -13,6 +13,8 @@ orthogonality for its characteristic sequence, the engine
 
          nu(j) = (nu_{j+1}, .., nu_p, (z-C) nu_1, .., (z-C) nu_j),
 
+     the window j .. j+p-1 of (nu_1, .., nu_p, (z-C) nu_1, .., (z-C) nu_p),
+     so each (z-C) nu_i is formed once;
   5. certifies by exhaustive scan that nu(j) is a vector of staircase
      orthogonality for the transformed sequence.
 
@@ -29,17 +31,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
-from .banded import BidiagonalChain, characteristic_polys
+from .banded import characteristic_polys
 from .errors import (
     ConfigError,
     ConsistencyFailure,
     HypothesisViolated,
-    IndexOutOfRange,
     InternalCheckError,
 )
 from .exact import ScalarLike, format_rational, rational
@@ -69,21 +70,6 @@ def moment_budget(window: int, p: int) -> int:
     rotated vectors consume one extra degree for the (z - C) factor.
     """
     return window + ceil(window / p) + 1
-
-
-def transformed_nu(nu: OrthogonalityVector, c: ScalarLike, j: int) -> OrthogonalityVector:
-    """Rotate the vector along with the chain: drop j leading entries to the
-    back, multiplying each moved entry by (z - c).
-
-    j = p multiplies every entry. The result's budget is one degree less.
-    """
-    p = nu.p
-    if not 1 <= j <= p:
-        raise IndexOutOfRange(f"transform index {j} outside 1..{p}")
-    c = rational(c)
-    moved = tuple(nu.entry(i).shift_multiply(c) for i in range(1, j + 1))
-    kept = tuple(nu.entry(i) for i in range(j + 1, p + 1))
-    return OrthogonalityVector(kept + moved)
 
 
 def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> LambdaLadder:
@@ -230,11 +216,7 @@ class PartialFactorization:
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Aggregated evidence for one engine run; passed means every box held.
-
-    `chain` is the chain of the leading max(window + 1, p) rows, the ones
-    the rotations and the transport checks read.
-    """
+    """Aggregated evidence for one engine run; passed means every box held."""
 
     fingerprint: str
     p: int
@@ -248,7 +230,6 @@ class TheoremCertificate:
     transport_checks: tuple[tuple[int, int, bool], ...]
     structure_ok: bool
     partial: Optional[PartialFactorization] = None
-    chain: Optional[BidiagonalChain] = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -328,7 +309,6 @@ def run_theorem(
         tuple(format_rational(v) for v in row) for row in staging.free_rows
     )
 
-    chain = None
     partial = None
     verdicts: list[StageVerdict] = []
     transport_checks: list[tuple[int, int, bool]] = []
@@ -356,9 +336,13 @@ def run_theorem(
                 ok = staircase_transport_identity(chain.factors, staging.stage_ladders, j, s)
                 transport_checks.append((j, s, ok))
 
+        # nu(j) is the window j .. j+p-1 of `turned`: nu's entries cut to
+        # the moved entries' budget, then the moved entries, each formed once.
+        turned = [f.truncated(nu.max_degree - 1) for f in nu.entries]
+        turned += [f.shift_multiply(c) for f in nu.entries]
         rotated: list[OrthogonalityVector] = []
         for j, polys_j in transformed_polys(chain, window, range(1, p + 1)):
-            nu_j = transformed_nu(nu, c, j)
+            nu_j = OrthogonalityVector(turned[j : j + p])
             rotated.append(nu_j)
             verdicts.append(StageVerdict(j, is_p_orthogonal(nu_j, polys_j, p, window)))
 
@@ -383,5 +367,4 @@ def run_theorem(
         transport_checks=tuple(transport_checks),
         structure_ok=structure_ok,
         partial=partial,
-        chain=chain,
     )

@@ -24,7 +24,7 @@ class BandedDarbouxError(Exception):
 
 
 class ShapeMismatch(BandedDarbouxError):
-    """Incompatible matrix/vector shapes in a dense operation."""
+    """A vector, ladder row or sequence whose length its operation cannot use."""
 
 
 class SizeMismatch(BandedDarbouxError):

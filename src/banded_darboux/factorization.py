@@ -9,7 +9,9 @@ subdiagonal entries, and forms the cyclic permutations
 
 each again a (p+2)-banded Hessenberg matrix with unit superdiagonal on its
 safe window. `darboux_transform(chain, js)`, the one route from a chain to
-its rotations, forms the requested J(j) from halves shared between them.
+its rotations, forms the requested J(j) from halves shared between them,
+each in one step from its windowed product: C is added to the product's
+diagonal as the Hessenberg truncation is built.
 
 Both the LU and the split are row-ordered, so `chain_from_instance(inst,
 free_rows, rows)` computes them exactly only on the leading rows a command
@@ -24,11 +26,10 @@ is exact on all its rows, with no residue rows, so nothing else reruns.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .banded import (
     BandedHessenberg,
-    BandMatrix,
     BidiagonalChain,
     LowerBidiagonalUnit,
     UnitLowerBanded,
@@ -95,7 +96,7 @@ class ShiftedInstance:
 
     def __init__(self, J: BandedHessenberg, shift: ScalarLike):
         shift = rational(shift)
-        nums, _dens = recurrence_values(J, shift, J.n)
+        nums = recurrence_values(J, shift, J.n)
         for n in range(1, len(nums)):
             if nums[n] == 0:
                 raise SingularLeadingMinor(n)
@@ -367,14 +368,6 @@ def _chain(
     )
 
 
-def _rotation(
-    chain: BidiagonalChain, head: BandMatrix, tail: Optional[BandMatrix]
-) -> BandedHessenberg:
-    """C*I + head * tail as a Hessenberg truncation; no tail reads as I."""
-    prod = head if tail is None else multiply_window(head, tail)
-    return BandedHessenberg.from_band_matrix(prod.plus_scaled_identity(chain.shift), p=chain.p)
-
-
 def darboux_transform(chain: BidiagonalChain, js: Iterable[int]) -> dict[int, BandedHessenberg]:
     """The cyclic permutations J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j)
     for each j in `js`, keyed by j in increasing order.
@@ -401,12 +394,13 @@ def darboux_transform(chain: BidiagonalChain, js: Iterable[int]) -> dict[int, Ba
         )
     rotations = {}
     if 0 in wanted:
-        rotations[0] = _rotation(chain, heads.pop(0), None)
+        rotations[0] = BandedHessenberg.from_band_matrix(heads.pop(0), p, chain.shift)
     tail = None
     for j, factor in enumerate(chain.factors[: max(wanted, default=0)], start=1):
         tail = factor if tail is None else multiply_window(tail, factor)
         if j in wanted:
-            rotations[j] = _rotation(chain, heads.pop(j), tail)
+            prod = multiply_window(heads.pop(j), tail)
+            rotations[j] = BandedHessenberg.from_band_matrix(prod, p, chain.shift)
     return rotations
 
 

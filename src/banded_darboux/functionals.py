@@ -73,10 +73,13 @@ class LinearFunctional:
         )
 
     def truncated(self, max_degree: int) -> "LinearFunctional":
+        """The functional on degrees <= max_degree; itself when that is all."""
         if max_degree > self.max_degree:
             raise InsufficientMoments(
                 f"cannot extend moments from {self.max_degree} to {max_degree}"
             )
+        if max_degree == self.max_degree:
+            return self
         return LinearFunctional(self.moments[: max_degree + 1])
 
     def agrees_with(self, other: "LinearFunctional") -> bool:

@@ -12,7 +12,11 @@ characteristic values at a point in `Fraction`s, the peel exact on all N
 rows, and each rotation as one left-to-right chained product. The rest
 are checks only the tests call: the intertwining matrices G(j), a unit
 lower triangular solve, the table of staircase minors, z^k P, and the
-matrix L(1) ... L(p) U + C*I a chain factors.
+matrix L(1) ... L(p) U + C*I a chain factors. The rotated vector nu(j)
+formed on its own for each j (`transformed_nu`; `run_theorem` takes every
+nu(j) as a window of one list) and C*I + M as a separate matrix
+(`plus_scaled_identity`; the package adds C to the diagonal as it builds
+each J(j)) are oracles too.
 
 What the package itself no longer carries, because no command uses it,
 lives here as well: the polynomial type with its printed form, arithmetic
@@ -37,6 +41,7 @@ from functools import reduce
 from banded_darboux import (
     BadFreeSpec,
     BandedHessenberg,
+    BandMatrix,
     HypothesisViolated,
     BidiagonalChain,
     IndexOutOfRange,
@@ -424,11 +429,30 @@ def product_window(factors):
     return reduce(multiply_window, factors)
 
 
+def plus_scaled_identity(bm, c):
+    """c*I + bm as a BandMatrix with bm's widths and trustworthy rows."""
+    c = rational(c)
+    bands = {d: bm.band(d) for d in range(-bm.lower, bm.upper + 1)}
+    bands[0] = tuple(v + c for v in bands[0])
+    return BandMatrix(bm.n, bm.lower, bm.upper, bands, bm.valid_rows)
+
+
 def reconstruct(chain):
     """L(1) ... L(p) U + C*I, the matrix the chain factors, by windowed
     products."""
     prod = product_window(tuple(chain.factors) + (chain.upper,))
-    return prod.plus_scaled_identity(chain.shift)
+    return plus_scaled_identity(prod, chain.shift)
+
+
+def transformed_nu(nu, c, j):
+    """nu(j) = (nu_{j+1}, .., nu_p, (z-c) nu_1, .., (z-c) nu_j), formed for
+    this j alone; its budget is one degree less than nu's."""
+    p = nu.p
+    if not 1 <= j <= p:
+        raise IndexOutOfRange(f"transform index {j} outside 1..{p}")
+    moved = tuple(nu.entry(i).shift_multiply(c) for i in range(1, j + 1))
+    kept = tuple(nu.entry(i) for i in range(j + 1, p + 1))
+    return OrthogonalityVector(kept + moved)
 
 
 def scan_by_apply(nu, polys, p, window):
@@ -537,8 +561,8 @@ def darboux_transform_chained(chain, j):
     """J(j) as C*I plus the product L(j+1) .. L(p) U L(1) .. L(j), taken
     left to right in one chain."""
     seq = chain.factors[j:] + (chain.upper,) + chain.factors[:j]
-    prod = product_window(seq).plus_scaled_identity(chain.shift)
-    return BandedHessenberg.from_band_matrix(prod, p=chain.p)
+    prod = plus_scaled_identity(product_window(seq), chain.shift)
+    return BandedHessenberg.from_band_matrix(prod, chain.p, 0)
 
 
 def g_matrix(chain, j):

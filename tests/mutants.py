@@ -130,8 +130,8 @@ MUTANTS = (
     Mutant(
         "rotation-halves-swapped",
         "src/banded_darboux/factorization.py",
-        "rotations[j] = _rotation(chain, heads.pop(j), tail)",
-        "rotations[j] = _rotation(chain, tail, heads.pop(j))",
+        "prod = multiply_window(heads.pop(j), tail)",
+        "prod = multiply_window(tail, heads.pop(j))",
         ("tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",),
     ),
     Mutant(
@@ -157,6 +157,26 @@ MUTANTS = (
         "enumerate(chain.factors[: max(wanted, default=0)], start=1)",
         "enumerate(chain.factors, start=1)",
         ("tests/test_kernels.py::test_rotations_built_once_for_any_index_set",),
+    ),
+    Mutant(
+        "rotation-leaves-the-shift-off",
+        "src/banded_darboux/banded.py",
+        "bands[0] = [v + shift for v in bm.band(0)]",
+        "bands[0] = bm.band(0)",
+        (
+            "tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",
+            "tests/test_kernels.py::test_rotations_built_once_for_any_index_set",
+        ),
+    ),
+    Mutant(
+        "rotated-vector-from-the-previous-window",
+        "src/banded_darboux/engine.py",
+        "OrthogonalityVector(turned[j : j + p])",
+        "OrthogonalityVector(turned[j - 1 : j - 1 + p])",
+        (
+            "tests/test_kernels.py::test_stage_reports_match_the_per_rotation_oracle",
+            "tests/test_engine.py::test_certificate_seeded_p2_p3",
+        ),
     ),
     Mutant(
         "polys-j-0-builds-the-chain",

@@ -35,6 +35,7 @@ from helpers import (
     g_matrix,
     gamma,
     make_chain,
+    plus_scaled_identity,
     product_window,
     random_hessenberg_local,
     random_unit_lower,
@@ -80,7 +81,7 @@ def test_lu_reconstructs_shifted_matrix_exactly():
         L, U, _ = shifted_lu(inst, inst.n)
         prod = multiply_window(L, U)
         assert prod.valid_rows == 9
-        target = J.plus_scaled_identity(-shift)
+        target = plus_scaled_identity(J, -shift)
         assert prod == target
 
 

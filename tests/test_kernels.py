@@ -12,13 +12,16 @@ built so that a residue cannot decide.
 from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 import io
+from itertools import accumulate
 import json
+from math import lcm
+from operator import mul
 from pathlib import Path
 import sys
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banded_darboux import (
@@ -59,6 +62,7 @@ from helpers import (
     plain_json,
     recurrence_values_by_fractions,
     scan_by_apply,
+    transformed_nu,
     transformed_polys_full,
 )
 
@@ -199,9 +203,16 @@ def test_recurrence_values_matches_fraction_recurrence(case, data):
     J, bound = case
     # A diagonal entry as the point makes P_1 vanish; a drawn one mostly not.
     z = data.draw(rationals(bound) | st.sampled_from([J.a(i, i) for i in range(J.n)]))
-    nums, dens = recurrence_values(J, z, J.n)
+    nums = recurrence_values(J, z, J.n)
     slow = recurrence_values_by_fractions(J, z, J.n)
-    assert all(type(v) is int for v in nums + dens) and all(d > 0 for d in dens)
+    # P_n(z) = nums[n] / d_n with d_n = e_0 .. e_{n-1}, e_m the lcm of z's
+    # and row m's band denominators.
+    scales = [
+        lcm(z.denominator, *(J.a(m, c).denominator for c in range(max(0, m - J.p), m + 1)))
+        for m in range(J.n)
+    ]
+    dens = list(accumulate(scales, mul, initial=1))
+    assert all(type(v) is int for v in nums)
     assert [Fraction(a, b) for a, b in zip(nums, dens)] == list(slow)
     assert [a == 0 for a in nums] == [v == 0 for v in slow]
     first_zero = next((n for n in range(1, J.n + 1) if slow[n] == 0), None)
@@ -591,3 +602,98 @@ def test_rotations_take_3p_minus_2_products():
                 code, _, _, payload = run_command("polys", path, tmp)
             assert code == 0 and list(payload["sequences"]) == [str(j) for j in range(p + 1)]
             assert counted.call_count == 3 * p - 2
+
+
+@contextmanager
+def counted_shifts():
+    """The list of shifts each LinearFunctional.shift_multiply call takes,
+    while the method is patched to record them."""
+    original = LinearFunctional.shift_multiply
+    shifts = []
+
+    def counting(self, c):
+        shifts.append(c)
+        return original(self, c)
+
+    with mock.patch.object(LinearFunctional, "shift_multiply", counting):
+        yield shifts
+
+
+def test_each_moved_functional_is_formed_once():
+    # nu(1) .. nu(p) are windows of one list, so run_theorem, and verify
+    # through it, forms each moved entry (z - C) nu_i once: p calls, not
+    # p(p + 1)/2 over the rotations one at a time.
+    for p in range(1, 5):
+        config = {"p": p, "N": 20, "window": 8, "seed": p}
+        built = generate(InstanceConfig.from_json_dict(config))
+        with counted_shifts() as shifts:
+            assert run_theorem(built.instance, built.nu, 8).passed
+        assert shifts == [built.instance.shift] * p
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            with counted_shifts() as shifts:
+                code, _, _, payload = run_command("verify", path, tmp)
+            assert code == 0 and payload["certificate"]["passed"]
+        assert len(shifts) == p
+
+
+@st.composite
+def perturbed_runs(draw):
+    """A generated instance and vector at p = 1..3, W <= 10, with the shift
+    moved by a small rational or one moment of nu past degree p perturbed.
+
+    Neither moves the ladder, which reads nu's moments up to degree p - 1
+    only, so the generator's staging still gives the chain's free entries.
+    A moved shift changes every chain value, yet the certificate still
+    passes: the free entries do not depend on C, and the transport holds
+    for every admissible shift. A perturbed moment makes witnesses appear.
+    """
+    p = draw(st.integers(1, 3))
+    # window >= p keeps degree p + 1 within the moment budget.
+    window = draw(st.integers(p, 10))
+    n = max(moment_budget(window, p), window + p + 1) + 1
+    built = generate(InstanceConfig(p=p, n=n, window=window, seed=draw(st.integers(0, 10**6))))
+    inst, nu = built.instance, built.nu
+    if draw(st.booleans()):
+        delta = draw(rationals(3, nonzero=True))
+        try:
+            inst = ShiftedInstance(inst.J, inst.shift + delta)
+        except SingularLeadingMinor:
+            assume(False)
+    else:
+        r = draw(st.integers(1, p))
+        degree = draw(st.integers(p + 1, nu.max_degree))
+        moments = list(nu.entry(r).moments)
+        moments[degree] += draw(rationals(9, nonzero=True))
+        entries = list(nu.entries)
+        entries[r - 1] = LinearFunctional(moments)
+        nu = OrthogonalityVector(entries)
+    return inst, nu, window, built.staging.free_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=perturbed_runs())
+def test_stage_reports_match_the_per_rotation_oracle(run):
+    # The oracle route: nu(j) formed for each j alone, J(j) over all N rows
+    # of the exact chain, and the scan by applying each functional.
+    inst, nu, window, free_rows = run
+    p = inst.p
+    try:
+        cert = run_theorem(inst, nu, window)
+    except ZeroPeelPivot:
+        assume(False)
+    assert cert.partial is None and cert.structure_ok
+    assert [v.j for v in cert.stage_verdicts] == list(range(1, p + 1))
+    chain = chain_from_instance(inst, free_rows, inst.n)
+    for verdict in cert.stage_verdicts:
+        j, got = verdict.j, verdict.report
+        slow = scan_by_apply(
+            transformed_nu(nu, inst.shift, j), transformed_polys_full(chain, j, window), p, window
+        )
+        assert got.zero_checks == slow.zero_checks
+        assert got.nonzero_checks == slow.nonzero_checks
+        assert got.passed == slow.passed
+        assert [(w.kind, w.r, w.k, w.n, w.value) for w in got.failures] == [
+            (w.kind, w.r, w.k, w.n, w.value) for w in slow.failures
+        ]
