@@ -36,7 +36,8 @@ inst = ShiftedInstance(J, 0)
 L, U, _ = shifted_lu(inst, inst.n)
 print("\nJ = L * U")
 print("  U diagonal   :", ", ".join(str(v) for v in U.diag))
-print("  L subdiagonal:", ", ".join(str(v) for v in L.band(-1)[1:]))
+# L comes as its rows below the diagonal: here one entry, L(i, i-1), each.
+print("  L subdiagonal:", ", ".join(str(row[0]) for row in L[1:]))
 print("  (each U entry is -P_{n+1}(0)/P_n(0))")
 # P_n(0) is P_n's constant coefficient.
 for n in range(N):

@@ -11,7 +11,6 @@ import random
 
 from banded_darboux import (
     ShiftedInstance,
-    bidiagonal_chain_factor,
     chain_from_instance,
     darboux_transform,
     multiply_window,
@@ -23,8 +22,10 @@ rng = random.Random(12)
 p, N = 3, 9
 J = random_hessenberg(rng, p, N, bound=5)
 inst = ShiftedInstance(J, Fraction(1, 2))
+# L comes as its rows below the diagonal: [L(i, i-p), .., L(i, i-1)].
 L, U, _ = shifted_lu(inst, inst.n)
-print(f"random p={p} instance, shift 1/2; L has {L.w} subdiagonals")
+print(f"random p={p} instance, shift 1/2; L has {len(L[0])} subdiagonals")
+print(f"  L row {N - 1}: {', '.join(str(v) for v in L[-1])}")
 
 # -- two different prescriptions over the same L ------------------------------
 
@@ -32,20 +33,23 @@ for label, rows in [
     ("zeros", [[0, 0], [0]]),
     ("ones ", [[1, 1], [1]]),
 ]:
-    factors = bidiagonal_chain_factor(L, rows)
+    chain = chain_from_instance(inst, rows, inst.n)
     print(f"\nfree entries {label}:")
-    for f in factors:
+    for j, f in enumerate(chain.factors, start=1):
         head = ", ".join(str(v) for v in f.sub[:4])
-        print(f"  L({f.index}) subdiagonal starts: {head}, ...")
-    assert reduce(multiply_window, factors) == L
-    print("  product reconstructs L exactly")
+        print(f"  L({j}) subdiagonal starts: {head}, ...")
+    product = reduce(multiply_window, chain.factors)
+    assert [[product.entry(i, c) if c >= 0 else 0 for c in range(i - p, i)]
+            for i in range(N)] == L
+    assert chain.upper == U
+    print("  product reconstructs L exactly; U is shared")
 
 # -- every rotation is again banded Hessenberg -------------------------------
 
 chain = chain_from_instance(inst, [[1, 2], [3]], inst.n)
 print("\nchain with free entries [[1, 2], [3]], J - C*I = L(1) L(2) L(3) U:")
-for f in chain.factors:
-    print(f"  L({f.index}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")
+for j, f in enumerate(chain.factors, start=1):
+    print(f"  L({j}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")
 print(f"  U diagonal starts: {', '.join(str(v) for v in chain.upper.diag[:3])}, ...")
 
 for j, hess in darboux_transform(chain, range(p + 1)).items():

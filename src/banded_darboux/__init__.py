@@ -17,7 +17,6 @@ from .banded import (
     BandMatrix,
     BidiagonalChain,
     LowerBidiagonalUnit,
-    UnitLowerBanded,
     UpperBidiagonal,
     characteristic_polys,
     multiply_window,
@@ -59,7 +58,6 @@ from .exact import (
 )
 from .factorization import (
     ShiftedInstance,
-    bidiagonal_chain_factor,
     chain_from_instance,
     darboux_transform,
     peel_stages,

@@ -238,29 +238,12 @@ class BandedHessenberg(BandMatrix):
         return cls(p, n, bands)
 
 
-class UnitLowerBanded(BandMatrix):
-    """Unit lower triangular with w subdiagonals given by `bands`."""
+class LowerBidiagonalUnit(BandMatrix):
+    """Unit lower bidiagonal factor; its position in a chain is its label."""
 
     __slots__ = ()
 
-    def __init__(self, w: int, n: int, bands: Mapping[int, Iterable[ScalarLike]]):
-        super().__init__(n, w, 0, {**bands, 0: _unit_band(n, 0)})
-
-    @property
-    def w(self) -> int:
-        return self.lower
-
-
-class LowerBidiagonalUnit(BandMatrix):
-    """Unit lower bidiagonal factor.
-
-    `index` is its 1-based chain position: a label, not part of equality.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int, n: int, sub: Iterable[ScalarLike]):
-        object.__setattr__(self, "index", index)
+    def __init__(self, n: int, sub: Iterable[ScalarLike]):
         super().__init__(n, 1, 0, {0: _unit_band(n, 0), -1: (_ZERO, *sub)})
 
     @property
@@ -308,11 +291,8 @@ class BidiagonalChain:
         factors = tuple(factors)
         if len(factors) != p:
             raise SizeMismatch(f"need {p} factors, got {len(factors)}")
-        for pos, factor in enumerate(factors, start=1):
-            if factor.index != pos:
-                raise SizeMismatch(f"factor at position {pos} is labeled {factor.index}")
-            if factor.n != n:
-                raise SizeMismatch("factor size differs from chain size")
+        if any(factor.n != n for factor in factors):
+            raise SizeMismatch("factor size differs from chain size")
         if upper.n != n:
             raise SizeMismatch("upper factor size differs from chain size")
         object.__setattr__(self, "p", p)
@@ -333,7 +313,7 @@ class BidiagonalChain:
         """
         if not 1 <= m <= self.n:
             raise IndexOutOfRange(f"leading block {m} outside 1..{self.n}")
-        factors = [LowerBidiagonalUnit(f.index, m, f.sub[: m - 1]) for f in self.factors]
+        factors = [LowerBidiagonalUnit(m, f.sub[: m - 1]) for f in self.factors]
         return BidiagonalChain(
             self.p, m, self.shift, factors, UpperBidiagonal(m, self.upper.diag[:m])
         )
@@ -351,7 +331,8 @@ class BidiagonalChain:
             "N": self.n,
             "C": format_rational(self.shift),
             "factors": [
-                {"j": f.index, "sub": map(format_rational, f.sub)} for f in self.factors
+                {"j": j, "sub": map(format_rational, f.sub)}
+                for j, f in enumerate(self.factors, start=1)
             ],
             "U": {"diag": map(format_rational, self.upper.diag)},
         }

@@ -239,7 +239,7 @@ def cmd_gen(config: InstanceConfig, built, out: TextIO) -> CommandResult:
         "ladder": (
             None
             if config.nu_source == "canonical"
-            else [[format_rational(v) for v in row] for row in built.ladder.rows]
+            else [[format_rational(v) for v in row] for row in built.staging.stage_ladders[0].rows]
         ),
     }
     print(f"instance p={config.p} N={config.n} seed={config.seed} C={shift}", file=out)

@@ -318,14 +318,14 @@ def run_theorem(
         if stage == 0:
             raise HypothesisViolated(stage, size, _ZERO)
         L, _u, _tail = shifted_lu(inst, n)
-        factors, remainder = peel_stages(L, staging.free_rows, stage)
+        factors, _ = peel_stages(L, staging.free_rows, stage)
         partial = PartialFactorization(
             stages=stage,
             violated=(stage, size),
             factor_subs=tuple(
                 tuple(format_rational(v) for v in f.sub) for f in factors
             ),
-            remainder_bands=remainder.w,
+            remainder_bands=p - stage,
         )
     else:
         # The rotations read the leading window + 1 rows and the transport

@@ -13,14 +13,16 @@ its rotations, forms the requested J(j) from halves shared between them,
 each in one step from its windowed product: C is added to the product's
 diagonal as the Hessenberg truncation is built.
 
-Both the LU and the split are row-ordered, so `chain_from_instance(inst,
-free_rows, rows)` computes them exactly only on the leading rows a command
-keeps. Past those rows, `shifted_lu(inst, rows)` hands L's rows to
-`peel_stages` as residue rows mod q = 2^61 - 1, which only have to show
-every peel divisor nonzero. A residue that cannot decide raises
-_UndecidedResidue out of either; `chain_from_instance` alone catches it and
-reruns the chain exactly on all N rows. Every other caller peels an L that
-is exact on all its rows, with no residue rows, so nothing else reruns.
+L passes from the LU to the split as its rows, row i being [L(i, i-p), ..,
+L(i, i-1)] with 0 where the column is negative; the split's last remainder,
+one column wide, is L(p). Both are row-ordered, so `chain_from_instance(
+inst, free_rows, rows)` computes them exactly only on the leading rows a
+command keeps. Past those, `shifted_lu` hands L's rows to `peel_stages` as
+residue rows mod q = 2^61 - 1, which only have to show every peel divisor
+nonzero. A residue that cannot decide raises _UndecidedResidue out of
+either; `chain_from_instance` alone catches it and reruns the chain exactly
+on all N rows. Every other caller peels an L that is exact on all its rows,
+with no residue rows, so nothing else reruns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .banded import (
     BandedHessenberg,
     BidiagonalChain,
     LowerBidiagonalUnit,
-    UnitLowerBanded,
     UpperBidiagonal,
     characteristic_polys,
     multiply_window,
@@ -41,6 +42,7 @@ from .banded import (
 from .errors import (
     BadFreeSpec,
     IndexOutOfRange,
+    ShapeMismatch,
     SingularLeadingMinor,
     ZeroPeelPivot,
 )
@@ -120,7 +122,7 @@ class ShiftedInstance:
 
 def shifted_lu(
     inst: ShiftedInstance, rows: int
-) -> tuple[UnitLowerBanded, UpperBidiagonal, list[_ResidueRow]]:
+) -> tuple[list[list[Fraction]], UpperBidiagonal, list[_ResidueRow]]:
     """Unique factorization J - C*I = L U with unit-diagonal L, exact on the
     leading `rows` rows, 1 <= rows <= N.
 
@@ -130,60 +132,53 @@ def shifted_lu(
     A zero u_m encountered here is exactly a singular leading minor of
     order m+1.
 
-    Returns L and U as leading rows x rows blocks, and L's rows rows .. N-1
-    mod q = 2^61 - 1, the residue rows `peel_stages` reads: tail[r - rows]
-    is (nums, den) with L(r, r-p+k) = nums[k] / den mod q (0 where the
-    column is negative). The tail runs the same recurrence with each row
-    over one denominator, so it takes no modular inverse. A pivot residue
-    of 0, or a denominator divisible by q, raises _UndecidedResidue, on
-    which `chain_from_instance` reruns with rows = N. rows = N gives the
-    full exact factorization and an empty tail, and so does p = 1: its
-    split peels no stage, so nothing reads the tail, and admissibility
-    already shows every pivot nonzero.
+    Returns L's leading rows in the module's row layout, U as a leading
+    rows x rows block, and L's rows rows .. N-1 mod q = 2^61 - 1, the
+    residue rows `peel_stages` reads: tail[r - rows] is (nums, den) with
+    L(r, r-p+k) = nums[k] / den mod q. The tail runs the same recurrence
+    with each row over one denominator, so it takes no modular inverse. A
+    pivot residue of 0, or a denominator divisible by q, raises
+    _UndecidedResidue, on which `chain_from_instance` reruns with rows = N.
+    rows = N gives the full exact factorization and an empty tail, and so
+    does p = 1: its split peels no stage, so nothing reads the tail, and
+    admissibility already shows every pivot nonzero.
     """
     J, C = inst.J, inst.shift
     p, n = J.p, J.n
     if not 1 <= rows <= n:
         raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
+    bands = [J.band(d) for d in range(-p, 1)]
+    L: list[list[Fraction]] = []
     diag: list[Fraction] = []
-    sub_bands: dict[int, list[Fraction]] = {d: [_ZERO] * rows for d in range(-p, 0)}
-
-    def ell(i: int, m: int) -> Fraction:
-        if m == i:
-            return Fraction(1)
-        if m < i - p or m < 0:
-            return _ZERO
-        return sub_bands[m - i][i]
-
     for i in range(rows):
-        for m in range(max(0, i - p), i):
-            if diag[m] == 0:
-                raise SingularLeadingMinor(m + 1)
-            a_im = J.a(i, m)
-            sub_bands[m - i][i] = (a_im - ell(i, m - 1)) / diag[m]
-        diag.append(J.a(i, i) - C - ell(i, i - 1))
+        # Row i; x is L(i, m-1) for the column m = i-p+k in progress.
+        row, x = [_ZERO] * p, _ZERO
+        for k in range(max(0, p - i), p):
+            u = diag[i - p + k]
+            if u == 0:
+                raise SingularLeadingMinor(i - p + k + 1)
+            x = row[k] = (bands[k][i] - x) / u
+        diag.append(bands[p][i] - C - x)
+        L.append(row)
     if rows == n and diag[-1] == 0:
         # The final pivot is never divided by, but it witnesses the minor of
         # full order being singular; surface it for contract uniformity.
         raise SingularLeadingMinor(n)
-    L = UnitLowerBanded(p, rows, {d: tuple(v) for d, v in sub_bands.items()})
-    U = UpperBidiagonal(rows, diag)
-    return L, U, _lu_tail(J, C, diag[max(0, rows - p):], rows)
+    return L, UpperBidiagonal(rows, diag), _lu_tail(bands, C, diag[max(0, rows - p):], rows)
 
 
 def _lu_tail(
-    J: BandedHessenberg, C: Fraction, last: list[Fraction], rows: int
+    bands: list[tuple[Fraction, ...]], C: Fraction, last: list[Fraction], rows: int
 ) -> list[_ResidueRow]:
-    """L's rows rows .. N-1 mod _Q as residue rows, continuing from the
-    exact pivots u_{rows-len(last)} .. u_{rows-1} (`last`)."""
-    p, n = J.p, J.n
+    """L's rows rows .. N-1 mod _Q as residue rows, from J's bands -p .. 0 and
+    the exact pivots u_{rows-len(last)} .. u_{rows-1} (`last`)."""
+    p, n = len(bands) - 1, len(bands[0])
     if rows == n or p == 1:
         return []
     # piv[k] = u_{i-p+k} as a pair mod q, for the row i in progress.
     piv = [(1, 1)] * (p - len(last)) + [_pair(u) for u in last]
     if any(num == 0 for num, _ in piv):
         raise _UndecidedResidue
-    bands = [J.band(d) for d in range(-p, 1)]
     cn, cd = _pair(C)
     tail = []
     for i in range(rows, n):
@@ -271,13 +266,13 @@ def _stage_residues(
 
 
 def peel_stages(
-    L: UnitLowerBanded,
+    L: Sequence[Sequence[Fraction]],
     free_rows: Sequence[Sequence[ScalarLike]],
     stages: int,
     tail: Sequence[_ResidueRow] = (),
-) -> tuple[list[LowerBidiagonalUnit], UnitLowerBanded]:
-    """Peel `stages` bidiagonal factors off the left of L, exactly on all of
-    L's rows.
+) -> tuple[list[LowerBidiagonalUnit], list[list[Fraction]]]:
+    """Peel `stages` bidiagonal factors off the left of L, given by its w
+    subdiagonals in the module's row layout, exactly on all of L's rows.
 
     Stage j (1-based) removes one subdiagonal from the running remainder M:
     choose the factor's subdiagonal s(r) freely for rows r <= w-1 (where the
@@ -286,11 +281,11 @@ def peel_stages(
 
         M'(r, c) = M(r, c) - s(r) * M'(r-1, c).
 
-    Returns the peeled factors and the remaining unit lower (w - stages)
-    banded remainder, both over L's rows. Processing is strictly
-    row-ordered, so each unknown is fixed by one linear equation; the
-    division is by the remainder's newest lowest-band entry (ZeroPeelPivot
-    when it vanishes).
+    Returns the peeled factors and the rows of the (w - stages)-banded
+    remainder, both over L's rows. Processing is strictly row-ordered, so
+    each unknown is fixed by one linear equation; the division is by the
+    remainder's newest lowest-band entry (ZeroPeelPivot when it vanishes).
+    An L that is empty, ragged or nonzero left of column 0 is a ShapeMismatch.
 
     `tail` continues L past its own rows as residue rows mod q = 2^61 - 1,
     in the layout `shifted_lu` returns. Each stage also runs on them, only
@@ -298,12 +293,15 @@ def peel_stages(
     residue of 0 or a denominator divisible by q raises _UndecidedResidue,
     on which `chain_from_instance` reruns the chain exactly on all N rows.
     """
-    n, w = L.n, L.w
+    if not L or any(len(row) != len(L[0]) for row in L):
+        raise ShapeMismatch("L needs one or more rows, all of one width")
+    n, w = len(L), len(L[0])
+    if any(row[k] for i, row in enumerate(L[:w]) for k in range(w - i)):
+        raise ShapeMismatch("L has a nonzero entry left of column 0")
     if stages < 0 or stages > w - 1:
         raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
     if len(free_rows) < stages:
         raise BadFreeSpec(f"need free entries for {stages} stages, got {len(free_rows)}")
-    exact = [list(row) for row in zip(*(L.band(d) for d in range(-w, 0)))]
     factors = []
     for j in range(1, stages + 1):
         prescribed = [rational(v) for v in free_rows[j - 1]]
@@ -311,33 +309,12 @@ def peel_stages(
             raise BadFreeSpec(
                 f"stage {j} needs {w - 1} free entries, got {len(prescribed)}"
             )
-        sub, exact = _stage_rows(exact, prescribed, j, w)
+        sub, L = _stage_rows(L, prescribed, j, w)
         if tail:
-            tail = _stage_residues(tail, n, exact[-1], prescribed, w)
-        factors.append(LowerBidiagonalUnit(j, n, sub))
+            tail = _stage_residues(tail, n, L[-1], prescribed, w)
+        factors.append(LowerBidiagonalUnit(n, sub))
         w -= 1
-    bands = {d: tuple(row[d + w] for row in exact) for d in range(-w, 0)}
-    return factors, UnitLowerBanded(w, n, bands)
-
-
-def bidiagonal_chain_factor(
-    L: UnitLowerBanded,
-    free_rows: Sequence[Sequence[ScalarLike]],
-    tail: Sequence[_ResidueRow] = (),
-) -> list[LowerBidiagonalUnit]:
-    """Split L into p unit lower bidiagonal factors, L = L(1) ... L(p).
-
-    `free_rows[j-1]` prescribes the first p-j subdiagonal entries of L(j),
-    j = 1..p-1; the last stage's remainder is itself bidiagonal and becomes
-    L(p). Deterministic: identical inputs give identical factors. `tail`
-    continues L as residue rows (see peel_stages).
-    """
-    p = L.w
-    if len(free_rows) != p - 1:
-        raise BadFreeSpec(f"need rows for factors 1..{p - 1}, got {len(free_rows)}")
-    factors, remainder = peel_stages(L, free_rows, p - 1, tail)
-    factors.append(LowerBidiagonalUnit(p, L.n, remainder.band(-1)[1:]))
-    return factors
+    return factors, list(L)
 
 
 def chain_from_instance(
@@ -362,10 +339,15 @@ def chain_from_instance(
 def _chain(
     inst: ShiftedInstance, free_rows: Sequence[Sequence[ScalarLike]], rows: int
 ) -> BidiagonalChain:
+    """`free_rows[j-1]` prescribes the first p-j subdiagonal entries of
+    L(j), j = 1..p-1."""
+    p = inst.p
+    if len(free_rows) != p - 1:
+        raise BadFreeSpec(f"need rows for factors 1..{p - 1}, got {len(free_rows)}")
     L, U, tail = shifted_lu(inst, rows)
-    return BidiagonalChain(
-        inst.p, rows, inst.shift, bidiagonal_chain_factor(L, free_rows, tail), U
-    )
+    factors, remainder = peel_stages(L, free_rows, p - 1, tail)
+    factors.append(LowerBidiagonalUnit(rows, [row[0] for row in remainder[1:]]))
+    return BidiagonalChain(p, rows, inst.shift, factors, U)
 
 
 def darboux_transform(chain: BidiagonalChain, js: Iterable[int]) -> dict[int, BandedHessenberg]:

@@ -212,14 +212,13 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance plus vector, the ladder nu was built from with its staging,
-    and the retries it took to get there."""
+    """Instance plus vector, the staging of the ladder nu was built from (the
+    ladder is `staging.stage_ladders[0]`), and the retries it took."""
 
     config_echo: dict
     instance: ShiftedInstance
     nu: OrthogonalityVector
     source_polys: tuple[tuple[Fraction, ...], ...]
-    ladder: LambdaLadder
     staging: StagingResult
     shift_retries: tuple[str, ...]
     ladder_retries: int
@@ -304,7 +303,6 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
         instance=instance,
         nu=nu,
         source_polys=source_polys,
-        ladder=ladder,
         staging=staging,
         shift_retries=tuple(retries),
         ladder_retries=ladder_retries,

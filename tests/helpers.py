@@ -31,7 +31,9 @@ package builds it from the identity ladder), the chain's global coefficient
 index (`gamma`), the readers of the chain and vector wire formats
 (`read_chain`, `read_vector`), and the left-to-right windowed product of
 a factor sequence (`product_window`; the package forms its products one
-`multiply_window` at a time).
+`multiply_window` at a time). L has no matrix type in the package, which
+passes it as rows from the LU to the chain: `unit_lower` builds its matrix
+form, and `split_chain` splits a given L's rows into L(1) ... L(p).
 """
 
 import json
@@ -53,7 +55,6 @@ from banded_darboux import (
     ShapeMismatch,
     ShiftedInstance,
     SingularLeadingMinor,
-    UnitLowerBanded,
     Witness,
     ZeroPeelPivot,
     chain_from_instance,
@@ -63,6 +64,7 @@ from banded_darboux import (
     delta_det,
     multiply_window,
     parse_rational,
+    peel_stages,
     rational,
 )
 from banded_darboux.exact import integer_image
@@ -262,7 +264,7 @@ def read_chain(data):
     """A `BidiagonalChain` from its wire format."""
     n = data["N"]
     factors = [
-        LowerBidiagonalUnit(f["j"], n, [parse_rational(v) for v in f["sub"]])
+        LowerBidiagonalUnit(n, [parse_rational(v) for v in f["sub"]])
         for f in data["factors"]
     ]
     upper = UpperBidiagonal(n, [parse_rational(v) for v in data["U"]["diag"]])
@@ -353,12 +355,36 @@ def draw_rational(rng, bound=9, nonzero=False):
 
 
 def random_unit_lower(rng, w, n, bound=9):
-    bands = {}
-    for d in range(-w, 0):
-        bands[d] = [
-            draw_rational(rng, bound) if i + d >= 0 else Fraction(0) for i in range(n)
-        ]
-    return UnitLowerBanded(w, n, bands)
+    """The rows of a random unit lower L with w subdiagonals, in the layout
+    `shifted_lu` returns (see `unit_lower`); drawn band by band."""
+    bands = [
+        [draw_rational(rng, bound) if i + d >= 0 else Fraction(0) for i in range(n)]
+        for d in range(-w, 0)
+    ]
+    return [list(row) for row in zip(*bands)]
+
+
+def unit_lower(rows):
+    """The unit lower matrix whose row i below the diagonal is rows[i] =
+    [L(i, i-w), .., L(i, i-1)], 0 where the column is negative: the layout
+    of `shifted_lu` and `peel_stages`."""
+    n, w = len(rows), len(rows[0])
+    bands = {d: [row[d + w] for row in rows] for d in range(-w, 0)}
+    return BandMatrix(n, w, 0, {**bands, 0: [1] * n})
+
+
+def hand_example(n):
+    """The rows of the p = 2 hand example: L with subdiagonal 3 and band -2
+    equal to 2, which splits as L(1) = 1 and L(2) = 2 below the diagonal
+    with free entry 1."""
+    return [[Fraction(2 if i >= 2 else 0), Fraction(3 if i else 0)] for i in range(n)]
+
+
+def split_chain(rows, free_rows):
+    """L(1) ... L(p) from L's rows (p = their width): p - 1 peel stages,
+    then the last remainder's one column as L(p)."""
+    factors, remainder = peel_stages(rows, free_rows, len(rows[0]) - 1)
+    return factors + [LowerBidiagonalUnit(len(rows), [row[0] for row in remainder[1:]])]
 
 
 def random_hessenberg_local(rng, p, n, bound=9):
@@ -505,9 +531,10 @@ def recurrence_values_by_fractions(hess, z, nmax):
 
 
 def peel_stages_full(L, free_rows, stages):
-    """The peel in `Fraction`s on all N rows, band by band."""
+    """The peel in `Fraction`s on all N rows, band by band, of the unit
+    lower matrix L; the remainder is a matrix too."""
     n = L.n
-    w = L.w
+    w = L.lower
     if stages < 0 or stages > w - 1:
         raise BadFreeSpec(f"cannot peel {stages} stages off {w} bands")
     if len(free_rows) < stages:
@@ -550,10 +577,10 @@ def peel_stages_full(L, free_rows, stages):
             sub.append(s)
             for c in range(max(0, r - (w - 1)), r):
                 nxt[c - r][r] = cur_entry(r, c) - s * nxt_entry(r - 1, c)
-        factors.append(LowerBidiagonalUnit(j, n, sub))
+        factors.append(LowerBidiagonalUnit(n, sub))
         cur = nxt
         w -= 1
-    remainder = UnitLowerBanded(w, n, {d: tuple(v) for d, v in cur.items()})
+    remainder = BandMatrix(n, w, 0, {**cur, 0: [1] * n})
     return factors, remainder
 
 

@@ -111,6 +111,26 @@ MUTANTS = (
         ("tests/test_factorization.py::test_free_spec_validation",),
     ),
     Mutant(
+        "row-lu-drops-the-left-neighbour",
+        "src/banded_darboux/factorization.py",
+        "x = row[k] = (bands[k][i] - x) / u",
+        "x = row[k] = bands[k][i] / u",
+        (
+            "tests/test_factorization.py::test_lu_reconstructs_shifted_matrix_exactly",
+            "tests/test_factorization.py::test_lu_pivots_are_minor_ratios",
+        ),
+    ),
+    Mutant(
+        "last-factor-from-the-wrong-remainder-rows",
+        "src/banded_darboux/factorization.py",
+        "[row[0] for row in remainder[1:]]",
+        "[row[0] for row in remainder[:-1]]",
+        (
+            "tests/test_kernels.py::test_chain_on_leading_rows_matches_full_chain",
+            "tests/test_cli.py::test_factorize_chain_payload_round_trips",
+        ),
+    ),
+    Mutant(
         "lu-tail-ignores-zero-pivot",
         "src/banded_darboux/factorization.py",
         "        if un == 0:\n            raise _UndecidedResidue\n        piv.pop(0)\n",

@@ -14,8 +14,6 @@ from banded_darboux import (
     HypothesisViolated,
     InstanceConfig,
     ShiftedInstance,
-    UnitLowerBanded,
-    bidiagonal_chain_factor,
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
@@ -46,13 +44,16 @@ from helpers import (
     draw_rational,
     g_matrix,
     gamma,
+    hand_example,
     make_chain,
     plus_scaled_identity,
     product_window,
     random_hessenberg_local,
     random_unit_lower,
     recurrence_values_by_fractions,
+    split_chain,
     transformed_nu,
+    unit_lower,
 )
 
 
@@ -83,7 +84,7 @@ def test_01_lu_roundtrip_200_seeded_instances():
         else:
             inst = ShiftedInstance(J, shift)
             L, U, _ = shifted_lu(inst, inst.n)
-            product = multiply_window(L, U)
+            product = multiply_window(unit_lower(L), U)
             assert product.valid_rows == n
             assert product == plus_scaled_identity(J, -shift)
             factored += 1
@@ -125,20 +126,20 @@ def test_03_chain_roundtrip_100_pairs_and_hand_example():
         L = random_unit_lower(rng, p, 8)
         free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         try:
-            factors = bidiagonal_chain_factor(L, free_rows)
+            factors = split_chain(L, free_rows)
         except Exception:
             continue
-        assert product_window(factors) == L
+        assert product_window(factors) == unit_lower(L)
         for j in range(1, p):
             for r in range(1, p - j + 1):
                 assert factors[j - 1].sub_at_row(r) == free_rows[j - 1][r - 1]
         done += 1
     n = 7
-    L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, [[1]])
+    L = hand_example(n)
+    factors = split_chain(L, [[1]])
     assert factors[0].sub == (1,) * (n - 1)
     assert factors[1].sub == (2,) * (n - 1)
-    assert product_window(factors) == L
+    assert product_window(factors) == unit_lower(L)
     report(3, "chain roundtrip", f"100 pairs in {attempts} draws + hand example")
 
 
@@ -277,8 +278,8 @@ def test_08_negative_paths():
     staging = _staging(ladder, 3)
     L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1)
-    assert remainder.w == 2
-    assert product_window([factors[0], remainder]) == L
+    assert {len(row) for row in remainder} == {2}
+    assert product_window([factors[0], unit_lower(remainder)]) == unit_lower(L)
     report(8, "negative paths", "structural zero raises; staged zero yields partial chain")
 
 

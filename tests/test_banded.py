@@ -12,7 +12,6 @@ from banded_darboux import (
     IndexOutOfRange,
     LowerBidiagonalUnit,
     SizeMismatch,
-    UnitLowerBanded,
     UpperBidiagonal,
     characteristic_polys,
     format_rational,
@@ -82,8 +81,8 @@ def test_multiply_identity_keeps_full_window():
 
 def test_multiply_bidiagonal_factors_band_values():
     n = 5
-    l1 = LowerBidiagonalUnit(1, n, [1] * (n - 1))
-    l2 = LowerBidiagonalUnit(2, n, [2] * (n - 1))
+    l1 = LowerBidiagonalUnit(n, [1] * (n - 1))
+    l2 = LowerBidiagonalUnit(n, [2] * (n - 1))
     prod = multiply_window(l1, l2)
     assert prod.valid_rows == n
     assert all(prod.entry(i, i) == 1 for i in range(n))
@@ -97,7 +96,7 @@ def test_multiply_upper_times_lower_window_shrinks():
     # rows 0..N-2 trustworthy; the dense product is the oracle for values.
     n = 6
     U = UpperBidiagonal(n, [Fraction(2), Fraction(3, 2), Fraction(4, 3), 1, 1, 1])
-    L = UnitLowerBanded(1, n, {-1: [0, Fraction(1, 2), Fraction(2, 3), 1, 1, 1]})
+    L = LowerBidiagonalUnit(n, [Fraction(1, 2), Fraction(2, 3), 1, 1, 1])
     prod = multiply_window(U, L)
     assert prod.valid_rows == n - 1
     assert dense_rows(prod) == dense_mul(dense_rows(U), dense_rows(L))
@@ -112,9 +111,9 @@ def test_window_bound_is_honest_against_larger_truncation():
     diag_big = [draw_rational(rng, nonzero=True) for _ in range(big)]
     sub_big = [draw_rational(rng) for _ in range(big - 1)]
     U_small = UpperBidiagonal(n, diag_big[:n])
-    L_small = LowerBidiagonalUnit(1, n, sub_big[: n - 1])
+    L_small = LowerBidiagonalUnit(n, sub_big[: n - 1])
     U_big = UpperBidiagonal(big, diag_big)
-    L_big = LowerBidiagonalUnit(1, big, sub_big)
+    L_big = LowerBidiagonalUnit(big, sub_big)
     small = multiply_window(U_small, L_small)
     reference = multiply_window(U_big, L_big)
     assert small.valid_rows == n - 1
@@ -129,8 +128,8 @@ def test_window_counts_upper_band_beyond_truncation():
     # At n = 1 the superdiagonal of L U falls outside the matrix, but it
     # still reaches row 1 of the next factor: row 0 of (L U) L is not
     # trustworthy, as the 2 x 2 truncation shows.
-    L1, U1 = LowerBidiagonalUnit(1, 1, []), UpperBidiagonal(1, [2])
-    L2, U2 = LowerBidiagonalUnit(1, 2, [3]), UpperBidiagonal(2, [2, 5])
+    L1, U1 = LowerBidiagonalUnit(1, []), UpperBidiagonal(1, [2])
+    L2, U2 = LowerBidiagonalUnit(2, [3]), UpperBidiagonal(2, [2, 5])
     small = multiply_window(multiply_window(L1, U1), L1)
     big = multiply_window(multiply_window(L2, U2), L2)
     assert small.valid_rows == 0
@@ -153,7 +152,7 @@ def test_equal_matrices_hash_equal_whatever_their_stored_widths():
     upper = UpperBidiagonal(3, [2, 2, 2])
     assert upper == BandMatrix(3, 0, 1, {0: [2, 2, 2], 1: [1, 1, 0]})
     assert hash(upper) == hash(BandMatrix(3, 2, 1, {0: [2, 2, 2], 1: [1, 1, 0]}))
-    assert LowerBidiagonalUnit(1, 3, [0, 0]) == LowerBidiagonalUnit(2, 3, [0, 0]) == b
+    assert LowerBidiagonalUnit(3, [0, 0]) == b
     assert BandMatrix(3, 0, 0, {0: [1, 1, 1]}) != BandMatrix(4, 0, 0, {0: [1, 1, 1, 1]})
 
 
@@ -169,8 +168,8 @@ def test_band_closure_of_unit_lower_products():
             d: [draw_rational(rng) if i + d >= 0 else 0 for i in range(n)]
             for d in range(-w2, 0)
         }
-        a = UnitLowerBanded(w1, n, a_bands)
-        b = UnitLowerBanded(w2, n, b_bands)
+        a = BandMatrix(n, w1, 0, {**a_bands, 0: [1] * n})
+        b = BandMatrix(n, w2, 0, {**b_bands, 0: [1] * n})
         prod = multiply_window(a, b)
         assert prod.upper == 0
         assert prod.lower == w1 + w2
@@ -224,8 +223,8 @@ def test_characteristic_rejects_untrusted_rows():
 def _tiny_chain():
     n = 5
     factors = [
-        LowerBidiagonalUnit(1, n, [Fraction(i + 1, 2) for i in range(n - 1)]),
-        LowerBidiagonalUnit(2, n, [Fraction(2 * i + 1, 3) for i in range(n - 1)]),
+        LowerBidiagonalUnit(n, [Fraction(i + 1, 2) for i in range(n - 1)]),
+        LowerBidiagonalUnit(n, [Fraction(2 * i + 1, 3) for i in range(n - 1)]),
     ]
     upper = UpperBidiagonal(n, [Fraction(k + 2, 3) for k in range(n)])
     return BidiagonalChain(2, n, Fraction(1, 2), factors, upper)

@@ -48,7 +48,7 @@ from banded_darboux.errors import (
     SizeMismatch,
     ZeroPeelPivot,
 )
-from helpers import read_chain, read_vector
+from helpers import dense_rows, read_chain, read_vector, reconstruct
 
 # The documented codes of a singular pivot and of an internal consistency
 # failure (the cli and errors docstrings); the package names no constant
@@ -215,12 +215,22 @@ def test_factorize_reports_first_singular_minor(tmp_path, capsys):
 
 
 def test_factorize_chain_payload_round_trips(tmp_path, capsys):
-    config = write_config(tmp_path)
-    assert run_cli(tmp_path, "factorize", config) == EXIT_OK
-    payload = read_report(tmp_path, "factorize")["payload"]
-    chain = read_chain(payload["chain"])
-    assert chain.p == 2 and chain.n == 14
-    capsys.readouterr()
+    # The reported chain, read back, factors the reported J on every row of
+    # a truncation far past the window's rows, and labels L(1) .. L(p).
+    window, n = 4, 40
+    for p in range(1, 5):
+        config = write_config(tmp_path, p=p, N=n, window=window)
+        assert run_cli(tmp_path, "gen", config) == EXIT_OK
+        assert run_cli(tmp_path, "factorize", config) == EXIT_OK
+        capsys.readouterr()
+        J = BandedHessenberg.from_json_dict(read_report(tmp_path, "gen")["payload"]["matrix"])
+        payload = read_report(tmp_path, "factorize")["payload"]
+        chain = read_chain(payload["chain"])
+        assert chain.p == p and chain.n == n
+        assert [f["j"] for f in payload["chain"]["factors"]] == list(range(1, p + 1))
+        product = reconstruct(chain)
+        assert product.valid_rows == n
+        assert dense_rows(product) == dense_rows(J)
 
 
 def test_transform_and_polys_commands(tmp_path, capsys):

@@ -47,6 +47,7 @@ from helpers import (
     product_window,
     transformed_nu,
     transport_identity_by_dense,
+    unit_lower,
 )
 
 
@@ -132,7 +133,7 @@ def test_stage_ladder_matches_transport_matrix_identity():
         # matrix identity on leading blocks of every size.
         factors = [
             LowerBidiagonalUnit(
-                j + 1, n, list(staging.free_rows[j]) + [0] * (n - 1 - len(staging.free_rows[j]))
+                n, list(staging.free_rows[j]) + [0] * (n - 1 - len(staging.free_rows[j]))
             )
             for j in range(p - 1)
         ]
@@ -177,7 +178,7 @@ def test_transport_identity_matches_dense_products(p, kind, data):
         k = data.draw(st.integers(0, i))
         rows[i][k] += data.draw(nonzero)
         stage_ladders[j] = LambdaLadder(rows)
-    factors = [LowerBidiagonalUnit(j + 1, n, sub) for j, sub in enumerate(subs)]
+    factors = [LowerBidiagonalUnit(n, sub) for sub in subs]
     for j in range(p):
         for s in range(1, p - j):
             expected = transport_identity_by_dense(factors, stage_ladders, j, s)
@@ -191,7 +192,7 @@ def test_transport_identity_matches_dense_products(p, kind, data):
 
 def test_free_entries_single_band_is_empty():
     _, built = built_instance(1, seed=51, nu_source="ladder", nu_ladder=[["5"]])
-    assert built.ladder == LambdaLadder([[5]])
+    assert built.staging.stage_ladders[0] == LambdaLadder([[5]])
     assert built.staging.free_rows == ()
     assert built.staging.violation is None
 
@@ -305,14 +306,15 @@ def test_generate_stages_the_ladder_nu_is_built_from(
         built = generate(cfg)
     except GenerationExhausted:
         return  # bound 1 at p = 4 can run out of admissible ladders
-    assert lambda_of(built.nu, built.source_polys) == built.ladder
-    assert _staging(built.ladder, p) == built.staging
+    ladder = built.staging.stage_ladders[0]
+    assert lambda_of(built.nu, built.source_polys) == ladder
+    assert _staging(ladder, p) == built.staging
     if source == "random" and require_hypotheses:
         assert built.staging.violation is None
     if source == "canonical":
         duals = dual_sequence(built.instance.J, cfg.moment_budget)
         identity = LambdaLadder([[0] * i + [1] for i in range(p)])
-        assert built.ladder == identity
+        assert ladder == identity
         assert build_nu(identity, duals) == canonical_nu(duals, p) == built.nu
 
 
@@ -322,7 +324,10 @@ def test_resampled_ladder_keeps_the_accepted_draws_staging():
     built = generate(cfg)
     assert built.ladder_retries == 2
     assert built.staging.violation is None
-    assert built.staging == _staging(built.ladder, 2)
+    # nu is built from the accepted draw, so its ladder heads the staging.
+    ladder = built.staging.stage_ladders[0]
+    assert lambda_of(built.nu, built.source_polys) == ladder
+    assert built.staging == _staging(ladder, 2)
 
 
 def test_zero_ladder_diagonal_stops_generate_before_staging(monkeypatch):
@@ -451,7 +456,7 @@ def test_certificate_partial_on_staged_zero():
     assert staging == built.staging
     L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1)
-    assert product_window([factors[0], remainder]) == L
+    assert product_window([factors[0], unit_lower(remainder)]) == unit_lower(L)
 
 
 def test_certificate_config_guards():

@@ -10,10 +10,9 @@ from banded_darboux import (
     BandedHessenberg,
     IndexOutOfRange,
     ShiftedInstance,
+    ShapeMismatch,
     SingularLeadingMinor,
-    UnitLowerBanded,
     ZeroPeelPivot,
-    bidiagonal_chain_factor,
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
@@ -34,12 +33,15 @@ from helpers import (
     draw_rational,
     g_matrix,
     gamma,
+    hand_example,
     make_chain,
     plus_scaled_identity,
     product_window,
     random_hessenberg_local,
     random_unit_lower,
     recurrence_values_by_fractions,
+    split_chain,
+    unit_lower,
 )
 
 
@@ -51,7 +53,7 @@ def test_lu_on_already_upper_bidiagonal_matrix():
     J = BandedHessenberg(2, n, {0: range(1, n + 1)})
     inst = ShiftedInstance(J, 0)
     L, U, _ = shifted_lu(inst, inst.n)
-    assert all(all(v == 0 for v in L.band(d)) for d in range(-2, 0))
+    assert L == [[0, 0]] * n
     assert U.diag == tuple(Fraction(i + 1) for i in range(n))
 
 
@@ -59,7 +61,7 @@ def test_lu_catalan_values():
     inst = ShiftedInstance(catalan_hessenberg(3), 0)
     L, U, _ = shifted_lu(inst, inst.n)
     assert U.diag == (Fraction(2), Fraction(3, 2), Fraction(4, 3))
-    assert L.band(-1)[1:] == (Fraction(1, 2), Fraction(2, 3))
+    assert L == [[0], [Fraction(1, 2)], [Fraction(2, 3)]]
 
 
 def test_lu_rejects_singular_shift():
@@ -79,7 +81,7 @@ def test_lu_reconstructs_shifted_matrix_exactly():
         except SingularLeadingMinor:
             continue
         L, U, _ = shifted_lu(inst, inst.n)
-        prod = multiply_window(L, U)
+        prod = multiply_window(unit_lower(L), U)
         assert prod.valid_rows == 9
         target = plus_scaled_identity(J, -shift)
         assert prod == target
@@ -101,20 +103,20 @@ def test_lu_pivots_are_minor_ratios():
 
 
 def test_peel_identity_with_zero_free_entries():
-    L = UnitLowerBanded(3, 6, {})
-    factors = bidiagonal_chain_factor(L, [[0, 0], [0]])
+    L = [[Fraction(0)] * 3] * 6
+    factors = split_chain(L, [[0, 0], [0]])
     for f in factors:
         assert all(v == 0 for v in f.sub)
-    assert product_window(factors) == L
+    assert product_window(factors) == unit_lower(L)
 
 
 def test_peel_hand_example_free_one():
     n = 6
-    L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, [[1]])
+    L = hand_example(n)
+    factors = split_chain(L, [[1]])
     assert factors[0].sub == (1,) * (n - 1)
     assert factors[1].sub == (2,) * (n - 1)
-    assert product_window(factors) == L
+    assert product_window(factors) == unit_lower(L)
 
 
 def test_peel_hand_example_free_two_still_reconstructs():
@@ -122,13 +124,13 @@ def test_peel_hand_example_free_two_still_reconstructs():
     # giving 2 again, and the whole first factor stays at 2 while the
     # remainder drops to 1; the product is the real contract.
     n = 6
-    L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
-    factors = bidiagonal_chain_factor(L, [[2]])
+    L = hand_example(n)
+    factors = split_chain(L, [[2]])
     assert factors[0].sub_at_row(1) == 2
     assert factors[0].sub_at_row(2) == Fraction(2, 1)
     assert factors[0].sub == (2,) * (n - 1)
     assert factors[1].sub == (1,) * (n - 1)
-    assert product_window(factors) == L
+    assert product_window(factors) == unit_lower(L)
 
 
 def test_peel_seeded_roundtrip_and_prescribed_entries():
@@ -138,10 +140,10 @@ def test_peel_seeded_roundtrip_and_prescribed_entries():
             L = random_unit_lower(rng, p, 8)
             rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
             try:
-                factors = bidiagonal_chain_factor(L, rows)
+                factors = split_chain(L, rows)
             except ZeroPeelPivot:
                 continue
-            assert product_window(factors) == L
+            assert product_window(factors) == unit_lower(L)
             for j in range(1, p):
                 for r in range(1, p - j + 1):
                     assert factors[j - 1].sub_at_row(r) == rows[j - 1][r - 1]
@@ -151,8 +153,8 @@ def test_peel_is_deterministic():
     rng = random.Random(78)
     L = random_unit_lower(rng, 3, 8)
     free_rows = [[1, 2], [3]]
-    once = bidiagonal_chain_factor(L, free_rows)
-    twice = bidiagonal_chain_factor(L, free_rows)
+    once = split_chain(L, free_rows)
+    twice = split_chain(L, free_rows)
     assert once == twice
 
 
@@ -160,26 +162,24 @@ def test_peel_zero_pivot_is_reported():
     # Free entry 3 makes the remainder's first subdiagonal entry 3 - 3 = 0;
     # the next row then needs 2 / 0, which has no solution.
     n = 5
-    L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1), -2: [0, 0] + [2] * (n - 2)})
+    L = hand_example(n)
     with pytest.raises(ZeroPeelPivot) as err:
-        bidiagonal_chain_factor(L, [[3]])
+        split_chain(L, [[3]])
     assert (err.value.stage, err.value.row) == (1, 2)
 
 
 def test_peel_vacuous_constraint_takes_zero():
     # Identity-like input: numerator and divisor both vanish, so the factor
     # entry is unconstrained and the canonical zero is chosen.
-    n = 5
-    L = UnitLowerBanded(2, n, {-1: [0] + [3] * (n - 1)})
-    factors = bidiagonal_chain_factor(L, [[3]])
-    assert product_window(factors) == L
+    L = [[Fraction(0), Fraction(3 if i else 0)] for i in range(5)]
+    factors = split_chain(L, [[3]])
+    assert product_window(factors) == unit_lower(L)
 
 
 def test_free_spec_validation():
     # Too few rows, a row too long, and rows sized for another p, given to
-    # the chain split and to the chain of an instance (p = 3 for both).
+    # the chain of an instance with p = 3, and one more row than p = 2 takes.
     inst, _ = make_chain(random.Random(81), 3, 8)
-    L, _, _ = shifted_lu(inst, inst.n)
     cases = [
         ([[1, 2]], "need rows for factors 1..2, got 1"),
         ([[1, 2], [3, 4]], "stage 2 needs 1 free entries, got 2"),
@@ -188,21 +188,28 @@ def test_free_spec_validation():
         ([[1, 2, 3], [4, 5], [6]], "need rows for factors 1..2, got 3"),
     ]
     for rows, message in cases:
-        with pytest.raises(BadFreeSpec, match=message):
-            bidiagonal_chain_factor(L, rows)
         for keep in (3, inst.n):
             with pytest.raises(BadFreeSpec, match=message):
                 chain_from_instance(inst, rows, keep)
+    inst, _ = make_chain(random.Random(82), 2, 4)
     with pytest.raises(BadFreeSpec, match="need rows for factors 1..1, got 2"):
-        bidiagonal_chain_factor(UnitLowerBanded(2, 4, {}), [[1, 2], [3]])
+        chain_from_instance(inst, [[1, 2], [3]], inst.n)
 
 
 def test_partial_peel_keeps_reconstruction():
     rng = random.Random(79)
     L = random_unit_lower(rng, 3, 7)
     factors, remainder = peel_stages(L, [[1, 2]], 1)
-    assert remainder.w == 2
-    assert product_window([factors[0], remainder]) == L
+    assert {len(row) for row in remainder} == {2}
+    assert product_window([factors[0], unit_lower(remainder)]) == unit_lower(L)
+
+
+def test_peel_rejects_an_empty_ragged_or_overhanging_lower():
+    # Empty, ragged, and with a nonzero entry at column -1 of row 1.
+    zero = [Fraction(0)] * 2
+    for L in ([], [zero, [Fraction(1)]], [zero, [Fraction(1), Fraction(3)], [Fraction(2)] * 2]):
+        with pytest.raises(ShapeMismatch):
+            peel_stages(L, [[1]], 1)
 
 
 # ------------------------------------------------------ rotations / g matrix

@@ -35,7 +35,6 @@ from banded_darboux import (
     OrthogonalityVector,
     ShiftedInstance,
     SingularLeadingMinor,
-    UnitLowerBanded,
     UpperBidiagonal,
     ZeroPeelPivot,
     build_nu,
@@ -52,7 +51,7 @@ from banded_darboux import (
     shifted_lu,
     transformed_polys,
 )
-from banded_darboux import banded, factorization
+from banded_darboux import BandMatrix, banded, factorization
 from banded_darboux.cli import main
 from helpers import (
     characteristic_polys_by_polynomials,
@@ -64,6 +63,7 @@ from helpers import (
     scan_by_apply,
     transformed_nu,
     transformed_polys_full,
+    unit_lower,
 )
 
 BOUNDS = (1, 9, 1000)
@@ -100,7 +100,7 @@ def chains(draw):
     def entries(size):
         return draw(st.lists(rationals(bound), min_size=size, max_size=size))
 
-    factors = [LowerBidiagonalUnit(j, n, entries(n - 1)) for j in range(1, p + 1)]
+    factors = [LowerBidiagonalUnit(n, entries(n - 1)) for _ in range(p)]
     return BidiagonalChain(p, n, draw(rationals(bound)), factors, UpperBidiagonal(n, entries(n)))
 
 
@@ -226,17 +226,18 @@ def test_recurrence_values_matches_fraction_recurrence(case, data):
 
 @st.composite
 def unit_lowers(draw):
-    """A unit lower L with 1..4 bands and N <= 24, free entries for every
-    stage, and a stage count."""
+    """The rows of a unit lower L with 1..4 bands and N <= 24 (see
+    `unit_lower`), free entries for every stage, and a stage count."""
     w = draw(st.integers(1, 4))
     n = draw(st.integers(1, 24))
     bound = draw(st.sampled_from(BOUNDS))
-    bands = {
-        -d: [draw(rationals(bound)) if i >= d else 0 for i in range(n)]
+    bands = [
+        [draw(rationals(bound)) if i >= d else Fraction(0) for i in range(n)]
         for d in range(1, w + 1)
-    }
+    ]
+    rows = [list(row) for row in zip(*reversed(bands))]
     free = [[draw(rationals(bound)) for _ in range(w - j)] for j in range(1, w)]
-    return UnitLowerBanded(w, n, bands), free, draw(st.integers(0, w - 1))
+    return rows, free, draw(st.integers(0, w - 1))
 
 
 def peel_outcome(peel):
@@ -248,17 +249,24 @@ def peel_outcome(peel):
         return ("ZeroPeelPivot", exc.stage, exc.row)
     return (
         [(f.n, f.sub) for f in factors],
-        (remainder.n, remainder.w),
-        [remainder.band(d) for d in range(-remainder.w, 0)],
+        (remainder.n, remainder.lower),
+        [remainder.band(d) for d in range(-remainder.lower, 0)],
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=unit_lowers())
 def test_peel_matches_full_exact_peel(case):
+    # The peel of L's rows against the band-by-band peel of its matrix.
     L, free, stages = case
-    fast = peel_outcome(lambda: peel_stages(L, free, stages))
-    assert fast == peel_outcome(lambda: peel_stages_full(L, free, stages))
+
+    def fast():
+        factors, remainder = peel_stages(L, free, stages)
+        return factors, unit_lower(remainder)
+
+    assert peel_outcome(fast) == peel_outcome(
+        lambda: peel_stages_full(unit_lower(L), free, stages)
+    )
 
 
 def residue(v):
@@ -266,12 +274,8 @@ def residue(v):
 
 
 def residue_rows(L, first):
-    """L's rows first .. N-1 mod Q, entry k of row r at column r-w+k (0
-    where the column is negative)."""
-    return [
-        [residue(L.entry(r, c)) if c >= 0 else 0 for c in range(r - L.w, r)]
-        for r in range(first, L.n)
-    ]
+    """L's rows first .. N-1 mod Q."""
+    return [[residue(v) for v in row] for row in L[first:]]
 
 
 def normalised(tail):
@@ -286,9 +290,8 @@ def test_residue_stage_matches_exact_stage(case):
     # Each stage on residue rows, started from every exact row, against the
     # exact stage on all N rows: the same rows mod Q, and undecided exactly
     # when a forced divisor past the start is zero.
-    L, free, stages = case
-    n, w = L.n, L.w
-    exact = [list(row) for row in zip(*(L.band(d) for d in range(-w, 0)))]
+    exact, free, stages = case
+    n, w = len(exact), len(exact[0])
     for j in range(1, stages + 1):
         prescribed = [Fraction(v) for v in free[j - 1]]
         try:
@@ -325,8 +328,8 @@ def instances(draw):
 def full_chain(inst, free_rows):
     """The chain over all N rows through the oracle peel."""
     L, U, _ = shifted_lu(inst, inst.n)
-    factors, remainder = peel_stages_full(L, free_rows, inst.p - 1)
-    factors.append(LowerBidiagonalUnit(inst.p, inst.n, remainder.band(-1)[1:]))
+    factors, remainder = peel_stages_full(unit_lower(L), free_rows, inst.p - 1)
+    factors.append(LowerBidiagonalUnit(inst.n, remainder.band(-1)[1:]))
     return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
 
 
@@ -367,11 +370,12 @@ def test_lu_on_leading_rows_matches_full_exact_lu(case):
         return
     n, p = inst.n, inst.p
     L, U, tail = shifted_lu(inst, n)
-    assert tail == [] and L.n == U.n == n
+    assert tail == [] and len(L) == U.n == n
+    assert all(len(row) == p for row in L)
     for rows in range(1, n + 1):
         lead, upper, tail = shifted_lu(inst, rows)
-        assert lead.n == upper.n == rows
-        assert [lead.band(d) for d in range(-p, 0)] == [L.band(d)[:rows] for d in range(-p, 0)]
+        assert upper.n == rows
+        assert lead == L[:rows]
         assert upper.diag == U.diag[:rows]
         if p == 1:
             # The split peels no stage, so no tail is computed.
@@ -415,7 +419,7 @@ def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
             L, _, _ = shifted_lu(ShiftedInstance(J, shift), n)
         except SingularLeadingMinor:
             return
-        bands[0][k] = shift + L.entry(k, k - 1) + forced
+        bands[0][k] = shift + L[k][p - 1] + forced
     try:
         inst = ShiftedInstance(BandedHessenberg(p, n, bands), shift)
     except SingularLeadingMinor:
@@ -447,7 +451,7 @@ def test_undecided_peel_tail_reruns_the_exact_chain(n, bound, forced, data):
     sub = [data.draw(rationals(bound)) for _ in range(n - 1)]
     sub[k - 1] = forced
     low = [Fraction(0)] * (k + 1) + [data.draw(rationals(bound)) for _ in range(n - k - 1)]
-    L = UnitLowerBanded(2, n, {-1: [0] + sub, -2: low})
+    L = BandMatrix(n, 2, 0, {-1: [0] + sub, -2: low, 0: [1] * n})
     u = [data.draw(rationals(bound, nonzero=True)) for _ in range(n)]
     shift = data.draw(rationals(bound))
     # A(i, m) = L(i, m) u_m + L(i, m-1) for A = J - C*I = L U.
@@ -578,7 +582,7 @@ def test_rotations_take_3p_minus_2_products():
     # form J(1..p) in one builder call, so they take 3p - 2 too.
     for p in range(1, 5):
         n = 6
-        factors = [LowerBidiagonalUnit(j, n, [j] * (n - 1)) for j in range(1, p + 1)]
+        factors = [LowerBidiagonalUnit(n, [j] * (n - 1)) for j in range(1, p + 1)]
         chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
         with counted_products() as counted:
             darboux_transform(chain, range(1, p + 1))
