@@ -46,7 +46,7 @@ for n in range(N):
 # -- rotate the factorization ------------------------------------------------
 
 chain = chain_from_instance(inst, (), inst.n)  # p = 1: no free entries
-J1 = darboux_transform(chain, [1])[1]
+[(_, J1)] = darboux_transform(chain, [1])
 print("\nJ(1) = U * L + 0*I, trustworthy on rows 0..", J1.valid_rows - 1)
 print("  new diagonal:", ", ".join(str(J1.a(i, i)) for i in range(4)), "...")
 

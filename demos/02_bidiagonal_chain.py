@@ -52,5 +52,5 @@ for j, f in enumerate(chain.factors, start=1):
     print(f"  L({j}) subdiagonal starts: {', '.join(str(v) for v in f.sub[:3])}, ...")
 print(f"  U diagonal starts: {', '.join(str(v) for v in chain.upper.diag[:3])}, ...")
 
-for j, hess in darboux_transform(chain, range(p + 1)).items():
+for j, hess in darboux_transform(chain, range(p + 1)):
     print(f"J({j}): p={hess.p}, trustworthy rows {hess.valid_rows}/{N}")

@@ -26,14 +26,18 @@ report only when the whole document is written: a failed command leaves no
 report and prints nothing to stdout, and an older report at that path stays
 as it was. `timings` is written last, so `total_s` includes formatting and
 writing. factorize and transform check their results printable
-(exact.check_printable) before formatting any. transform checks the last
-row's lowest-band entry of each J(j) it prints, j >= 1, a product of p + 1
-chain values, before it forms any J(j): entry sizes grow with the row
-index, so an unprintable J(j) fails there first, without being formed. It
-then forms every J(j), j >= 1, in one darboux_transform call (J(0) is the
-source matrix), checks each in full before it writes anything, and lets go
-of each J(j) once written. polys and verify likewise take all their J(j)
-from one call, through transformed_polys.
+(exact.check_printable) before formatting them. transform checks the chain,
+and the last row's lowest-band entry of each J(j) it prints, j >= 1, a
+product of p + 1 chain values, before it forms any J(j): entry sizes grow
+with the row index, so an unprintable J(j) fails there first, without being
+formed. The J(j), j >= 1, then come from one lazy darboux_transform call
+(J(0) is the source matrix): each is taken only when the writer reaches its
+section, checked in full, written and let go. So transform holds one J(j)
+at a time, plus, at p >= 10, the J(j) it skipped because the keys sort as
+strings ("10" before "2"). A J(j) unprintable there fails the run as an
+early check does, since the report is renamed into place only when
+complete. polys and verify likewise take their J(j) one at a time from one
+call, through transformed_polys.
 
 Every command runs through one runner (`_run`): load the config, start the
 clock, generate the instance, run the command, write its report, then copy
@@ -283,29 +287,30 @@ def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     js = _indices(config)
-    rotated = [j for j in js if j]
     # The last-row check of every J(j) to print, j >= 1, before any is formed.
-    check_printable(last_row_lowest_entry(chain, j) for j in rotated)
-    # J(0) is the source matrix itself; the rotated J(j) come from one
-    # builder call. All are formed and checked printable in full before
-    # anything is written.
-    rotations = darboux_transform(chain, rotated)
-    matrices = {}
+    check_printable(last_row_lowest_entry(chain, j) for j in js if j)
+    # J(0) is the source matrix itself; the rotated J(j) come, in increasing
+    # j, from one lazy builder call. A product's last row is not valid: the
+    # head's superdiagonal crosses the truncation edge.
+    rotations = darboux_transform(chain, [j for j in js if j])
     for j in js:
-        hess = rotations.pop(j) if j else built.instance.J
-        check_printable(hess.printed_values())
-        matrices[str(j)] = hess
-    for key, hess in matrices.items():
-        print(f"J({key}): valid rows {hess.valid_rows} of {config.n}", file=out)
+        print(f"J({j}): valid rows {config.n - 1 if j else config.n} of {config.n}", file=out)
+    taken = {0: built.instance.J}
 
-    def section(key: str) -> dict:
+    def section(j: int) -> dict:
+        # The writer reaches the keys as sorted strings ("10" before "2"), so
+        # the builder is read forward to J(j), keeping only the J(k) skipped.
         # The section is J(j)'s last reader, so it lets go of it.
-        hess = matrices.pop(key)
+        while j not in taken:
+            k, hess = next(rotations)
+            taken[k] = hess
+        hess = taken.pop(j)
+        check_printable(hess.printed_values())
         return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
 
     body = {
         "chain": chain.to_json_dict,
-        "transforms": {key: partial(section, key) for key in matrices},
+        "transforms": {str(j): partial(section, j) for j in js},
     }
     return body, EXIT_OK
 

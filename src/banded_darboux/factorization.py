@@ -9,9 +9,9 @@ subdiagonal entries, and forms the cyclic permutations
 
 each again a (p+2)-banded Hessenberg matrix with unit superdiagonal on its
 safe window. `darboux_transform(chain, js)`, the one route from a chain to
-its rotations, forms the requested J(j) from halves shared between them,
-each in one step from its windowed product: C is added to the product's
-diagonal as the Hessenberg truncation is built.
+its rotations, yields the requested J(j) lazily, in increasing j, from
+halves shared between them, each in one step from its windowed product: C
+is added to the product's diagonal as the Hessenberg truncation is built.
 
 L passes from the LU to the split as its rows, row i being [L(i, i-p), ..,
 L(i, i-1)] with 0 where the column is negative; the split's last remainder,
@@ -350,40 +350,55 @@ def _chain(
     return BidiagonalChain(p, rows, inst.shift, factors, U)
 
 
-def darboux_transform(chain: BidiagonalChain, js: Iterable[int]) -> dict[int, BandedHessenberg]:
+def darboux_transform(
+    chain: BidiagonalChain, js: Iterable[int]
+) -> Iterator[tuple[int, BandedHessenberg]]:
     """The cyclic permutations J(j) = C*I + L(j+1) ... L(p) U L(1) ... L(j)
-    for each j in `js`, keyed by j in increasing order.
+    for each j in `js`, as (j, J(j)) pairs in increasing j, each formed only
+    when the iterator reaches it.
 
     Formed as C*I + S(j+1) T(j) from the halves S(p+1) = U,
     S(k) = L(k) S(k+1) and T(0) = I, T(j) = T(j-1) L(j), each built once
     and only as far as the requested j reach: p - min js products for the
     heads, max(max js - 1, 0) for the tails and one per j >= 1 to join them.
-    That is 3p - 2 windowed products for j = 1 .. p and p for a single j. Each
-    half is released once no later j reads it. j = 0 reproduces the source
-    matrix exactly; j >= 1 is trustworthy on all rows but the last (one
-    upper band crosses the truncation edge once).
+    That is 3p - 2 windowed products for j = 1 .. p and p for a single j.
+    The heads are all built before the first J(j), since S(j+1) needs
+    S(j+2); each is released once its J(j) is formed, and the tails and
+    products of a later j are formed only when the iterator reaches it. So
+    a caller that lets go of each J(j) holds one at a time. An index
+    outside 0 .. p raises here, before any product. j = 0 reproduces the
+    source matrix exactly; j >= 1 is trustworthy on all rows but the last
+    (one upper band crosses the truncation edge once).
     """
     p = chain.p
     wanted = set(js)
     for j in sorted(wanted):
         if not 0 <= j <= p:
             raise IndexOutOfRange(f"transform index {j} outside 0..{p}")
+    return _rotations(chain, wanted)
+
+
+def _rotations(
+    chain: BidiagonalChain, wanted: set[int]
+) -> Iterator[tuple[int, BandedHessenberg]]:
+    """`darboux_transform`'s products, on indices already checked."""
+    p = chain.p
     # heads[j] = S(j+1), kept only for the wanted j.
     heads = {p: chain.upper}
     for k in range(p, min(wanted, default=p), -1):
         heads[k - 1] = multiply_window(
             chain.factors[k - 1], heads[k] if k in wanted else heads.pop(k)
         )
-    rotations = {}
     if 0 in wanted:
-        rotations[0] = BandedHessenberg.from_band_matrix(heads.pop(0), p, chain.shift)
+        yield 0, BandedHessenberg.from_band_matrix(heads.pop(0), p, chain.shift)
     tail = None
     for j, factor in enumerate(chain.factors[: max(wanted, default=0)], start=1):
         tail = factor if tail is None else multiply_window(tail, factor)
         if j in wanted:
-            prod = multiply_window(heads.pop(j), tail)
-            rotations[j] = BandedHessenberg.from_band_matrix(prod, p, chain.shift)
-    return rotations
+            # No name holds the product: the caller's J(j) is its one copy.
+            yield j, BandedHessenberg.from_band_matrix(
+                multiply_window(heads.pop(j), tail), p, chain.shift
+            )
 
 
 def last_row_lowest_entry(chain: BidiagonalChain, j: int) -> Fraction:
@@ -422,9 +437,10 @@ def transformed_polys(
     Degrees up to nmax read rows 0 .. nmax-1 only, so the J(j) are formed
     by one `darboux_transform` call on the chain's leading (nmax+1) x
     (nmax+1) block; its safe window (nmax rows for j >= 1) covers exactly
-    those rows. Each sequence is computed only when the iterator reaches
-    it, and its J(j) released then.
+    those rows. Each J(j) and its sequence are computed only when the
+    iterator reaches them, so it holds one J(j) at a time. An index outside
+    0 .. p raises here, as in `darboux_transform`.
     """
     m = min(chain.n, max(nmax, 0) + 1)
     rotations = darboux_transform(chain.leading(m), js)
-    return ((j, characteristic_polys(rotations.pop(j), nmax)) for j in list(rotations))
+    return ((j, characteristic_polys(hess, nmax)) for j, hess in rotations)

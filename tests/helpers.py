@@ -512,7 +512,7 @@ def scan_by_apply(nu, polys, p, window):
 
 def transformed_polys_full(chain, j, nmax):
     """The sequence of J(j) with J(j) formed over all N rows of the chain."""
-    return characteristic_polys(darboux_transform(chain, [j])[j], nmax)
+    return characteristic_polys(dict(darboux_transform(chain, [j]))[j], nmax)
 
 
 def recurrence_values_by_fractions(hess, z, nmax):

@@ -150,8 +150,8 @@ MUTANTS = (
     Mutant(
         "rotation-halves-swapped",
         "src/banded_darboux/factorization.py",
-        "prod = multiply_window(heads.pop(j), tail)",
-        "prod = multiply_window(tail, heads.pop(j))",
+        "multiply_window(heads.pop(j), tail)",
+        "multiply_window(tail, heads.pop(j))",
         ("tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",),
     ),
     Mutant(
@@ -177,6 +177,13 @@ MUTANTS = (
         "enumerate(chain.factors[: max(wanted, default=0)], start=1)",
         "enumerate(chain.factors, start=1)",
         ("tests/test_kernels.py::test_rotations_built_once_for_any_index_set",),
+    ),
+    Mutant(
+        "builder-forms-every-rotation-before-yielding",
+        "src/banded_darboux/factorization.py",
+        "    return _rotations(chain, wanted)\n",
+        "    return iter(list(_rotations(chain, wanted)))\n",
+        ("tests/test_kernels.py::test_rotations_are_formed_only_as_the_iterator_reaches_them",),
     ),
     Mutant(
         "rotation-leaves-the-shift-off",
@@ -222,6 +229,16 @@ MUTANTS = (
             "tests/test_cli.py::test_transform_checks_every_rotation_before_formatting",
             "tests/test_cli.py::test_transform_full_check_still_rejects_a_rotation_the_last_row_passes",
         ),
+    ),
+    Mutant(
+        "section-takes-the-next-rotation-whatever-its-key",
+        "src/banded_darboux/cli.py",
+        "        while j not in taken:\n"
+        "            k, hess = next(rotations)\n"
+        "            taken[k] = hess\n"
+        "        hess = taken.pop(j)\n",
+        "        hess = taken.pop(j) if j in taken else next(rotations)[1]\n",
+        ("tests/test_cli.py::test_transform_sections_match_the_chained_oracle_byte_for_byte",),
     ),
     Mutant(
         "section-resolved-once",

@@ -48,7 +48,14 @@ from banded_darboux.errors import (
     SizeMismatch,
     ZeroPeelPivot,
 )
-from helpers import dense_rows, read_chain, read_vector, reconstruct
+from helpers import (
+    darboux_transform_chained,
+    dense_rows,
+    plain_json,
+    read_chain,
+    read_vector,
+    reconstruct,
+)
 
 # The documented codes of a singular pivot and of an internal consistency
 # failure (the cli and errors docstrings); the package names no constant
@@ -867,14 +874,118 @@ def test_transform_full_check_still_rejects_a_rotation_the_last_row_passes(
     tmp_path, capsys, monkeypatch
 ):
     # With the last-row check blinded, the full check of the formed J(1)
-    # must still stop transform before anything is formatted.
+    # must still stop transform before J(1) is formatted. Its section is
+    # checked when the writer reaches it, after the chain's and J(0)'s
+    # sections (only the chain's with --j 1); the report is never renamed
+    # into place.
     monkeypatch.setattr(cli, "last_row_lowest_entry", lambda chain, j: Fraction(0))
     codes, formatted, products = _run_unprintable_transforms(tmp_path, monkeypatch)
     assert codes == [EXIT_CONFIG, EXIT_CONFIG]
-    assert formatted == []
+    layouts = [x for x in formatted if isinstance(x, type)]
+    assert layouts == [BidiagonalChain, BandedHessenberg, BidiagonalChain]
     assert len(products) == 2  # J(1) was formed once per run, then refused
     assert capsys.readouterr().err.count("640-digit") == 2
     assert os.listdir(tmp_path / "reports") == ["factorize.json"]
+
+
+# (p, N, window) of the configs whose transform reports are checked byte for
+# byte: p = 1..4, and p = 10 and 11, where the writer asks for "10" (and
+# "11") before "2".
+_TRANSFORM_SHAPES = [(1, 20, 8), (2, 14, 8), (3, 14, 8), (4, 14, 8), (10, 21, 9), (11, 23, 9)]
+
+
+@pytest.mark.parametrize("p, n, window", _TRANSFORM_SHAPES)
+def test_transform_sections_match_the_chained_oracle_byte_for_byte(
+    tmp_path, capsys, p, n, window
+):
+    # For all j and for each --j, every section is J(j) formed as one
+    # left-to-right product of the reported chain; stdout lists each J(j)'s
+    # valid rows in j order, then the report path.
+    config = write_config(tmp_path, p=p, N=n, window=window, seed=1)
+    path = tmp_path / "reports" / "transform.json"
+    for js in [range(p + 1), *([j] for j in range(p + 1))]:
+        extra = () if len(js) > 1 else ("--j", str(js[0]))
+        capsys.readouterr()
+        assert run_cli(tmp_path, "transform", config, *extra) == EXIT_OK
+        text = path.read_text()
+        document = json.loads(text)
+        chain = read_chain(document["payload"]["chain"])
+        rotations = {j: darboux_transform_chained(chain, j) for j in js}
+        document["payload"]["transforms"] = {
+            str(j): {"matrix": plain_json(hess.to_json_dict()), "valid_rows": hess.valid_rows}
+            for j, hess in rotations.items()
+        }
+        assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out.splitlines() == [
+            f"J({j}): valid rows {hess.valid_rows} of {n}" for j, hess in rotations.items()
+        ] + [f"report: {path}"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-report", "old-report"])
+def test_transform_rotation_unprintable_mid_stream_writes_nothing(
+    tmp_path, capsys, monkeypatch, existing
+):
+    # J(2) is found unprintable only when the writer reaches its section,
+    # after the chain, J(0) and J(1) are written to the temporary file: the
+    # run must end as an early check would, with one error: line, no
+    # stdout and no report.
+    config = write_config(tmp_path, p=3, N=14, window=8, seed=1)
+    reports = tmp_path / "reports"
+    old = reports / "transform.json"
+    if existing:
+        reports.mkdir()
+        old.write_bytes(b'{"old": true}\n')
+    j2, written = [], []
+    build = cli.darboux_transform
+
+    def rotations(chain, js):
+        for j, hess in build(chain, js):
+            if j == 2:
+                j2.append(hess)
+            yield j, hess
+
+    values, layout = BandedHessenberg.printed_values, BandedHessenberg.to_json_dict
+    too_long = Fraction(10) ** sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "darboux_transform", rotations)
+    monkeypatch.setattr(
+        BandedHessenberg, "printed_values",
+        lambda self: iter([too_long]) if any(self is h for h in j2) else values(self),
+    )
+    monkeypatch.setattr(
+        BandedHessenberg, "to_json_dict", lambda self: written.append(self) or layout(self)
+    )
+    assert run_cli(tmp_path, "transform", config) == EXIT_CONFIG
+    assert len(j2) == 1 and len(written) == 2  # J(0) and J(1) were written
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "int-to-str limit" in captured.err
+    if existing:
+        assert os.listdir(reports) == [old.name]
+        assert old.read_bytes() == b'{"old": true}\n'
+    else:
+        assert not reports.exists() or os.listdir(reports) == []
+
+
+def test_transform_holds_one_rotation_at_a_time(tmp_path):
+    # The rotations stream: with all j, transform holds the heads S(j+1) a
+    # later j needs, and one J(j) at a time, so its peak heap stays close to
+    # that of --j 1. Holding every J(j) at once reads above 2.
+    config = write_config(tmp_path, p=4, N=200, window=8, seed=1)
+
+    def peak(*extra):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(_Discard()):
+                assert run_cli(tmp_path, "transform", config, *extra) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Untraced, so that what a first run allocates once is counted in neither.
+    with redirect_stdout(_Discard()):
+        assert run_cli(tmp_path, "transform", config, "--j", "0") == EXIT_OK
+    assert peak() / peak("--j", "1") < 1.55
 
 
 def test_transform_peak_memory_is_under_twice_its_report(tmp_path, capsys):

@@ -180,13 +180,13 @@ def test_rotation_on_leading_block_matches_full_chain(chain):
     n = chain.n
     assert plain_json(chain.leading(n).to_json_dict()) == plain_json(chain.to_json_dict())
     for j in range(chain.p + 1):
-        full = darboux_transform(chain, [j])[j]
+        full = dict(darboux_transform(chain, [j]))[j]
         for nmax in range(full.valid_rows + 1):
             [(_, fast)] = transformed_polys(chain, nmax, [j])
             slow = transformed_polys_full(chain, j, nmax)
             assert fast == slow
         for m in range(1, n + 1):
-            lead = darboux_transform(chain.leading(m), [j])[j]
+            lead = dict(darboux_transform(chain.leading(m), [j]))[j]
             assert lead.valid_rows == (m if j == 0 else m - 1)
             for i in range(lead.valid_rows):
                 for c in range(m):
@@ -356,7 +356,7 @@ def test_chain_on_leading_rows_matches_full_chain(case):
     for rows in range(1, inst.n + 1):
         chain = chain_from_instance(inst, free, rows)
         assert plain_json(chain.to_json_dict()) == plain_json(slow.leading(rows).to_json_dict())
-    j0 = darboux_transform(chain, [0])[0]
+    j0 = dict(darboux_transform(chain, [0]))[0]
     assert j0 == J and j0.valid_rows == J.n
 
 
@@ -522,11 +522,11 @@ def test_cli_on_leading_rows_matches_the_exact_route(config, command):
 @settings(max_examples=30, deadline=None)
 @given(chain=chains())
 def test_rotations_from_shared_halves_match_chained_product(chain):
-    rotations = darboux_transform(chain, range(1, chain.p + 1))
+    rotations = dict(darboux_transform(chain, range(1, chain.p + 1)))
     assert list(rotations) == list(range(1, chain.p + 1))
     for j in range(chain.p + 1):
         slow = darboux_transform_chained(chain, j)
-        for got in (darboux_transform(chain, [j])[j], rotations.get(j)):
+        for got in (dict(darboux_transform(chain, [j]))[j], rotations.get(j)):
             if got is None:
                 continue
             assert got == slow
@@ -563,7 +563,7 @@ def test_rotations_built_once_for_any_index_set(chain, data):
     p = chain.p
     js = data.draw(st.sets(st.integers(0, p), min_size=1))
     with counted_products() as counted:
-        rotations = darboux_transform(chain, js)
+        rotations = dict(darboux_transform(chain, js))
     assert list(rotations) == sorted(js)
     expected = (p - min(js)) + max(max(js) - 1, 0) + sum(1 for j in js if j >= 1)
     assert counted.call_count == expected
@@ -585,12 +585,12 @@ def test_rotations_take_3p_minus_2_products():
         factors = [LowerBidiagonalUnit(n, [j] * (n - 1)) for j in range(1, p + 1)]
         chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
         with counted_products() as counted:
-            darboux_transform(chain, range(1, p + 1))
+            list(darboux_transform(chain, range(1, p + 1)))
             assert counted.call_count == 3 * p - 2
             one_at_a_time = 0
             for j in range(p + 1):
                 counted.reset_mock()
-                darboux_transform(chain, [j])
+                list(darboux_transform(chain, [j]))
                 assert counted.call_count == p
                 one_at_a_time += counted.call_count if j else 0
             assert one_at_a_time == p * p
@@ -606,6 +606,25 @@ def test_rotations_take_3p_minus_2_products():
                 code, _, _, payload = run_command("polys", path, tmp)
             assert code == 0 and list(payload["sequences"]) == [str(j) for j in range(p + 1)]
             assert counted.call_count == 3 * p - 2
+
+
+def test_rotations_are_formed_only_as_the_iterator_reaches_them():
+    # The heads are all built before J(1), since S(2) needs S(3) .. S(p+1):
+    # p - 1 products, then J(1)'s join. Each later J(j) takes its tail and
+    # its join only when the iterator reaches it, so no product of a later
+    # j has run before; the call itself forms nothing.
+    for p in range(1, 5):
+        n = 6
+        factors = [LowerBidiagonalUnit(n, [j] * (n - 1)) for j in range(1, p + 1)]
+        chain = BidiagonalChain(p, n, 2, factors, UpperBidiagonal(n, [3] * n))
+        with counted_products() as counted:
+            rotations = darboux_transform(chain, range(1, p + 1))
+            assert counted.call_count == 0
+            assert next(rotations)[0] == 1
+            assert counted.call_count == p
+            for j, _ in rotations:
+                assert counted.call_count == p + 2 * (j - 1)
+        assert counted.call_count == 3 * p - 2
 
 
 @contextmanager
