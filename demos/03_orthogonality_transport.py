@@ -15,12 +15,12 @@ the minor hypothesis and is rejected up front, yet its full rotation
 from banded_darboux import (
     HypothesisViolated,
     InstanceConfig,
-    OrthogonalityVector,
     chain_from_instance,
     generate,
     is_p_orthogonal,
     moment_budget,
     run_theorem,
+    shift_multiply,
     transformed_polys,
 )
 
@@ -56,10 +56,8 @@ except HypothesisViolated as err:
 zeros = [[0] * (p - j) for j in range(1, p)]  # free_rows[j-1]: L(j)'s first p-j entries
 chain = chain_from_instance(built_canon.instance, zeros, built_canon.instance.n)
 [(_, seq)] = transformed_polys(chain, window, [p])
-# nu(p) = ((z-C) nu_1, .., (z-C) nu_p)
-rotated = OrthogonalityVector(
-    [f.shift_multiply(built_canon.instance.shift) for f in built_canon.nu.entries]
-)
+# nu(p) = ((z-C) nu_1, .., (z-C) nu_p); each nu_i is its moment tuple.
+rotated = [shift_multiply(f, built_canon.instance.shift) for f in built_canon.nu]
 print(
     "full rotation of the canonical vector, arbitrary free entries:",
     "passed" if is_p_orthogonal(rotated, seq, p, window).passed else "failed",

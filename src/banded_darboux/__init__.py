@@ -66,15 +66,15 @@ from .factorization import (
 )
 from .functionals import (
     LambdaLadder,
-    LinearFunctional,
     OrthogonalityReport,
-    OrthogonalityVector,
     Witness,
     build_nu,
     delta_det,
     dual_sequence,
     is_p_orthogonal,
     lambda_of,
+    nu_to_json_dict,
+    shift_multiply,
 )
 from .generate import (
     GeneratedInstance,

@@ -84,6 +84,7 @@ from .factorization import (
     last_row_lowest_entry,
     transformed_polys,
 )
+from .functionals import nu_to_json_dict
 from .generate import InstanceConfig, generate
 
 EXIT_OK = 0
@@ -239,7 +240,7 @@ def cmd_gen(config: InstanceConfig, built, out: TextIO) -> CommandResult:
         "C": shift,
         "shift_retries": list(built.shift_retries),
         "ladder_retries": built.ladder_retries,
-        "nu": built.nu.to_json_dict(),
+        "nu": nu_to_json_dict(built.nu),
         "ladder": (
             None
             if config.nu_source == "canonical"

@@ -14,9 +14,12 @@ orthogonality for its characteristic sequence, the engine
          nu(j) = (nu_{j+1}, .., nu_p, (z-C) nu_1, .., (z-C) nu_j),
 
      the window j .. j+p-1 of (nu_1, .., nu_p, (z-C) nu_1, .., (z-C) nu_p),
-     so each (z-C) nu_i is formed once;
+     so each (z-C) nu_i is formed once (`shift_multiply`);
   5. certifies by exhaustive scan that nu(j) is a vector of staircase
      orthogonality for the transformed sequence.
+
+A functional is its moment tuple and nu a p-tuple of them, as in
+`functionals`; the certificate's fingerprint hashes nu's wire layout.
 
 Steps 2 and 3 are `_staging`. `generate` stages its ladder once, and the
 chain commands (factorize, transform, polys) read that staging;
@@ -54,10 +57,11 @@ from .factorization import (
 from .functionals import (
     LambdaLadder,
     OrthogonalityReport,
-    OrthogonalityVector,
     delta_det,
     is_p_orthogonal,
     lambda_of,
+    nu_to_json_dict,
+    shift_multiply,
 )
 
 _ZERO = Fraction(0)
@@ -262,12 +266,12 @@ class TheoremCertificate:
         }
 
 
-def _fingerprint(inst: ShiftedInstance, nu: OrthogonalityVector, window: int) -> str:
+def _fingerprint(inst: ShiftedInstance, nu: Sequence[Sequence[Fraction]], window: int) -> str:
     payload = json.dumps(
         {
             "J": inst.J.to_json_dict(),
             "C": format_rational(inst.shift),
-            "nu": nu.to_json_dict(),
+            "nu": nu_to_json_dict(nu),
             "window": window,
         },
         sort_keys=True,
@@ -277,7 +281,7 @@ def _fingerprint(inst: ShiftedInstance, nu: OrthogonalityVector, window: int) ->
 
 
 def run_theorem(
-    inst: ShiftedInstance, nu: OrthogonalityVector, window: int
+    inst: ShiftedInstance, nu: Sequence[Sequence[Fraction]], window: int
 ) -> TheoremCertificate:
     """Full pipeline; see the module docstring.
 
@@ -292,9 +296,10 @@ def run_theorem(
         raise ConfigError(f"window {window} needs truncation > {window + p + 1}, have {n}")
     if budget > n:
         raise ConfigError(f"moment budget {budget} exceeds truncation order {n}")
-    if nu.max_degree < budget:
+    max_degree = min(map(len, nu), default=0) - 1
+    if max_degree < budget:
         raise ConfigError(
-            f"vector carries moments to degree {nu.max_degree}, budget needs {budget}"
+            f"vector carries moments to degree {max_degree}, budget needs {budget}"
         )
 
     source_polys = characteristic_polys(inst.J, p)
@@ -338,20 +343,20 @@ def run_theorem(
 
         # nu(j) is the window j .. j+p-1 of `turned`: nu's entries cut to
         # the moved entries' budget, then the moved entries, each formed once.
-        turned = [f.truncated(nu.max_degree - 1) for f in nu.entries]
-        turned += [f.shift_multiply(c) for f in nu.entries]
-        rotated: list[OrthogonalityVector] = []
+        turned = [f[:-1] for f in nu] + [shift_multiply(f, c) for f in nu]
+        rotated = []
         for j, polys_j in transformed_polys(chain, window, range(1, p + 1)):
-            nu_j = OrthogonalityVector(turned[j : j + p])
+            nu_j = turned[j : j + p]
             rotated.append(nu_j)
             verdicts.append(StageVerdict(j, is_p_orthogonal(nu_j, polys_j, p, window)))
 
         # Rotations chain structurally: dropping one more leading entry must
-        # reproduce the tail of the previous rotation.
-        for j in range(1, p):
-            prev, cur = rotated[j - 1], rotated[j]
-            for i in range(1, p):
-                if not cur.entry(i).agrees_with(prev.entry(i + 1)):
+        # reproduce the tail of the previous rotation, over the degrees both
+        # entries carry.
+        for prev, cur in zip(rotated, rotated[1:]):
+            for f, g in zip(cur, prev[1:]):
+                m = min(len(f), len(g))
+                if f[:m] != g[:m]:
                     structure_ok = False
 
     return TheoremCertificate(

@@ -1,10 +1,12 @@
-"""Moment-vector functionals, dual sequences, and the orthogonality scan.
+"""Functionals as moment tuples, dual sequences, and the orthogonality scan.
 
-A linear functional on polynomials is stored as its truncated moment vector
-(value on z^k for k = 0..M). The truncation bound is a hard contract:
-applying a functional beyond degree M raises instead of silently reading
-zeros, because multiplication by (z - C) consumes one degree and silent
-extension would fabricate orthogonality.
+A linear functional on polynomials is its truncated moment tuple
+(m_0, .., m_M), m_k its value on z^k, and a vector (nu_1, .., nu_p) is a
+p-tuple of such tuples. The truncation bound is a hard contract: applying a
+functional beyond degree M raises instead of silently reading zeros,
+because multiplication by (z - C) consumes one degree (`shift_multiply`)
+and silent extension would fabricate orthogonality. On the wire a vector is
+{"entries": [{"M": M, "moments": [...]}, ...]} (`nu_to_json_dict`).
 
 A sequence {P_n} satisfying a (p+2)-term band recurrence is orthogonal with
 respect to a vector (nu_1, .., nu_p) of functionals in the staircase sense:
@@ -39,120 +41,28 @@ from .exact import ScalarLike, format_rational, integer_image, rational
 
 _ZERO = Fraction(0)
 
-
-class LinearFunctional:
-    """Functional on polynomials of degree <= max_degree, as moments."""
-
-    __slots__ = ("moments",)
-
-    def __init__(self, moments: Iterable[ScalarLike]):
-        object.__setattr__(self, "moments", tuple(rational(v) for v in moments))
-        if not self.moments:
-            raise InsufficientMoments("a functional needs at least the degree-0 moment")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearFunctional is immutable")
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.moments) - 1
-
-    def apply(self, q: Sequence[Fraction]) -> Fraction:
-        """The value on the polynomial with coefficient tuple q."""
-        if len(q) - 1 > self.max_degree:
-            raise DegreeExceedsMoments(len(q) - 1, self.max_degree)
-        return sum((c * m for c, m in zip(q, self.moments)), _ZERO)
-
-    def shift_multiply(self, c: ScalarLike) -> "LinearFunctional":
-        """The functional q -> self[(z - c) q]; costs one degree of budget."""
-        if self.max_degree < 1:
-            raise InsufficientMoments("need at least two moments to multiply by (z - c)")
-        c = rational(c)
-        return LinearFunctional(
-            tuple(self.moments[k + 1] - c * self.moments[k] for k in range(self.max_degree))
-        )
-
-    def truncated(self, max_degree: int) -> "LinearFunctional":
-        """The functional on degrees <= max_degree; itself when that is all."""
-        if max_degree > self.max_degree:
-            raise InsufficientMoments(
-                f"cannot extend moments from {self.max_degree} to {max_degree}"
-            )
-        if max_degree == self.max_degree:
-            return self
-        return LinearFunctional(self.moments[: max_degree + 1])
-
-    def agrees_with(self, other: "LinearFunctional") -> bool:
-        """Moment-vector equality over the common degree range."""
-        m = min(self.max_degree, other.max_degree)
-        return self.moments[: m + 1] == other.moments[: m + 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        return self.moments == other.moments
-
-    def __hash__(self):
-        return hash(self.moments)
-
-    def __repr__(self):
-        return f"LinearFunctional(M={self.max_degree})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.max_degree,
-            "moments": [format_rational(v) for v in self.moments],
-        }
+# A functional's moments m_0 .. m_M; a vector is a tuple of these.
+Moments = tuple[Fraction, ...]
 
 
-class OrthogonalityVector:
-    """A p-tuple of functionals over a common moment budget.
+def _apply(moments: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+    """The functional's value on the polynomial with coefficient tuple q."""
+    if len(q) > len(moments):
+        raise DegreeExceedsMoments(len(q) - 1, len(moments) - 1)
+    return sum(map(mul, q, moments), _ZERO)
 
-    Entries with longer budgets are truncated to the common minimum so that
-    one bound governs every application.
-    """
 
-    __slots__ = ("entries",)
+def shift_multiply(moments: Sequence[Fraction], c: ScalarLike) -> Moments:
+    """The moments of q -> nu[(z - c) q]: m_{k+1} - c m_k, one degree fewer."""
+    if len(moments) < 2:
+        raise InsufficientMoments("need at least two moments to multiply by (z - c)")
+    c = rational(c)
+    return tuple(b - c * a for a, b in zip(moments, moments[1:]))
 
-    def __init__(self, entries: Sequence[LinearFunctional]):
-        entries = tuple(entries)
-        if not entries:
-            raise ShapeMismatch("an orthogonality vector needs at least one entry")
-        m = min(f.max_degree for f in entries)
-        object.__setattr__(
-            self, "entries", tuple(f.truncated(m) for f in entries)
-        )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthogonalityVector is immutable")
-
-    @property
-    def p(self) -> int:
-        return len(self.entries)
-
-    @property
-    def max_degree(self) -> int:
-        return self.entries[0].max_degree
-
-    def entry(self, r: int) -> LinearFunctional:
-        """1-based component access: entry(1) .. entry(p)."""
-        if not 1 <= r <= self.p:
-            raise IndexOutOfRange(f"component {r} outside 1..{self.p}")
-        return self.entries[r - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, OrthogonalityVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"OrthogonalityVector(p={self.p}, M={self.max_degree})"
-
-    def to_json_dict(self) -> dict:
-        return {"entries": [f.to_json_dict() for f in self.entries]}
+def nu_to_json_dict(nu: Sequence[Sequence[Fraction]]) -> dict:
+    """The wire layout of a vector: each entry's degree bound and moments."""
+    return {"entries": [{"M": len(f) - 1, "moments": list(map(format_rational, f))} for f in nu]}
 
 
 class LambdaLadder:
@@ -213,9 +123,9 @@ def _validate_monic_run(polys: Sequence[Sequence[Fraction]]) -> None:
             )
 
 
-def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[LinearFunctional, ...]:
+def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[Moments, ...]:
     """Functionals dual_j with dual_j[P_i] = delta_{ij}, i, j = 0..nmax, for
-    the characteristic sequence {P_n} of hess; each carries moments 0..nmax.
+    the characteristic sequence {P_n} of hess, as moment tuples 0..nmax.
 
     The semi-infinite sequence satisfies z P = J P, so z^k = e_0^T J^k P and
     the moments are dual_j[z^k] = (e_0^T J^k)_j. They come from the banded
@@ -252,11 +162,11 @@ def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[LinearFunctional, 
         for j, x in enumerate(v):
             if x:
                 columns[j][k + 1] = Fraction(x, den)
-    return tuple(LinearFunctional(column) for column in columns)
+    return tuple(map(tuple, columns))
 
 
 def lambda_of(
-    nu: OrthogonalityVector, polys: Sequence[Sequence[Fraction]]
+    nu: Sequence[Sequence[Fraction]], polys: Sequence[Sequence[Fraction]]
 ) -> LambdaLadder:
     """Recover the ladder from nu by lambda(i, k) = nu_i[P_k].
 
@@ -264,44 +174,43 @@ def lambda_of(
     diagonal nu_i[P_{i-1}] must not; a violation means nu is not a vector of
     staircase orthogonality for {P_n} in ladder form.
     """
-    p = nu.p
+    p = len(nu)
     if len(polys) < p:
         raise NotMonicOrDegreeGap(f"need the first {p} polynomials, got {len(polys)}")
     _validate_monic_run(polys[:p])
     rows = []
-    for i in range(1, p + 1):
-        f = nu.entry(i)
+    for i, f in enumerate(nu, start=1):
         for k in range(i, p):
-            value = f.apply(polys[k])
+            value = _apply(f, polys[k])
             if value != 0:
                 raise LadderViolation(i, k, value, f"nu_{i}[P_{k}] = {value}, expected 0")
-        diag = f.apply(polys[i - 1])
+        diag = _apply(f, polys[i - 1])
         if diag == 0:
             raise LadderViolation(i, i - 1, diag, f"nu_{i}[P_{i - 1}] = 0, expected nonzero")
-        rows.append([f.apply(polys[k]) for k in range(i - 1)] + [diag])
+        rows.append([_apply(f, polys[k]) for k in range(i - 1)] + [diag])
     return LambdaLadder(rows)
 
 
 def build_nu(
-    ladder: LambdaLadder, duals: Sequence[LinearFunctional]
-) -> OrthogonalityVector:
-    """Assemble nu_i = sum_{k < i} lambda(i, k) dual_k from a regular ladder."""
+    ladder: LambdaLadder, duals: Sequence[Sequence[Fraction]]
+) -> tuple[Moments, ...]:
+    """Assemble nu_i = sum_{k < i} lambda(i, k) dual_k from a regular ladder;
+    every entry carries the moments all of dual_0 .. dual_{p-1} carry."""
     ladder.check_regular()
     p = ladder.nrows
-    if len(duals) < p:
-        raise ShapeMismatch(f"need {p} dual functionals, got {len(duals)}")
-    m = min(f.max_degree for f in duals[:p])
+    if not 1 <= p <= len(duals):
+        raise ShapeMismatch(f"a vector needs 1 to {len(duals)} entries, the ladder has {p} rows")
+    m = min(len(f) for f in duals[:p])
     entries = []
-    for i in range(1, p + 1):
-        moments = [_ZERO] * (m + 1)
-        for k in range(i):
-            lam = ladder.value(i, k)
+    for row in ladder.rows:
+        moments = [_ZERO] * m
+        for lam, dual in zip(row, duals):
             if lam == 0:
                 continue
-            for deg in range(m + 1):
-                moments[deg] += lam * duals[k].moments[deg]
-        entries.append(LinearFunctional(moments))
-    return OrthogonalityVector(entries)
+            for deg in range(m):
+                moments[deg] += lam * dual[deg]
+        entries.append(tuple(moments))
+    return tuple(entries)
 
 
 def delta_det(ladder: LambdaLadder, j: int, m: int) -> Fraction:
@@ -406,7 +315,7 @@ class OrthogonalityReport:
 
 
 def is_p_orthogonal(
-    nu: OrthogonalityVector,
+    nu: Sequence[Sequence[Fraction]],
     polys: Sequence[Sequence[Fraction]],
     p: int,
     window: int,
@@ -418,8 +327,8 @@ def is_p_orthogonal(
     != 0 for all k with kp + r - 1 <= window. The moment budget must cover
     every application (the caller sizes it; DegreeExceedsMoments otherwise).
     """
-    if nu.p != p:
-        raise ShapeMismatch(f"vector has {nu.p} entries, expected {p}")
+    if len(nu) != p:
+        raise ShapeMismatch(f"vector has {len(nu)} entries, expected {p}")
     if len(polys) <= window:
         raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
     # nu_r[z^k P_n] = sum_i c_{n,i} m_{r,i+k}, computed as an integer dot
@@ -428,14 +337,13 @@ def is_p_orthogonal(
     failures: list[Witness] = []
     zero_checks = 0
     nonzero_checks = 0
-    for r in range(1, p + 1):
-        f = nu.entry(r)
-        moments, d_nu = integer_image(f.moments)
+    for r, f in enumerate(nu, start=1):
+        moments, d_nu = integer_image(f)
 
         def value(n: int, k: int) -> int:
             c = coeffs[n][0]
-            if c and len(c) - 1 + k > f.max_degree:
-                raise DegreeExceedsMoments(len(c) - 1 + k, f.max_degree)
+            if c and len(c) + k > len(moments):
+                raise DegreeExceedsMoments(len(c) - 1 + k, len(moments) - 1)
             return sum(map(mul, c, islice(moments, k, None)))
 
         for n in range(window + 1):

@@ -24,15 +24,13 @@ from .errors import (
 )
 from .exact import format_rational, parse_rational
 from .factorization import ShiftedInstance
-from .functionals import (
-    LambdaLadder,
-    OrthogonalityVector,
-    build_nu,
-    dual_sequence,
-)
+from .functionals import LambdaLadder, build_nu, dual_sequence
 
 DEFAULT_BOUND = 9
 DEFAULT_RETRY_CAP = 32
+# Larger N are rejected before anything is built: gen's memory grows about
+# quadratically in N (p = 1, W = 1: 42 MB at N = 10^4, 2.1 GB at 10^5).
+MAX_N = 10_000
 
 
 def random_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
@@ -109,6 +107,8 @@ class InstanceConfig:
             raise ConfigError(f"bound must be >= 1, got {self.bound}")
         if self.retry_cap < 0:
             raise ConfigError(f"retry cap must be >= 0, got {self.retry_cap}")
+        if self.n > MAX_N:
+            raise ConfigError(f"N must be <= {MAX_N}, got {self.n}")
         if self.window + self.p + 1 > self.n:
             raise ConfigError(
                 f"window {self.window} with p {self.p} needs N >= "
@@ -126,11 +126,16 @@ class InstanceConfig:
             )
         if self.matrix_source not in ("random", "explicit"):
             raise ConfigError(f"unknown matrix source {self.matrix_source!r}")
-        if self.matrix_source == "explicit" and not (
-            isinstance(self.matrix_bands, Mapping)
-            and all(_is_rational_list(b) for b in self.matrix_bands.values())
-        ):
-            raise ConfigError("explicit matrix source needs bands: an object of rational lists")
+        if self.matrix_source == "explicit":
+            if not (
+                isinstance(self.matrix_bands, Mapping)
+                and all(_is_rational_list(b) for b in self.matrix_bands.values())
+            ):
+                raise ConfigError("explicit matrix source needs bands: an object of rational lists")
+            known = {str(-d) for d in range(self.p + 1)}
+            for key in self.matrix_bands:
+                if key not in known:
+                    raise ConfigError(f"unknown band key {key!r}: p = {self.p} has bands 0 .. -{self.p}")
         if self.nu_source not in ("random", "canonical", "ladder"):
             raise ConfigError(f"unknown nu source {self.nu_source!r}")
         if self.nu_source == "ladder" and not (
@@ -212,12 +217,12 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance plus vector, the staging of the ladder nu was built from (the
-    ladder is `staging.stage_ladders[0]`), and the retries it took."""
+    """Instance, nu as p moment tuples, the staging of the ladder nu was built
+    from (the ladder is `staging.stage_ladders[0]`), and the retries it took."""
 
     config_echo: dict
     instance: ShiftedInstance
-    nu: OrthogonalityVector
+    nu: tuple[tuple[Fraction, ...], ...]
     source_polys: tuple[tuple[Fraction, ...], ...]
     staging: StagingResult
     shift_retries: tuple[str, ...]

@@ -25,11 +25,15 @@ polynomials are coefficient tuples, and `Poly.__str__` is the oracle for
 `format_polynomial`), dense matrices with their product and the Bareiss
 determinant (`DenseMatrix`, `det_exact`, `NotSquare`; the oracles for the
 elimination in `delta_det` and the row updates in
-`staircase_transport_identity`), sums and multiples of functionals
-(`Functional`), the vector of the first p duals (`canonical_nu`; the
-package builds it from the identity ladder), the chain's global coefficient
-index (`gamma`), the readers of the chain and vector wire formats
-(`read_chain`, `read_vector`), and the left-to-right windowed product of
+`staircase_transport_identity`), the functional type (`Functional`: the
+package passes a functional as its moment tuple and a vector as a tuple of
+those, so application with the degree guard, (z - c) multiplication,
+multiples, sums and agreement over a common degree range live here, and
+`transformed_nu` cuts each nu(j) to one common budget), the vector of the
+first p duals (`canonical_nu`; the package builds it from the identity
+ladder), the chain's global coefficient index (`gamma`), the readers of the
+chain and vector wire formats (`read_chain`, `read_vector`; the vector as
+moment tuples), and the left-to-right windowed product of
 a factor sequence (`product_window`; the package forms its products one
 `multiply_window` at a time). L has no matrix type in the package, which
 passes it as rows from the LU to the chain: `unit_lower` builds its matrix
@@ -46,12 +50,12 @@ from banded_darboux import (
     BandMatrix,
     HypothesisViolated,
     BidiagonalChain,
+    DegreeExceedsMoments,
     IndexOutOfRange,
-    LinearFunctional,
+    InsufficientMoments,
     LowerBidiagonalUnit,
     NotMonicOrDegreeGap,
     OrthogonalityReport,
-    OrthogonalityVector,
     ShapeMismatch,
     ShiftedInstance,
     SingularLeadingMinor,
@@ -222,18 +226,49 @@ def divide_exactly(poly, root):
     return Poly(quot)
 
 
-class Functional(LinearFunctional):
-    """A `LinearFunctional` with multiples and sums; a sum keeps the moments
-    both terms carry."""
+class Functional:
+    """A functional on polynomials of degree <= max_degree, held as its
+    moment tuple, with the operations the package's plain tuples lack:
+    application with the degree guard, (z - c) multiplication, multiples,
+    sums (keeping the moments both terms carry) and agreement over the
+    common degree range."""
 
-    __slots__ = ()
+    __slots__ = ("moments",)
+
+    def __init__(self, moments):
+        self.moments = tuple(rational(v) for v in moments)
+        if not self.moments:
+            raise InsufficientMoments("a functional needs at least the degree-0 moment")
+
+    @property
+    def max_degree(self):
+        return len(self.moments) - 1
+
+    def apply(self, q):
+        """The value on the polynomial with coefficient tuple q."""
+        if len(q) - 1 > self.max_degree:
+            raise DegreeExceedsMoments(len(q) - 1, self.max_degree)
+        return sum((c * m for c, m in zip(q, self.moments)), Fraction(0))
+
+    def shift_multiply(self, c):
+        """q -> self[(z - c) q], one degree of budget less."""
+        if self.max_degree < 1:
+            raise InsufficientMoments("need at least two moments to multiply by (z - c)")
+        c = rational(c)
+        return Functional(
+            self.moments[k + 1] - c * self.moments[k] for k in range(self.max_degree)
+        )
+
+    def agrees_with(self, other):
+        m = min(self.max_degree, other.max_degree)
+        return self.moments[: m + 1] == other.moments[: m + 1]
 
     def scaled(self, c):
         c = rational(c)
         return Functional(c * m for m in self.moments)
 
     def __add__(self, other):
-        if not isinstance(other, LinearFunctional):
+        if not isinstance(other, Functional):
             return NotImplemented
         m = min(self.max_degree, other.max_degree)
         return Functional(a + b for a, b in zip(self.moments[: m + 1], other.moments[: m + 1]))
@@ -272,15 +307,17 @@ def read_chain(data):
 
 
 def read_vector(data):
-    """An `OrthogonalityVector` from its wire format; each functional's
-    moment count must match its declared degree bound."""
+    """A vector of moment tuples from its wire format (`nu_to_json_dict`);
+    each functional's moment count must match its declared degree bound."""
     entries = []
     for f in data["entries"]:
-        moments = [parse_rational(v) for v in f["moments"]]
+        moments = tuple(parse_rational(v) for v in f["moments"])
         if len(moments) != f["M"] + 1:
             raise ShapeMismatch("moment count disagrees with declared degree bound")
-        entries.append(LinearFunctional(moments))
-    return OrthogonalityVector(entries)
+        entries.append(moments)
+    if not entries:
+        raise ShapeMismatch("a vector needs at least one entry")
+    return tuple(entries)
 
 
 def catalan_hessenberg(n):
@@ -442,7 +479,7 @@ def dual_sequence_by_inversion(polys):
         for i in range(j + 1, m + 1):
             x[i] = -sum((rows[i][k] * x[k] for k in range(j, i)), Fraction(0))
         columns.append(x)
-    return tuple(LinearFunctional(column) for column in columns)
+    return tuple(map(tuple, columns))
 
 
 def times_z_power(poly, k):
@@ -471,26 +508,28 @@ def reconstruct(chain):
 
 
 def transformed_nu(nu, c, j):
-    """nu(j) = (nu_{j+1}, .., nu_p, (z-c) nu_1, .., (z-c) nu_j), formed for
-    this j alone; its budget is one degree less than nu's."""
-    p = nu.p
+    """nu(j) = (nu_{j+1}, .., nu_p, (z-c) nu_1, .., (z-c) nu_j) as moment
+    tuples, formed for this j alone; every entry is cut to the common
+    budget, one degree less than nu's."""
+    p = len(nu)
     if not 1 <= j <= p:
         raise IndexOutOfRange(f"transform index {j} outside 1..{p}")
-    moved = tuple(nu.entry(i).shift_multiply(c) for i in range(1, j + 1))
-    kept = tuple(nu.entry(i) for i in range(j + 1, p + 1))
-    return OrthogonalityVector(kept + moved)
+    moved = [Functional(f).shift_multiply(c).moments for f in nu[:j]]
+    entries = list(nu[j:]) + moved
+    m = min(map(len, entries))
+    return tuple(tuple(f[:m]) for f in entries)
 
 
 def scan_by_apply(nu, polys, p, window):
     """The staircase scan by applying each functional to z^k P_n."""
-    if nu.p != p:
-        raise ShapeMismatch(f"vector has {nu.p} entries, expected {p}")
+    if len(nu) != p:
+        raise ShapeMismatch(f"vector has {len(nu)} entries, expected {p}")
     if len(polys) <= window:
         raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
     failures = []
     zero_checks = nonzero_checks = 0
     for r in range(1, p + 1):
-        f = nu.entry(r)
+        f = Functional(nu[r - 1])
         for n in range(window + 1):
             k = 0
             while k * p + r <= n:
@@ -638,7 +677,7 @@ def transport_identity_by_dense(factors, stage_ladders, j, s):
 def canonical_nu(duals, p):
     """The existence witness (dual_0, .., dual_{p-1}): the oracle for the
     vector `build_nu` makes from the identity ladder, the canonical source."""
-    return OrthogonalityVector(duals[:p])
+    return tuple(duals[:p])
 
 
 def check_hypotheses(ladder, p):

@@ -198,11 +198,32 @@ MUTANTS = (
     Mutant(
         "rotated-vector-from-the-previous-window",
         "src/banded_darboux/engine.py",
-        "OrthogonalityVector(turned[j : j + p])",
-        "OrthogonalityVector(turned[j - 1 : j - 1 + p])",
+        "nu_j = turned[j : j + p]",
+        "nu_j = turned[j - 1 : j - 1 + p]",
         (
             "tests/test_kernels.py::test_stage_reports_match_the_per_rotation_oracle",
             "tests/test_engine.py::test_certificate_seeded_p2_p3",
+        ),
+    ),
+    Mutant(
+        "shift-multiply-adds-c",
+        "src/banded_darboux/functionals.py",
+        "b - c * a for a, b in",
+        "b + c * a for a, b in",
+        (
+            "tests/test_functionals.py::test_shift_multiply_constant_moments",
+            "tests/test_functionals.py::test_shift_multiply_is_adjoint_to_linear_factor",
+        ),
+    ),
+    Mutant(
+        "scan-without-moment-budget-guard",
+        "src/banded_darboux/functionals.py",
+        "            if c and len(c) + k > len(moments):\n"
+        "                raise DegreeExceedsMoments(len(c) - 1 + k, len(moments) - 1)\n",
+        "",
+        (
+            "tests/test_functionals.py::test_scan_needs_enough_moments",
+            "tests/test_kernels.py::test_scan_matches_apply",
         ),
     ),
     Mutant(

@@ -182,7 +182,7 @@ def test_05_dual_chain_relations_50_chains():
         inst, chain = make_chain(rng, p, n, shift=draw_rational(rng))
         shift = inst.shift
         duals = [
-            [Functional(f.moments) for f in dual_sequence(hess, depth)]
+            [Functional(f) for f in dual_sequence(hess, depth)]
             for _, hess in darboux_transform(chain, range(p + 1))
         ]
         values = recurrence_values_by_fractions(inst.J, shift, n)

@@ -1,5 +1,6 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from banded_darboux import (
     SingularLeadingMinor,
     generate,
 )
+from banded_darboux.generate import MAX_N
 from banded_darboux import banded, cli, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
@@ -522,6 +524,9 @@ def _configs(draw):
 @example(command="verify", config={**_BASE, "nu": {"source": "ladder", "lambda": [[None]]}})
 @example(command="gen", config={**_BASE, "p": float("inf")})
 @example(command="gen", config={**_BASE, "report_dir": 5})
+@example(command="gen", config={"p": 1, "N": 10**12, "window": 1})
+@example(command="verify", config={"p": 1, "N": 10**12, "window": 1})
+@example(command="transform", config={"p": 1, "N": 10**12, "window": 1})
 def test_any_json_config_exits_with_a_documented_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
@@ -529,6 +534,108 @@ def test_any_json_config_exits_with_a_documented_code(command, config):
             json.dump(config, handle)
         code = main([command, "--config", path, "--report-dir", f"{tmp}/reports"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_SINGULAR, EXIT_INTERNAL)
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**12])
+def test_n_beyond_the_cap_is_rejected_before_anything_is_built(tmp_path, capsys, monkeypatch, n):
+    document = {"p": 1, "N": n, "window": 1}
+    with pytest.raises(ConfigError, match=f"N must be <= {MAX_N}"):
+        InstanceConfig.from_json_dict(document)
+    # validate rejects the config: no command reaches generate.
+    monkeypatch.setattr(cli, "generate", None)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: N must be <= {MAX_N}, got {n}\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_n_at_the_cap_is_accepted():
+    InstanceConfig.from_json_dict({"p": 1, "N": MAX_N, "window": 1}).validate()
+
+
+@pytest.mark.parametrize("key, band", [("1", ["2"]), ("x", []), ("-3", ["1"] * 11)])
+def test_unknown_band_keys_are_config_errors(tmp_path, capsys, key, band):
+    # The echo in every report lists the bands given, so none may be dropped.
+    bands = {"0": ["2"] * 14, "-1": ["1"] * 13, "-2": ["1"] * 12, key: band}
+    document = {**_BASE, "matrix": {"source": "explicit", "bands": bands}}
+    with pytest.raises(ConfigError, match=f"unknown band key '{key}'"):
+        InstanceConfig.from_json_dict(document)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    for command in ("gen", "verify"):
+        assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not (tmp_path / "reports").exists()
+    del bands[key]
+    path.write_text(json.dumps(document))
+    assert run_cli(tmp_path, "gen", path) == EXIT_OK
+    capsys.readouterr()
+
+
+def _pinned_configs():
+    """Small configs at p = 1..4 with each nu source and C = 1/3, and one
+    that ends in a partial factorization."""
+    configs = {}
+    for p in range(1, 5):
+        base = {"p": p, "N": 2 * p + 8, "window": 4, "seed": p}
+        ladder = [[str(k + 1) for k in range(i)] for i in range(1, p + 1)]
+        configs[f"p{p}-random"] = base
+        configs[f"p{p}-canonical"] = {**base, "nu": {"source": "canonical"}}
+        configs[f"p{p}-ladder"] = {**base, "nu": {"source": "ladder", "lambda": ladder}}
+        configs[f"p{p}-C13"] = {**base, "C": "1/3"}
+    # A vanishing stage-1 minor: verify reports a partial factorization.
+    configs["partial"] = {
+        "p": 3, "N": 16, "window": 8, "seed": 7,
+        "nu": {"source": "ladder", "lambda": [["1"], ["1", "1"], ["0", "1", "1"]]},
+    }
+    return configs
+
+
+_PINNED_CONFIGS = _pinned_configs()
+
+# sha256 over "<command> <exit code>\n<payload>\n" for the five commands in
+# order, <payload> being json.dumps(payload, indent=2, sort_keys=True), or
+# empty when the command writes no report. The digests were recorded from an
+# earlier version of the package, so they pin the bytes across versions.
+_PINNED_DIGESTS = {
+    "p1-random": "b9d02c26db168a189d4b0d762969cc1660cce34363f2e870fd87718ca9854325",
+    "p1-canonical": "b73f33b3d8223938ef4112e4a05611d7e01560797e7cc1b731f1de7472330d55",
+    "p1-ladder": "7f626a4f6618e0d98b797dd09180e945f05c62204b14e5072583062fc1c41c8e",
+    "p1-C13": "0bd41f4a91a7909371fb72a527d631e1bcd4be4fd7d44bbe1a82dc60e1489369",
+    "p2-random": "749001bdb46b20c3fbf8412ffacf1f4a417b7a6a7e6c96950888b1f728133d05",
+    "p2-canonical": "c146dadaed3190a1e69f5f280c544efeab105b6c297ffea52408c2d0b885cc87",
+    "p2-ladder": "f610738f6fce2ccd7dc7e35c65ed2e88268c5458795139771ad0927695410845",
+    "p2-C13": "4cd5bf1c3ccdcdb751cc2288b1068ef82b42ab2abac48d28092c8d9265ca92b1",
+    "p3-random": "3bc6bf63545ec7b51375d5f893a7298dca5f4297259223fe5c8377d4c580daa2",
+    "p3-canonical": "82bad744c4b5b9c90c088d2610ae2ee8d831ab59bdc662f1035e8e829d126d1b",
+    "p3-ladder": "4420f9ba908b97ca5cc8120c63fbf06bb8741a25639d998e5b023a7822c73669",
+    "p3-C13": "24376be43b6e7037d303a59b7fd8ebe1c60d549c0a1cb08846a1f55ccbd71cf6",
+    "p4-random": "88891cb5b331eb62dddeed2dc63e05664698381fef0f907bb959f8d507aecc5f",
+    "p4-canonical": "f14a23a5b597af720d351c3ebc508dff3845ded52445ef0c5e7efa48100377e2",
+    "p4-ladder": "682d30df498d59bf17bb7219c0f14e86dca862bab07f3da1bf25d6190da8842d",
+    "p4-C13": "5576170ab1255b9c0347baea124c13ab041cf0f12a3c3e71d79e73d5f8ba282f",
+    "partial": "30e3c294775dea00dcc9f685ced47a2383f55d441bf1473dc642678f7ed880b4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_payload_bytes_are_pinned(tmp_path, capsys, name):
+    path = write_config(tmp_path, **_PINNED_CONFIGS[name])
+    digest = hashlib.sha256()
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        code = run_cli(tmp_path, command, path)
+        report = tmp_path / "reports" / f"{command}.json"
+        payload = ""
+        if report.exists():
+            payload = json.dumps(json.loads(report.read_text())["payload"], indent=2, sort_keys=True)
+            report.unlink()
+        digest.update(f"{command} {code}\n{payload}\n".encode())
+    capsys.readouterr()
+    assert digest.hexdigest() == _PINNED_DIGESTS[name]
 
 
 def test_report_dir_env_var_is_honored(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,7 @@ def _annotations(tree: ast.Module):
 
 def _read_names(tree: ast.Module) -> set[str]:
     """Names the module loads, including those inside quoted annotations
-    such as -> "LinearFunctional"."""
+    such as -> "LambdaLadder"."""
     read = {
         node.id
         for node in ast.walk(tree)
@@ -103,7 +103,7 @@ def _definitions(tree: ast.Module):
 def _reads(node: ast.AST, inside: frozenset = frozenset()) -> set[str]:
     """Names and attributes loaded under `node`, skipping a read of X made
     inside a definition named X (a recursive call, a classmethod's cls()).
-    Quoted annotations such as -> "LinearFunctional" count as reads."""
+    Quoted annotations such as -> "LambdaLadder" count as reads."""
     read = set()
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside | {node.name}

@@ -30,9 +30,7 @@ from banded_darboux import (
     DegreeExceedsMoments,
     InstanceConfig,
     LambdaLadder,
-    LinearFunctional,
     LowerBidiagonalUnit,
-    OrthogonalityVector,
     ShiftedInstance,
     SingularLeadingMinor,
     UpperBidiagonal,
@@ -51,7 +49,7 @@ from banded_darboux import (
     shifted_lu,
     transformed_polys,
 )
-from banded_darboux import BandMatrix, banded, factorization
+from banded_darboux import BandMatrix, banded, engine, factorization
 from banded_darboux.cli import main
 from helpers import (
     characteristic_polys_by_polynomials,
@@ -132,8 +130,7 @@ def test_dual_sequence_matches_inversion(case, data):
     fast = dual_sequence(J, nmax)
     slow = dual_sequence_by_inversion(characteristic_polys_by_polynomials(J, nmax))
     assert len(fast) == len(slow) == nmax + 1
-    for a, b in zip(fast, slow):
-        assert a.moments == b.moments
+    assert fast == slow
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,9 +146,9 @@ def test_scan_matches_apply(case, data):
     if kind == "random":
         # Arbitrary moments: mostly failing, with a budget that may be short.
         size = data.draw(st.integers(1, 2 * n))
-        nu = OrthogonalityVector(
-            [LinearFunctional(data.draw(st.lists(rationals(bound), min_size=size, max_size=size)))
-             for _ in range(p)]
+        nu = tuple(
+            tuple(data.draw(st.lists(rationals(bound), min_size=size, max_size=size)))
+            for _ in range(p)
         )
     else:
         # A regular ladder over the duals passes wherever its budget lasts;
@@ -164,11 +161,9 @@ def test_scan_matches_apply(case, data):
         if kind == "perturbed":
             r = data.draw(st.integers(0, p - 1))
             k = data.draw(st.integers(0, n))
-            moments = list(nu.entries[r].moments)
+            moments = list(nu[r])
             moments[k] += data.draw(rationals(bound, nonzero=True))
-            entries = list(nu.entries)
-            entries[r] = LinearFunctional(moments)
-            nu = OrthogonalityVector(entries)
+            nu = (*nu[:r], tuple(moments), *nu[r + 1:])
     assert scan_outcome(is_p_orthogonal, nu, polys, p, window) == scan_outcome(
         scan_by_apply, nu, polys, p, window
     )
@@ -629,16 +624,16 @@ def test_rotations_are_formed_only_as_the_iterator_reaches_them():
 
 @contextmanager
 def counted_shifts():
-    """The list of shifts each LinearFunctional.shift_multiply call takes,
-    while the method is patched to record them."""
-    original = LinearFunctional.shift_multiply
+    """The list of shifts each shift_multiply call of the engine takes,
+    while the function is patched to record them."""
+    original = engine.shift_multiply
     shifts = []
 
-    def counting(self, c):
+    def counting(moments, c):
         shifts.append(c)
-        return original(self, c)
+        return original(moments, c)
 
-    with mock.patch.object(LinearFunctional, "shift_multiply", counting):
+    with mock.patch.object(engine, "shift_multiply", counting):
         yield shifts
 
 
@@ -686,12 +681,10 @@ def perturbed_runs(draw):
             assume(False)
     else:
         r = draw(st.integers(1, p))
-        degree = draw(st.integers(p + 1, nu.max_degree))
-        moments = list(nu.entry(r).moments)
+        moments = list(nu[r - 1])
+        degree = draw(st.integers(p + 1, len(moments) - 1))
         moments[degree] += draw(rationals(9, nonzero=True))
-        entries = list(nu.entries)
-        entries[r - 1] = LinearFunctional(moments)
-        nu = OrthogonalityVector(entries)
+        nu = (*nu[: r - 1], tuple(moments), *nu[r:])
     return inst, nu, window, built.staging.free_rows
 
 
