@@ -320,11 +320,11 @@ def cmd_polys(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     nmax = config.window
     js = _indices(config)
     rotated = [j for j in js if j]
-    # J(0)'s sequence is the source's, so the chain is built only when a
-    # rotated sequence is asked for.
+    # J(0)'s sequence is the source's, so the chain (of at least p rows) is
+    # built only when a rotated sequence is asked for.
     stages = [(0, built.source_polys[: nmax + 1])] if 0 in js else []
     if rotated:
-        chain = _build_chain(built, nmax + 1)
+        chain = _build_chain(built, max(nmax + 1, config.p))
         stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
     sequences = {}
     for j, polys in stages:

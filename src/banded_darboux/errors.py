@@ -53,7 +53,8 @@ class ZeroPeelPivot(BandedDarbouxError):
     def __init__(self, stage, row):
         self.stage = stage
         self.row = row
-        super().__init__(f"zero peeling pivot at stage {stage}, row {row}")
+        super().__init__(f"zero peeling pivot at stage {stage}, row {row}: "
+                         "no chain with the staged free entries exists")
 
 
 class BadFreeSpec(BandedDarbouxError):

@@ -17,12 +17,12 @@ L passes from the LU to the split as its rows, row i being [L(i, i-p), ..,
 L(i, i-1)] with 0 where the column is negative; the split's last remainder,
 one column wide, is L(p). Both are row-ordered, so `chain_from_instance(
 inst, free_rows, rows)` computes them exactly only on the leading rows a
-command keeps. Past those, `shifted_lu` hands L's rows to `peel_stages` as
-residue rows mod q = 2^61 - 1, which only have to show every peel divisor
-nonzero. A residue that cannot decide raises _UndecidedResidue out of
-either; `chain_from_instance` alone catches it and reruns the chain exactly
-on all N rows. Every other caller peels an L that is exact on all its rows,
-with no residue rows, so nothing else reruns.
+command keeps, at least p, so every free entry falls there. Past those,
+`shifted_lu` hands L's rows to `peel_stages` as residue rows mod q = 2^61 -
+1, which only have to show every peel divisor nonzero. A residue that cannot
+decide raises _UndecidedResidue out of either; `chain_from_instance` alone
+catches it and reruns the chain exactly on all N rows. Every other caller
+peels an L that is exact on all its rows, with no residue rows.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def shifted_lu(
     inst: ShiftedInstance, rows: int
 ) -> tuple[list[list[Fraction]], UpperBidiagonal, list[_ResidueRow]]:
     """Unique factorization J - C*I = L U with unit-diagonal L, exact on the
-    leading `rows` rows, 1 <= rows <= N.
+    leading `rows` rows, p <= rows <= N (IndexOutOfRange otherwise).
 
     Band recurrence, writing A = J - C*I and u for U's diagonal:
         A(i, m) = L(i, m) u_m + L(i, m-1),  m < i   (L(i, m-1) = 0 below band)
@@ -145,8 +145,8 @@ def shifted_lu(
     """
     J, C = inst.J, inst.shift
     p, n = J.p, J.n
-    if not 1 <= rows <= n:
-        raise IndexOutOfRange(f"leading block {rows} outside 1..{n}")
+    if not p <= rows <= n:
+        raise IndexOutOfRange(f"leading block {rows} outside {p}..{n}")
     bands = [J.band(d) for d in range(-p, 1)]
     L: list[list[Fraction]] = []
     diag: list[Fraction] = []
@@ -164,19 +164,19 @@ def shifted_lu(
         # The final pivot is never divided by, but it witnesses the minor of
         # full order being singular; surface it for contract uniformity.
         raise SingularLeadingMinor(n)
-    return L, UpperBidiagonal(rows, diag), _lu_tail(bands, C, diag[max(0, rows - p):], rows)
+    return L, UpperBidiagonal(rows, diag), _lu_tail(bands, C, diag[rows - p:], rows)
 
 
 def _lu_tail(
     bands: list[tuple[Fraction, ...]], C: Fraction, last: list[Fraction], rows: int
 ) -> list[_ResidueRow]:
     """L's rows rows .. N-1 mod _Q as residue rows, from J's bands -p .. 0 and
-    the exact pivots u_{rows-len(last)} .. u_{rows-1} (`last`)."""
+    the exact pivots u_{rows-p} .. u_{rows-1} (`last`), rows >= p."""
     p, n = len(bands) - 1, len(bands[0])
     if rows == n or p == 1:
         return []
     # piv[k] = u_{i-p+k} as a pair mod q, for the row i in progress.
-    piv = [(1, 1)] * (p - len(last)) + [_pair(u) for u in last]
+    piv = [_pair(u) for u in last]
     if any(num == 0 for num, _ in piv):
         raise _UndecidedResidue
     cn, cd = _pair(C)
@@ -184,7 +184,7 @@ def _lu_tail(
     for i in range(rows, n):
         # Row i over the running denominator y; x is L(i, m-1)'s numerator.
         row, x, y = [0] * p, 0, 1
-        for k in range(max(0, p - i), p):
+        for k in range(p):
             an, ad = _pair(bands[k][i])
             un, ud = piv[k]
             # L(i, m) = (a(i, m) - x/y) * ud/un over the denominator y*ad*un.
@@ -211,7 +211,7 @@ def _stage_rows(
     Row r holds the entries of columns r-w .. r-1 (zero where negative).
     With prev the new remainder's row r-1 extended by its unit diagonal,
     s(r) = row[0] / prev[0] for r >= w and the new row is
-    row[k] - s(r) * prev[k], k = 1 .. w-1.
+    row[k] - s(r) * prev[k], k = 1 .. w-1; ZeroPeelPivot(j, r) if prev[0] = 0.
     """
     prev = [_ZERO] * (w - 1)
     out = [prev]
@@ -222,11 +222,7 @@ def _stage_rows(
         if r <= w - 1:
             s = prescribed[r - 1]
         elif ext[0] == 0:
-            if row[0] != 0:
-                raise ZeroPeelPivot(j, r)
-            # 0 = 0 - s*0 constrains nothing; take the canonical choice
-            # s = 0 so identity-like inputs peel to identity.
-            s = _ZERO
+            raise ZeroPeelPivot(j, r)
         else:
             s = row[0] / ext[0]
         sub.append(s)
@@ -235,32 +231,23 @@ def _stage_rows(
     return sub, out
 
 
-def _stage_residues(
-    tail: list[_ResidueRow], first: int, seed: list[Fraction],
-    prescribed: list[Fraction], w: int,
-) -> list[_ResidueRow]:
-    """The same stage on the residue rows first .. N-1, from the exact row
-    first-1 (`seed`); raises _UndecidedResidue on a zero divisor residue.
+def _stage_residues(tail: list[_ResidueRow], seed: list[Fraction], w: int) -> list[_ResidueRow]:
+    """The same stage on the residue rows past the exact ones (at least w,
+    so each tail row is forced), from the last exact row (`seed`); raises
+    _UndecidedResidue on a zero divisor residue.
 
     With the tail row as row / d and the new row r-1 as ext / e (unit
-    diagonal included), a forced row gives (row[k] e0 - row[0] ext[k]) /
-    (d e0) and a prescribed s = sn / sd gives
-    (row[k] sd e - sn d ext[k]) / (d sd e).
+    diagonal included), the new row is (row[k] e0 - row[0] ext[k]) / (d e0).
     """
     prev, e = _residue_row(seed)
     out = []
-    for r, (row, d) in enumerate(tail, start=first):
+    for row, d in tail:
         ext = prev + [e]
-        if r <= w - 1:
-            sn, sd = _pair(prescribed[r - 1])
-            prev = [(row[k] * sd * e - sn * d * ext[k]) % _Q for k in range(1, w)]
-            e = d * sd * e % _Q
-        else:
-            e0 = ext[0]
-            if e0 == 0:
-                raise _UndecidedResidue
-            prev = [(row[k] * e0 - row[0] * ext[k]) % _Q for k in range(1, w)]
-            e = d * e0 % _Q
+        e0 = ext[0]
+        if e0 == 0:
+            raise _UndecidedResidue
+        prev = [(row[k] * e0 - row[0] * ext[k]) % _Q for k in range(1, w)]
+        e = d * e0 % _Q
         out.append((prev, e))
     return out
 
@@ -287,11 +274,18 @@ def peel_stages(
     remainder's newest lowest-band entry (ZeroPeelPivot when it vanishes).
     An L that is empty, ragged or nonzero left of column 0 is a ShapeMismatch.
 
+    Precondition: L's lowest band is nonzero, as L(r, r-p) = a(r, r-p) /
+    u_{r-p} is when J's band -p is. Each stage's divisors form the next
+    remainder's lowest band but in the last row, so a zero divisor proves
+    that no chain with these free entries exists: of the N x N block, or,
+    at the last row, of the untruncated J. A 0/0 row raises all the same.
+
     `tail` continues L past its own rows as residue rows mod q = 2^61 - 1,
-    in the layout `shifted_lu` returns. Each stage also runs on them, only
-    to show every divisor there nonzero: a nonzero residue proves it, and a
-    residue of 0 or a denominator divisible by q raises _UndecidedResidue,
-    on which `chain_from_instance` reruns the chain exactly on all N rows.
+    in the layout `shifted_lu` returns, after at least w exact rows. Each
+    stage also runs on them, only to show every divisor there nonzero: a
+    nonzero residue proves it, and a residue of 0 or a denominator divisible
+    by q raises _UndecidedResidue, on which `chain_from_instance` reruns the
+    chain exactly on all N rows.
     """
     if not L or any(len(row) != len(L[0]) for row in L):
         raise ShapeMismatch("L needs one or more rows, all of one width")
@@ -311,7 +305,7 @@ def peel_stages(
             )
         sub, L = _stage_rows(L, prescribed, j, w)
         if tail:
-            tail = _stage_residues(tail, n, L[-1], prescribed, w)
+            tail = _stage_residues(tail, L[-1], w)
         factors.append(LowerBidiagonalUnit(n, sub))
         w -= 1
     return factors, list(L)
@@ -322,13 +316,14 @@ def chain_from_instance(
 ) -> BidiagonalChain:
     """shifted_lu plus the chain split, bundled with the shift.
 
-    Returns the chain of the leading rows x rows block, 1 <= rows <= N: the
-    LU and the split are row-ordered, so it equals the full chain's
+    Returns the chain of the leading rows x rows block, p <= rows <= N
+    (IndexOutOfRange otherwise), so the free entries fall in the exact rows:
+    the LU and the split are row-ordered, so it equals the full chain's
     `leading(rows)`. Past those rows the LU and the split run on residues
     mod q only, to show every peel divisor nonzero. When a residue cannot
     decide, the chain is rerun exactly on all N rows and cut to its leading
-    block; this is the one rerun, so ZeroPeelPivot(j, r) and the s = 0
-    convention come out as on the exact route.
+    block; this is the one rerun, so ZeroPeelPivot(j, r) comes out as on the
+    exact route.
     """
     try:
         return _chain(inst, free_rows, rows)

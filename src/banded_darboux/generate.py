@@ -3,7 +3,9 @@
 Everything random flows through one `random.Random(seed)` in a fixed draw
 order, so a (config, seed) pair regenerates byte-identical artifacts. Draws
 are small rationals: numerator in [-B, B], denominator in [1, B], with the
-lowest band of J and ladder diagonals resampled until nonzero.
+lowest band of J and ladder diagonals resampled until nonzero. An explicit J
+with a(m, m-p) = 0, m = r-1+sp, is rejected: nu_r[z^k P_{kp+r-1}] would
+vanish for every k >= s, so no vector of staircase orthogonality exists.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ DEFAULT_RETRY_CAP = 32
 # Larger N are rejected before anything is built: gen's memory grows about
 # quadratically in N (p = 1, W = 1: 42 MB at N = 10^4, 2.1 GB at 10^5).
 MAX_N = 10_000
+# Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise: verify
+# at N = B, bound 9, seed 1 (2-vCPU VM) took 33, 47 and 89 s at B = 301, 346
+# and 361 for p = 2, and 18 and 60 s at B = 401 and 501 for p = 1; gen 2-7 s.
+MAX_BUDGET = 350
 
 
 def random_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
@@ -113,6 +119,10 @@ class InstanceConfig:
             raise ConfigError(
                 f"window {self.window} with p {self.p} needs N >= "
                 f"{self.window + self.p + 1}, got {self.n}"
+            )
+        if self.moment_budget > MAX_BUDGET:
+            raise ConfigError(
+                f"moment budget {self.moment_budget} exceeds {MAX_BUDGET}; shrink the window"
             )
         if self.moment_budget > self.n:
             raise ConfigError(
@@ -248,6 +258,10 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             )
         except (SizeMismatch, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad explicit matrix: {exc}") from None
+        for r in range(config.p, config.n):
+            if J.band(-config.p)[r] == 0:
+                raise ConfigError(f"explicit matrix has a zero in band -{config.p} at row "
+                                  f"{r}: no vector of staircase orthogonality exists")
     else:
         J = random_hessenberg(rng, config.p, config.n, config.bound)
 

@@ -608,11 +608,8 @@ def peel_stages_full(L, free_rows, stages):
                 divisor = nxt_entry(r - 1, r - w)
                 numerator = cur_entry(r, r - w)
                 if divisor == 0:
-                    if numerator != 0:
-                        raise ZeroPeelPivot(j, r)
-                    s = Fraction(0)
-                else:
-                    s = numerator / divisor
+                    raise ZeroPeelPivot(j, r)
+                s = numerator / divisor
             sub.append(s)
             for c in range(max(0, r - (w - 1)), r):
                 nxt[c - r][r] = cur_entry(r, c) - s * nxt_entry(r - 1, c)

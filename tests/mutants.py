@@ -229,9 +229,30 @@ MUTANTS = (
     Mutant(
         "polys-j-0-builds-the-chain",
         "src/banded_darboux/cli.py",
-        "    if rotated:\n        chain = _build_chain(built, nmax + 1)\n",
-        "    chain = _build_chain(built, nmax + 1)\n    if rotated:\n",
+        "    if rotated:\n        chain = _build_chain(built, max(nmax + 1, config.p))\n",
+        "    chain = _build_chain(built, max(nmax + 1, config.p))\n    if rotated:\n",
         ("tests/test_cli.py::test_polys_of_j_0_builds_no_chain",),
+    ),
+    Mutant(
+        "polys-chain-on-window-rows-only",
+        "src/banded_darboux/cli.py",
+        "_build_chain(built, max(nmax + 1, config.p))",
+        "_build_chain(built, nmax + 1)",
+        ("tests/test_cli.py::test_polys_stdout_is_pinned",),
+    ),
+    Mutant(
+        "explicit-band-minus-p-unchecked",
+        "src/banded_darboux/generate.py",
+        "            if J.band(-config.p)[r] == 0:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_zero_in_band_minus_p_is_a_config_error",),
+    ),
+    Mutant(
+        "moment-budget-uncapped",
+        "src/banded_darboux/generate.py",
+        "        if self.moment_budget > MAX_BUDGET:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_budget_beyond_the_cap_is_rejected_before_anything_is_built",),
     ),
     Mutant(
         "printable-denominator-at-the-limit",

@@ -26,11 +26,15 @@ from banded_darboux import (
     HypothesisViolated,
     InstanceConfig,
     InternalCheckError,
+    LambdaLadder,
+    ShiftedInstance,
     SingularLeadingMinor,
+    chain_from_instance,
     generate,
+    moment_budget,
 )
-from banded_darboux.generate import MAX_N
-from banded_darboux import banded, cli, factorization
+from banded_darboux.generate import MAX_BUDGET, MAX_N
+from banded_darboux import banded, cli, engine, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -254,9 +258,10 @@ def test_transform_and_polys_commands(tmp_path, capsys):
     assert "P_0 = 1" in out
 
 
-# The `polys` stdout of two fixed configs, stage by stage: a random instance
-# with fractional coefficients, and an explicit integer matrix whose
-# sequences have unit, negative and zero coefficients.
+# The `polys` stdout of three fixed configs, stage by stage: a random
+# instance with fractional coefficients, an explicit integer matrix whose
+# sequences have unit, negative and zero coefficients, and p = 4 at W = 1,
+# where the chain needs p rows, more than the W + 1 that degree W reads.
 _POLYS_STAGES = {
     "random": (
         """stage 0:
@@ -298,9 +303,14 @@ _POLYS_STAGES = {
   P_3 = z^3 - 6*z^2 - 15
   P_4 = z^4 + 18/13*z^3 + 61/13*z^2 + 2*z + 29/13""",
     ),
+    "p4-w1": tuple(
+        f"stage {j}:\n  P_0 = 1\n  P_1 = z + {c}"
+        for j, c in enumerate(["6", "39/5", "48/7", "8/3", "143/24"])
+    ),
 }
 _POLYS_CONFIGS = {
     "random": {"window": 4},
+    "p4-w1": {"p": 4, "N": 8, "window": 1},
     "explicit": {
         "N": 12,
         "window": 4,
@@ -556,6 +566,65 @@ def test_n_at_the_cap_is_accepted():
     InstanceConfig.from_json_dict({"p": 1, "N": MAX_N, "window": 1}).validate()
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_budget_beyond_the_cap_is_rejected_before_anything_is_built(
+    tmp_path, capsys, monkeypatch, p
+):
+    # The widest window within the cap is accepted and the next is not;
+    # validate rejects it, so no command reaches generate.
+    window = max(w for w in range(1, MAX_BUDGET) if moment_budget(w, p) <= MAX_BUDGET)
+    InstanceConfig.from_json_dict({"p": p, "N": MAX_N, "window": window}).validate()
+    document = {"p": p, "N": MAX_N, "window": window + 1}
+    message = (
+        f"moment budget {moment_budget(window + 1, p)} exceeds {MAX_BUDGET}; shrink the window"
+    )
+    with pytest.raises(ConfigError, match=message):
+        InstanceConfig.from_json_dict(document)
+    monkeypatch.setattr(cli, "generate", None)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("rows", [(2, 10), (10,)], ids=["rows-2-and-10", "row-10"])
+def test_zero_in_band_minus_p_is_a_config_error(tmp_path, capsys, rows):
+    # The J of seed 113 at p = 2 with a(r, r-2) = 0 at the given rows, with
+    # C = 1 and a ladder nu. A zero in band -p leaves no vector of staircase
+    # orthogonality, so every command stops before anything is built. The
+    # peel would have met 0/0 at stage 1, row 2, where s = 0 fails at row 4
+    # and s = 1 peels; it now reports that row rather than pick a value.
+    J = generate(InstanceConfig(p=2, n=20, window=8, seed=113, bound=2)).instance.J
+    bands = {key: list(band) for key, band in J.to_json_dict()["bands"].items()}
+    for r in rows:
+        bands["-2"][r - 2] = "0"
+    ladder = [["1/2"], ["1", "1/2"]]
+    path = write_config(
+        tmp_path, N=20, C="1",
+        matrix={"source": "explicit", "bands": bands}, nu={"source": "ladder", "lambda": ladder},
+    )
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: explicit matrix has a zero in band -2 at row {rows[0]}: "
+            "no vector of staircase orthogonality exists\n"
+        )
+        assert captured.out == ""
+    assert not (tmp_path / "reports").exists()
+    # The library still takes such a J; its chain needs at least p rows.
+    inst = ShiftedInstance(BandedHessenberg.from_json_dict({"p": 2, "N": 20, "bands": bands}), 1)
+    free_rows = engine._staging(LambdaLadder([[Fraction(1, 2)], [1, Fraction(1, 2)]]), 2).free_rows
+    with pytest.raises(IndexOutOfRange, match="outside 2..20"):
+        chain_from_instance(inst, free_rows, 1)
+    if rows == (2, 10):
+        with pytest.raises(ZeroPeelPivot) as err:
+            chain_from_instance(inst, free_rows, inst.n)
+        assert (err.value.stage, err.value.row) == (1, 2)
+
+
 @pytest.mark.parametrize("key, band", [("1", ["2"]), ("x", []), ("-3", ["1"] * 11)])
 def test_unknown_band_keys_are_config_errors(tmp_path, capsys, key, band):
     # The echo in every report lists the bands given, so none may be dropped.
@@ -565,7 +634,7 @@ def test_unknown_band_keys_are_config_errors(tmp_path, capsys, key, band):
         InstanceConfig.from_json_dict(document)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
-    for command in ("gen", "verify"):
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
         assert run_cli(tmp_path, command, path) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err

@@ -103,11 +103,12 @@ def test_lu_pivots_are_minor_ratios():
 
 
 def test_peel_identity_with_zero_free_entries():
+    # L = I has a zero lowest band: row 3 of stage 1 is 0 = s * 0, which the
+    # peel does not settle by convention; it reports the zero divisor.
     L = [[Fraction(0)] * 3] * 6
-    factors = split_chain(L, [[0, 0], [0]])
-    for f in factors:
-        assert all(v == 0 for v in f.sub)
-    assert product_window(factors) == unit_lower(L)
+    with pytest.raises(ZeroPeelPivot) as err:
+        split_chain(L, [[0, 0], [0]])
+    assert (err.value.stage, err.value.row) == (1, 3)
 
 
 def test_peel_hand_example_free_one():
@@ -169,11 +170,12 @@ def test_peel_zero_pivot_is_reported():
 
 
 def test_peel_vacuous_constraint_takes_zero():
-    # Identity-like input: numerator and divisor both vanish, so the factor
-    # entry is unconstrained and the canonical zero is chosen.
+    # Band -2 is zero, and free entry 3 zeroes the remainder's row 1, so row
+    # 2 reads 0 = s * 0. No convention picks s: the peel raises there.
     L = [[Fraction(0), Fraction(3 if i else 0)] for i in range(5)]
-    factors = split_chain(L, [[3]])
-    assert product_window(factors) == unit_lower(L)
+    with pytest.raises(ZeroPeelPivot, match="no chain with the staged free entries") as err:
+        split_chain(L, [[3]])
+    assert (err.value.stage, err.value.row) == (1, 2)
 
 
 def test_free_spec_validation():

@@ -23,11 +23,13 @@ from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from banded_darboux import (
     BandedHessenberg,
     BidiagonalChain,
     DegreeExceedsMoments,
+    IndexOutOfRange,
     InstanceConfig,
     LambdaLadder,
     LowerBidiagonalUnit,
@@ -282,9 +284,9 @@ def normalised(tail):
 @settings(max_examples=60, deadline=None)
 @given(case=unit_lowers())
 def test_residue_stage_matches_exact_stage(case):
-    # Each stage on residue rows, started from every exact row, against the
-    # exact stage on all N rows: the same rows mod Q, and undecided exactly
-    # when a forced divisor past the start is zero.
+    # Each stage on residue rows, started from every exact row past the
+    # free entries, against the exact stage on all N rows: the same rows mod
+    # Q, and undecided exactly when a divisor past the start is zero.
     exact, free, stages = case
     n, w = len(exact), len(exact[0])
     for j in range(1, stages + 1):
@@ -293,11 +295,11 @@ def test_residue_stage_matches_exact_stage(case):
             _, out = factorization._stage_rows(exact, prescribed, j, w)
         except ZeroPeelPivot:
             return
-        for rows in range(1, n):
+        for rows in range(w, n):
             tail = [factorization._residue_row(row) for row in exact[rows:]]
-            zero = any(out[r - 1][0] == 0 for r in range(max(rows, w), n))
+            zero = any(out[r - 1][0] == 0 for r in range(rows, n))
             try:
-                got = factorization._stage_residues(tail, rows, out[rows - 1], prescribed, w)
+                got = factorization._stage_residues(tail, out[rows - 1], w)
             except factorization._UndecidedResidue:
                 assert zero
             else:
@@ -328,6 +330,33 @@ def full_chain(inst, free_rows):
     return BidiagonalChain(inst.p, inst.n, inst.shift, factors, U)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=instances())
+def test_zero_peel_divisor_never_meets_a_zero_numerator(case):
+    # With J's band -p nonzero, L's lowest band is, and each stage's
+    # divisors form the next remainder's lowest band on every row but the
+    # last. So a stage that stops at a zero divisor has a nonzero numerator
+    # there, and no chain with these free entries exists, except at the
+    # last row of a stage j >= 2: that numerator was no divisor of stage
+    # j - 1 on these rows, but is its divisor at row N of the untruncated J.
+    J, shift, free = case
+    n = J.n
+    try:
+        L, _, _ = shifted_lu(ShiftedInstance(J, shift), n)
+    except SingularLeadingMinor:
+        return
+    block, w = L, J.p
+    assert all(row[0] != 0 for row in block[w:])
+    for j, prescribed in enumerate(free, start=1):
+        try:
+            _, block = factorization._stage_rows(block, prescribed, j, w)
+        except ZeroPeelPivot as exc:
+            assert block[exc.row][0] != 0 or (exc.row == n - 1 and j >= 2)
+            return
+        w -= 1
+        assert all(row[0] != 0 for row in block[w : n - 1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=instances())
 def test_chain_on_leading_rows_matches_full_chain(case):
@@ -337,10 +366,13 @@ def test_chain_on_leading_rows_matches_full_chain(case):
     except SingularLeadingMinor:
         assert 0 in recurrence_values_by_fractions(J, shift, J.n)[1:]
         return
+    for rows in range(1, inst.p):
+        with pytest.raises(IndexOutOfRange):
+            chain_from_instance(inst, free, rows)
     try:
         slow = full_chain(inst, free)
     except ZeroPeelPivot as exc:
-        for rows in range(1, inst.n + 1):
+        for rows in range(inst.p, inst.n + 1):
             try:
                 chain_from_instance(inst, free, rows)
             except ZeroPeelPivot as got:
@@ -348,7 +380,7 @@ def test_chain_on_leading_rows_matches_full_chain(case):
             else:
                 raise AssertionError(f"rows={rows} missed ZeroPeelPivot{exc.stage, exc.row}")
         return
-    for rows in range(1, inst.n + 1):
+    for rows in range(inst.p, inst.n + 1):
         chain = chain_from_instance(inst, free, rows)
         assert plain_json(chain.to_json_dict()) == plain_json(slow.leading(rows).to_json_dict())
     j0 = dict(darboux_transform(chain, [0]))[0]
@@ -367,7 +399,10 @@ def test_lu_on_leading_rows_matches_full_exact_lu(case):
     L, U, tail = shifted_lu(inst, n)
     assert tail == [] and len(L) == U.n == n
     assert all(len(row) == p for row in L)
-    for rows in range(1, n + 1):
+    for rows in range(1, p):
+        with pytest.raises(IndexOutOfRange):
+            shifted_lu(inst, rows)
+    for rows in range(p, n + 1):
         lead, upper, tail = shifted_lu(inst, rows)
         assert upper.n == rows
         assert lead == L[:rows]
@@ -398,11 +433,13 @@ def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
     # Row k, past the exact rows, gets a pivot u_k that is a nonzero
     # multiple of q (residue 0), or an in-band entry of denominator q. The
     # LU tail cannot decide either, so at p >= 2 chain_from_instance reruns
-    # the chain with shifted_lu on all N rows.
+    # the chain with shifted_lu on all N rows. k is drawn from the last row
+    # up: no later row divides by the last pivot, so only the tail's own
+    # check sees it.
     J, shift, free = case
     n, p = J.n, J.p
-    k = data.draw(st.integers(1, n - 1))
-    rows = data.draw(st.integers(1, k))
+    k = n - 1 - data.draw(st.integers(0, n - 1 - p))
+    rows = data.draw(st.integers(p, k))
     bands = {-d: list(J.band(-d)) for d in range(p + 1)}
     if kind == "entry":
         d = data.draw(st.integers(0, min(p, k)))
@@ -435,15 +472,15 @@ def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
     data=st.data(),
 )
 def test_undecided_peel_tail_reruns_the_exact_chain(n, bound, forced, data):
-    # J = C*I + L U with p = 2, band -2 of L zero through row k and free
-    # entry 0: every s(r) up to row k is 0, so the peel divisor of row k+1
-    # is L(k, k-1) itself. Setting it to a nonzero multiple of q leaves its
+    # J = C*I + L U with p = 2, band -2 of L zero through row k, L's
+    # subdiagonal nonzero and free entry 0: every s(r) up to row k is 0, so
+    # the peel divisor of row k+1 is L(k, k-1) itself. Setting it to a nonzero multiple of q leaves its
     # residue 0 past the exact rows, while U's small nonzero diagonal keeps
     # every LU pivot decided, so only the peel tail sends chain_from_instance
     # to its rerun on all N rows.
     k = data.draw(st.integers(2, n - 2))
-    rows = data.draw(st.integers(1, k))
-    sub = [data.draw(rationals(bound)) for _ in range(n - 1)]
+    rows = data.draw(st.integers(2, k))
+    sub = [data.draw(rationals(bound, nonzero=True)) for _ in range(n - 1)]
     sub[k - 1] = forced
     low = [Fraction(0)] * (k + 1) + [data.draw(rationals(bound)) for _ in range(n - k - 1)]
     L = BandMatrix(n, 2, 0, {-1: [0] + sub, -2: low, 0: [1] * n})
@@ -699,7 +736,7 @@ def test_stage_reports_match_the_per_rotation_oracle(run):
         cert = run_theorem(inst, nu, window)
     except ZeroPeelPivot:
         assume(False)
-    assert cert.partial is None and cert.structure_ok
+    assert cert.partial is None
     assert [v.j for v in cert.stage_verdicts] == list(range(1, p + 1))
     chain = chain_from_instance(inst, free_rows, inst.n)
     for verdict in cert.stage_verdicts:
