@@ -14,9 +14,8 @@ orthogonality for its characteristic sequence, the engine
          nu(j) = (nu_{j+1}, .., nu_p, (z-C) nu_1, .., (z-C) nu_j),
 
      the window j .. j+p-1 of (nu_1, .., nu_p, (z-C) nu_1, .., (z-C) nu_p),
-     so each (z-C) nu_i is formed once (`shift_multiply`), and nu(j+1) is
-     nu(j) less its first entry plus the next by construction: the
-     payload's "structure_ok" is always true;
+     so each (z-C) nu_i is formed once (`shift_multiply`) and nu(j+1) is
+     nu(j) moved on by one entry: the payload's "structure_ok" is true;
   5. certifies by exhaustive scan that nu(j) is a vector of staircase
      orthogonality for the transformed sequence.
 

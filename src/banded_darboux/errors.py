@@ -46,15 +46,16 @@ class SingularLeadingMinor(BandedDarbouxError):
 
 
 class ZeroPeelPivot(BandedDarbouxError):
-    """A band-peeling divisor vanished while splitting L into bidiagonals."""
+    """A band-peeling divisor vanished while splitting L into bidiagonals
+    (vacuous: so did its numerator, which rules out no chain)."""
 
     exit_code = 3
 
-    def __init__(self, stage, row):
+    def __init__(self, stage, row, vacuous=False):
         self.stage = stage
         self.row = row
-        super().__init__(f"zero peeling pivot at stage {stage}, row {row}: "
-                         "no chain with the staged free entries exists")
+        reason = "" if vacuous else ": no chain with the staged free entries exists"
+        super().__init__(f"zero peeling pivot at stage {stage}, row {row}{reason}")
 
 
 class BadFreeSpec(BandedDarbouxError):

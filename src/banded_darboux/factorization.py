@@ -211,7 +211,7 @@ def _stage_rows(
     Row r holds the entries of columns r-w .. r-1 (zero where negative).
     With prev the new remainder's row r-1 extended by its unit diagonal,
     s(r) = row[0] / prev[0] for r >= w and the new row is
-    row[k] - s(r) * prev[k], k = 1 .. w-1; ZeroPeelPivot(j, r) if prev[0] = 0.
+    row[k] - s(r) * prev[k], k = 1 .. w-1; s(r) = 0 on a last-row 0 / 0.
     """
     prev = [_ZERO] * (w - 1)
     out = [prev]
@@ -221,10 +221,12 @@ def _stage_rows(
         ext = prev + [_ONE]
         if r <= w - 1:
             s = prescribed[r - 1]
-        elif ext[0] == 0:
-            raise ZeroPeelPivot(j, r)
-        else:
+        elif ext[0] != 0:
             s = row[0] / ext[0]
+        elif row[0] != 0 or r < len(block) - 1:
+            raise ZeroPeelPivot(j, r, vacuous=row[0] == 0)
+        else:
+            s = _ZERO
         sub.append(s)
         prev = [row[k] - s * ext[k] for k in range(1, w)]
         out.append(prev)
@@ -275,10 +277,10 @@ def peel_stages(
     An L that is empty, ragged or nonzero left of column 0 is a ShapeMismatch.
 
     Precondition: L's lowest band is nonzero, as L(r, r-p) = a(r, r-p) /
-    u_{r-p} is when J's band -p is. Each stage's divisors form the next
-    remainder's lowest band but in the last row, so a zero divisor proves
-    that no chain with these free entries exists: of the N x N block, or,
-    at the last row, of the untruncated J. A 0/0 row raises all the same.
+    u_{r-p} is when J's band -p is. A stage's divisors are the next
+    remainder's lowest band but on the last row, so a zero divisor meets a
+    nonzero numerator, proving that no chain with these free entries exists,
+    except on the last row: any s solves 0 = s * 0 there; the peel takes 0.
 
     `tail` continues L past its own rows as residue rows mod q = 2^61 - 1,
     in the layout `shifted_lu` returns, after at least w exact rows. Each

@@ -4,8 +4,8 @@ Everything random flows through one `random.Random(seed)` in a fixed draw
 order, so a (config, seed) pair regenerates byte-identical artifacts. Draws
 are small rationals: numerator in [-B, B], denominator in [1, B], with the
 lowest band of J and ladder diagonals resampled until nonzero. An explicit J
-with a(m, m-p) = 0, m = r-1+sp, is rejected: nu_r[z^k P_{kp+r-1}] would
-vanish for every k >= s, so no vector of staircase orthogonality exists.
+with a zero a(m, m-p), m = r-1+sp, is rejected: nu_r[z^k P_{kp+r-1}] = 0 for
+k >= s, so no vector of staircase orthogonality exists.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ DEFAULT_RETRY_CAP = 32
 # Larger N are rejected before anything is built: gen's memory grows about
 # quadratically in N (p = 1, W = 1: 42 MB at N = 10^4, 2.1 GB at 10^5).
 MAX_N = 10_000
-# Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise: verify
-# at N = B, bound 9, seed 1 (2-vCPU VM) took 33, 47 and 89 s at B = 301, 346
-# and 361 for p = 2, and 18 and 60 s at B = 401 and 501 for p = 1; gen 2-7 s.
+# Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise. verify at
+# N = B, bound 9, seed 1 (2-vCPU VM): 60 s at B = 501 (p = 1), 47/89 s at 346/361
+# (p = 2); at the cap 224 s (p = 3) and 380 s (p = 4): a minute only for p <= 2.
 MAX_BUDGET = 350
 
 

@@ -607,9 +607,12 @@ def peel_stages_full(L, free_rows, stages):
             else:
                 divisor = nxt_entry(r - 1, r - w)
                 numerator = cur_entry(r, r - w)
-                if divisor == 0:
-                    raise ZeroPeelPivot(j, r)
-                s = numerator / divisor
+                if divisor != 0:
+                    s = numerator / divisor
+                elif numerator != 0 or r < n - 1:
+                    raise ZeroPeelPivot(j, r, vacuous=numerator == 0)
+                else:
+                    s = Fraction(0)
             sub.append(s)
             for c in range(max(0, r - (w - 1)), r):
                 nxt[c - r][r] = cur_entry(r, c) - s * nxt_entry(r - 1, c)

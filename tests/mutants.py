@@ -248,6 +248,24 @@ MUTANTS = (
         ("tests/test_cli.py::test_zero_in_band_minus_p_is_a_config_error",),
     ),
     Mutant(
+        "last-row-0-over-0-raises",
+        "src/banded_darboux/factorization.py",
+        "        elif row[0] != 0 or r < len(block) - 1:\n",
+        "        elif True:\n",
+        ("tests/test_factorization.py::test_peel_vacuous_constraint_takes_zero",),
+    ),
+    Mutant(
+        "peel-pivot-message-ignores-the-numerator",
+        "src/banded_darboux/factorization.py",
+        "ZeroPeelPivot(j, r, vacuous=row[0] == 0)",
+        "ZeroPeelPivot(j, r)",
+        (
+            "tests/test_factorization.py::test_peel_identity_with_zero_free_entries",
+            "tests/test_factorization.py::test_peel_vacuous_constraint_takes_zero",
+            "tests/test_cli.py::test_zero_in_band_minus_p_is_a_config_error",
+        ),
+    ),
+    Mutant(
         "moment-budget-uncapped",
         "src/banded_darboux/generate.py",
         "        if self.moment_budget > MAX_BUDGET:\n",

@@ -614,15 +614,15 @@ def test_zero_in_band_minus_p_is_a_config_error(tmp_path, capsys, rows):
         )
         assert captured.out == ""
     assert not (tmp_path / "reports").exists()
-    # The library still takes such a J; its chain needs at least p rows.
-    inst = ShiftedInstance(BandedHessenberg.from_json_dict({"p": 2, "N": 20, "bands": bands}), 1)
-    free_rows = engine._staging(LambdaLadder([[Fraction(1, 2)], [1, Fraction(1, 2)]]), 2).free_rows
-    with pytest.raises(IndexOutOfRange, match="outside 2..20"):
-        chain_from_instance(inst, free_rows, 1)
+    # The library still takes such a J, and its peel stops at the 0/0 row.
     if rows == (2, 10):
+        J = BandedHessenberg.from_json_dict({"p": 2, "N": 20, "bands": bands})
+        inst = ShiftedInstance(J, 1)
+        ladder = LambdaLadder([[Fraction(1, 2)], [1, Fraction(1, 2)]])
         with pytest.raises(ZeroPeelPivot) as err:
-            chain_from_instance(inst, free_rows, inst.n)
+            chain_from_instance(inst, engine._staging(ladder, 2).free_rows, inst.n)
         assert (err.value.stage, err.value.row) == (1, 2)
+        assert str(err.value) == "zero peeling pivot at stage 1, row 2"  # 0 = s * 0
 
 
 @pytest.mark.parametrize("key, band", [("1", ["2"]), ("x", []), ("-3", ["1"] * 11)])
@@ -994,11 +994,11 @@ def test_unprintable_chain_writes_nothing(tmp_path, capsys, command, existing):
         assert not reports.exists() or os.listdir(reports) == []
 
 
-def _run_unprintable_transforms(tmp_path, monkeypatch):
+def _run_unprintable_transforms(tmp_path, capsys, monkeypatch):
     """Under a 640-digit limit, the p = 1, N = 100, bound 1000 chain prints
     but its J(1) does not. Runs factorize, then transform for all rotations
-    and for --j 1; returns the exit codes of the transforms, what they
-    formatted and the windowed products they formed.
+    and for --j 1; returns the exit codes of the transforms, their stderr,
+    what they formatted and the windowed products they formed.
 
     `formatted` records each call of the chain's and J(j)'s to_json_dict
     (their layout) and each value their lazy lists format, through
@@ -1029,20 +1029,29 @@ def _run_unprintable_transforms(tmp_path, monkeypatch):
         assert len(formatted) > 2 * 100  # the shift, 99 subdiagonal and 100 diagonal values
         formatted.clear()
         products.clear()
-        codes = [run_cli(tmp_path, "transform", config, *extra) for extra in ((), ("--j", "1"))]
+        capsys.readouterr()
+        codes, errs = [], []
+        for extra in ((), ("--j", "1")):
+            codes.append(run_cli(tmp_path, "transform", config, *extra))
+            errs.append(capsys.readouterr().err)
     finally:
         sys.set_int_max_str_digits(old)
-    return codes, formatted, products
+    return codes, errs, formatted, products
+
+
+def _one_digit_limit_error(err):
+    """Whether err is one `error: ` line naming the 640-digit limit."""
+    return err.startswith("error: ") and err.count("\n") == 1 and "640-digit" in err
 
 
 def test_transform_checks_every_rotation_before_formatting(tmp_path, capsys, monkeypatch):
     # J(1)'s last-row lowest-band entry already fails: transform must stop
     # before it forms J(1) or formats the chain or J(0).
-    codes, formatted, products = _run_unprintable_transforms(tmp_path, monkeypatch)
+    codes, errs, formatted, products = _run_unprintable_transforms(tmp_path, capsys, monkeypatch)
     assert codes == [EXIT_CONFIG, EXIT_CONFIG]
     assert formatted == []
     assert products == []
-    assert capsys.readouterr().err.count("640-digit") == 2
+    assert all(_one_digit_limit_error(err) for err in errs)
     assert os.listdir(tmp_path / "reports") == ["factorize.json"]
 
 
@@ -1055,12 +1064,12 @@ def test_transform_full_check_still_rejects_a_rotation_the_last_row_passes(
     # sections (only the chain's with --j 1); the report is never renamed
     # into place.
     monkeypatch.setattr(cli, "last_row_lowest_entry", lambda chain, j: Fraction(0))
-    codes, formatted, products = _run_unprintable_transforms(tmp_path, monkeypatch)
+    codes, errs, formatted, products = _run_unprintable_transforms(tmp_path, capsys, monkeypatch)
     assert codes == [EXIT_CONFIG, EXIT_CONFIG]
     layouts = [x for x in formatted if isinstance(x, type)]
     assert layouts == [BidiagonalChain, BandedHessenberg, BidiagonalChain]
     assert len(products) == 2  # J(1) was formed once per run, then refused
-    assert capsys.readouterr().err.count("640-digit") == 2
+    assert all(_one_digit_limit_error(err) for err in errs)
     assert os.listdir(tmp_path / "reports") == ["factorize.json"]
 
 

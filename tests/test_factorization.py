@@ -103,12 +103,13 @@ def test_lu_pivots_are_minor_ratios():
 
 
 def test_peel_identity_with_zero_free_entries():
-    # L = I has a zero lowest band: row 3 of stage 1 is 0 = s * 0, which the
-    # peel does not settle by convention; it reports the zero divisor.
+    # L = I has a zero lowest band: row 3 of stage 1 is 0 = s * 0 before
+    # the last row, which the peel does not settle by convention.
     L = [[Fraction(0)] * 3] * 6
     with pytest.raises(ZeroPeelPivot) as err:
         split_chain(L, [[0, 0], [0]])
     assert (err.value.stage, err.value.row) == (1, 3)
+    assert str(err.value) == "zero peeling pivot at stage 1, row 3"
 
 
 def test_peel_hand_example_free_one():
@@ -167,15 +168,21 @@ def test_peel_zero_pivot_is_reported():
     with pytest.raises(ZeroPeelPivot) as err:
         split_chain(L, [[3]])
     assert (err.value.stage, err.value.row) == (1, 2)
+    assert str(err.value).endswith(": no chain with the staged free entries exists")
 
 
 def test_peel_vacuous_constraint_takes_zero():
     # Band -2 is zero, and free entry 3 zeroes the remainder's row 1, so row
-    # 2 reads 0 = s * 0. No convention picks s: the peel raises there.
-    L = [[Fraction(0), Fraction(3 if i else 0)] for i in range(5)]
-    with pytest.raises(ZeroPeelPivot, match="no chain with the staged free entries") as err:
-        split_chain(L, [[3]])
+    # 2 reads 0 = s * 0. On the last row any s completes the block, and the
+    # peel takes 0; before it, no convention picks s and the peel raises.
+    L = [[Fraction(0), Fraction(3 if i else 0)] for i in range(3)]
+    factors = split_chain(L, [[3]])
+    assert factors[0].sub == (3, 0)
+    assert product_window(factors) == unit_lower(L)
+    with pytest.raises(ZeroPeelPivot) as err:
+        split_chain(L + L[1:], [[3]])
     assert (err.value.stage, err.value.row) == (1, 2)
+    assert str(err.value) == "zero peeling pivot at stage 1, row 2"
 
 
 def test_free_spec_validation():

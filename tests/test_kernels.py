@@ -336,9 +336,8 @@ def test_zero_peel_divisor_never_meets_a_zero_numerator(case):
     # With J's band -p nonzero, L's lowest band is, and each stage's
     # divisors form the next remainder's lowest band on every row but the
     # last. So a stage that stops at a zero divisor has a nonzero numerator
-    # there, and no chain with these free entries exists, except at the
-    # last row of a stage j >= 2: that numerator was no divisor of stage
-    # j - 1 on these rows, but is its divisor at row N of the untruncated J.
+    # there, and no chain with these free entries exists. The last row's
+    # numerator was no divisor of the stage before; a 0/0 there peels.
     J, shift, free = case
     n = J.n
     try:
@@ -351,7 +350,8 @@ def test_zero_peel_divisor_never_meets_a_zero_numerator(case):
         try:
             _, block = factorization._stage_rows(block, prescribed, j, w)
         except ZeroPeelPivot as exc:
-            assert block[exc.row][0] != 0 or (exc.row == n - 1 and j >= 2)
+            assert block[exc.row][0] != 0
+            assert str(exc).endswith("no chain with the staged free entries exists")
             return
         w -= 1
         assert all(row[0] != 0 for row in block[w : n - 1])
