@@ -40,10 +40,14 @@ complete. polys and verify likewise take their J(j) one at a time from one
 call, through transformed_polys.
 
 Every command runs through one runner (`_run`): load the config, start the
-clock, generate the instance, run the command, write its report, then copy
-its stdout from the spool and print the final `report: <path>` line. A
-library error ends the run with one `error:` line on stderr and its class's
-`exit_code`; the table of classes and codes is in `banded_darboux.errors`.
+clock, run the command, write its report, then copy its stdout from the
+spool and print the final `report: <path>` line. Each command generates its
+instance and is its only holder, so the instance goes when the command is
+done with it, before the report is written; verify keeps only J, C and nu,
+so the source sequence P_0 .. P_B, which only polys reads, is gone before
+its scan. A library error ends the run with one `error:` line on stderr and
+its class's `exit_code`; the table of classes and codes is in
+`banded_darboux.errors`.
 
 Exit codes (total over library errors):
     0  success / certificate passed
@@ -226,14 +230,18 @@ def _load_config(args) -> InstanceConfig:
     return InstanceConfig.from_json_dict(data)
 
 
-# A command maps (config, built, out) to its payload body (every key but
-# "command", "tool_version" and "config", which the runner adds) and its exit
-# code. It prints its stdout to `out`, a spool the runner copies to stdout
+# A command maps (config, out) to its payload body (every key but "command",
+# "tool_version" and "config", which the runner adds) and its exit code. It
+# generates its instance itself and is the one holder of it, so the instance
+# lives no longer than the command needs it: the runner never holds it (a
+# call argument would stay on the caller's stack for the call on Python
+# 3.10). It prints its stdout to `out`, a spool the runner copies to stdout
 # once the report is written.
 CommandResult = tuple[dict, int]
 
 
-def cmd_gen(config: InstanceConfig, built, out: TextIO) -> CommandResult:
+def cmd_gen(config: InstanceConfig, out: TextIO) -> CommandResult:
+    built = generate(config)
     shift = format_rational(built.instance.shift)
     body = {
         "matrix": built.instance.J.to_json_dict(),
@@ -253,7 +261,8 @@ def cmd_gen(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_factorize(config: InstanceConfig, built, out: TextIO) -> CommandResult:
+def cmd_factorize(config: InstanceConfig, out: TextIO) -> CommandResult:
+    built = generate(config)
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     shift = format_rational(built.instance.shift)
@@ -284,7 +293,8 @@ def _indices(config: InstanceConfig) -> range | list[int]:
     return range(config.p + 1) if index is None else [index]
 
 
-def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
+def cmd_transform(config: InstanceConfig, out: TextIO) -> CommandResult:
+    built = generate(config)
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     js = _indices(config)
@@ -316,7 +326,8 @@ def cmd_transform(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_polys(config: InstanceConfig, built, out: TextIO) -> CommandResult:
+def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
+    built = generate(config)
     nmax = config.window
     js = _indices(config)
     rotated = [j for j in js if j]
@@ -336,8 +347,12 @@ def cmd_polys(config: InstanceConfig, built, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_verify(config: InstanceConfig, built, out: TextIO) -> CommandResult:
-    certificate = run_theorem(built.instance, built.nu, config.window)
+def cmd_verify(config: InstanceConfig, out: TextIO) -> CommandResult:
+    built = generate(config)
+    instance, nu = built.instance, built.nu
+    # The scan reads the instance and nu only: P_0 .. P_B and the staging go.
+    del built
+    certificate = run_theorem(instance, nu, config.window)
     print(f"verdict: {'pass' if certificate.passed else 'FAIL'}", file=out)
     for verdict in certificate.stage_verdicts:
         status = "pass" if verdict.passed else "FAIL"
@@ -393,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Load, generate, run the command, write its report, print its stdout."""
+    """Load, run the command (which generates its instance), write its
+    report, print its stdout."""
     config = _load_config(args)
     t0 = time.perf_counter()
-    built = generate(config)
     with tempfile.TemporaryFile("w+", buffering=_BATCH_CHARS, encoding="utf-8") as spool:
-        body, code = _COMMANDS[args.command](config, built, spool)
+        body, code = _COMMANDS[args.command](config, spool)
         payload = {
             "command": args.command,
             "tool_version": __version__,
-            "config": built.config_echo,
+            "config": config.to_json_dict(),
             **body,
         }
         path = _write_report(

@@ -129,8 +129,8 @@ def shifted_lu(
     Band recurrence, writing A = J - C*I and u for U's diagonal:
         A(i, m) = L(i, m) u_m + L(i, m-1),  m < i   (L(i, m-1) = 0 below band)
         A(i, i) = u_i + L(i, i-1).
-    A zero u_m encountered here is exactly a singular leading minor of
-    order m+1.
+    The instance is admissible, so every pivot u_n = -P_{n+1}(C) / P_n(C) is
+    nonzero and the recurrence divides freely.
 
     Returns L's leading rows in the module's row layout, U as a leading
     rows x rows block, and L's rows rows .. N-1 mod q = 2^61 - 1, the
@@ -154,16 +154,9 @@ def shifted_lu(
         # Row i; x is L(i, m-1) for the column m = i-p+k in progress.
         row, x = [_ZERO] * p, _ZERO
         for k in range(max(0, p - i), p):
-            u = diag[i - p + k]
-            if u == 0:
-                raise SingularLeadingMinor(i - p + k + 1)
-            x = row[k] = (bands[k][i] - x) / u
+            x = row[k] = (bands[k][i] - x) / diag[i - p + k]
         diag.append(bands[p][i] - C - x)
         L.append(row)
-    if rows == n and diag[-1] == 0:
-        # The final pivot is never divided by, but it witnesses the minor of
-        # full order being singular; surface it for contract uniformity.
-        raise SingularLeadingMinor(n)
     return L, UpperBidiagonal(rows, diag), _lu_tail(bands, C, diag[rows - p:], rows)
 
 

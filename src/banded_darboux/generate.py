@@ -33,10 +33,18 @@ DEFAULT_RETRY_CAP = 32
 # Larger N are rejected before anything is built: gen's memory grows about
 # quadratically in N (p = 1, W = 1: 42 MB at N = 10^4, 2.1 GB at 10^5).
 MAX_N = 10_000
-# Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise. verify at
-# N = B, bound 9, seed 1 (2-vCPU VM): 60 s at B = 501 (p = 1), 47/89 s at 346/361
-# (p = 2); at the cap 224 s (p = 3) and 380 s (p = 4): a minute only for p <= 2.
-MAX_BUDGET = 350
+# Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise, at a cap
+# by p near where verify, at N = B, bound 9, seed 1 (fresh process, 2-vCPU VM),
+# first takes a minute: 60 s at B = 501 (p = 1) and 47/89 s at 346/361 (p = 2),
+# both capped at 350; 53/70/75 s at 269/280/275 (p = 3); 47/64/69 s at
+# 236/240/241 (p = 4). verify does p stages of work, so p >= 5, unmeasured,
+# takes p = 4's cap.
+MAX_BUDGETS = (350, 350, 270, 240)
+
+
+def max_budget(p: int) -> int:
+    """The largest moment budget a config at band parameter p >= 1 may have."""
+    return MAX_BUDGETS[min(p, len(MAX_BUDGETS)) - 1]
 
 
 def random_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
@@ -120,9 +128,10 @@ class InstanceConfig:
                 f"window {self.window} with p {self.p} needs N >= "
                 f"{self.window + self.p + 1}, got {self.n}"
             )
-        if self.moment_budget > MAX_BUDGET:
+        if self.moment_budget > max_budget(self.p):
             raise ConfigError(
-                f"moment budget {self.moment_budget} exceeds {MAX_BUDGET}; shrink the window"
+                f"moment budget {self.moment_budget} exceeds {max_budget(self.p)} at "
+                f"p = {self.p}; shrink the window"
             )
         if self.moment_budget > self.n:
             raise ConfigError(
@@ -227,10 +236,11 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance, nu as p moment tuples, the staging of the ladder nu was built
-    from (the ladder is `staging.stage_ladders[0]`), and the retries it took."""
+    """Instance, nu as p moment tuples, the source sequence P_0 .. P_B up to
+    the moment budget B (only `polys` reads it), the staging of the ladder nu
+    was built from (the ladder is `staging.stage_ladders[0]`), and the
+    retries it took. The config it came from is not kept: the caller has it."""
 
-    config_echo: dict
     instance: ShiftedInstance
     nu: tuple[tuple[Fraction, ...], ...]
     source_polys: tuple[tuple[Fraction, ...], ...]
@@ -247,6 +257,11 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
     rejected value. Random ladders are likewise resampled while any
     hypothesis minor vanishes (when require_hypotheses is set). The ladder
     nu is built from is staged once; the chain commands read that staging.
+
+    Two tables run up to the moment budget B: the B + 1 dual functionals,
+    of which nu reads p, and P_0 .. P_B. The duals are built first and let
+    go once nu is formed, before P_0 .. P_B are built, so the peak holds
+    one table, not both.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -283,7 +298,6 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
         )
 
     budget = config.moment_budget
-    source_polys = characteristic_polys(J, budget)
     duals = dual_sequence(J, budget)
 
     # Every source ends in one ladder, one nu and one staging of the ladder.
@@ -314,11 +328,13 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             staging = _staging(ladder, config.p)
     # build_nu checks a given ladder regular before it is staged.
     nu = build_nu(ladder, duals)
+    # The dual table goes before P_0 .. P_B are built.
+    del duals
     if staging is None:
         staging = _staging(ladder, config.p)
+    source_polys = characteristic_polys(J, budget)
 
     return GeneratedInstance(
-        config_echo=config.to_json_dict(),
         instance=instance,
         nu=nu,
         source_polys=source_polys,

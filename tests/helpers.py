@@ -12,7 +12,10 @@ characteristic values at a point in `Fraction`s, the peel exact on all N
 rows, and each rotation as one left-to-right chained product. The rest
 are checks only the tests call: the intertwining matrices G(j), a unit
 lower triangular solve, the table of staircase minors, z^k P, and the
-matrix L(1) ... L(p) U + C*I a chain factors. The rotated vector nu(j)
+matrix L(1) ... L(p) U + C*I a chain factors, and its Freivalds check at
+sizes no exact oracle reaches (`freivalds_mismatches`: J - C*I and each
+J(j) - C*I against the chain's product times a random vector, on residues
+mod 2^61 - 1, with arithmetic of its own). The rotated vector nu(j)
 formed on its own for each j (`transformed_nu`; `run_theorem` takes every
 nu(j) as a window of one list) and C*I + M as a separate matrix
 (`plus_scaled_identity`; the package adds C to the diagonal as it builds
@@ -629,6 +632,57 @@ def darboux_transform_chained(chain, j):
     seq = chain.factors[j:] + (chain.upper,) + chain.factors[:j]
     prod = plus_scaled_identity(product_window(seq), chain.shift)
     return BandedHessenberg.from_band_matrix(prod, chain.p, 0)
+
+
+# The Mersenne prime 2^61 - 1: the Freivalds check works on residues mod it.
+FREIVALDS_Q = (1 << 61) - 1
+
+
+def _mod_q(values):
+    """Each rational as a residue mod FREIVALDS_Q (ValueError when q divides
+    a denominator)."""
+    q = FREIVALDS_Q
+    return [v.numerator * pow(v.denominator, -1, q) % q for v in values]
+
+
+def freivalds_mismatches(chain, hess, j, rng):
+    """Rows where (hess - C*I) x and L(j+1) .. L(p) U L(1) .. L(j) x differ
+    mod q = 2^61 - 1, for one random vector x: an empty list when hess is
+    J(j) of the chain, but for a wrong row with chance 1/q.
+
+    The chain's N x N truncations are multiplied into x right to left, one
+    bidiagonal factor at a time. A lower factor reads x's earlier rows only,
+    so J - C*I = L(1) .. L(p) U holds on all N rows (j = 0, hess the source
+    J); U reads the row below, past the edge on the last row, so for j >= 1
+    the rows 0 .. N-2 are checked.
+    """
+    q, n, p = FREIVALDS_Q, chain.n, chain.p
+    subs = [[0] + _mod_q(f.sub) for f in chain.factors]
+    diag = _mod_q(chain.upper.diag)
+    (c,) = _mod_q([chain.shift])
+
+    def lower(k, v):
+        s = subs[k - 1]
+        return [v[0]] + [(v[r] + s[r] * v[r - 1]) % q for r in range(1, n)]
+
+    x = [rng.randrange(q) for _ in range(n)]
+    y = x
+    for k in range(j, 0, -1):
+        y = lower(k, y)
+    y = [(diag[r] * y[r] + (y[r + 1] if r + 1 < n else 0)) % q for r in range(n)]
+    for k in range(p, j, -1):
+        y = lower(k, y)
+    bands = {d: _mod_q(hess.band(d)) for d in range(-p, 2)}
+    rows = n if j == 0 else n - 1
+    mismatches = []
+    for i in range(rows):
+        value = -c * x[i]
+        for d, band in bands.items():
+            if 0 <= i + d < n:
+                value += band[i] * x[i + d]
+        if value % q != y[i]:
+            mismatches.append(i)
+    return mismatches
 
 
 def g_matrix(chain, j):

@@ -104,6 +104,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "generate-builds-the-sequence-before-the-duals",
+        "src/banded_darboux/generate.py",
+        "    duals = dual_sequence(J, budget)\n",
+        "    source_polys = characteristic_polys(J, budget)\n"
+        "    duals = dual_sequence(J, budget)\n",
+        (
+            "tests/test_engine.py::"
+            "test_generate_never_holds_the_dual_table_and_the_source_sequence_together",
+        ),
+    ),
+    Mutant(
+        "generate-keeps-the-dual-table",
+        "src/banded_darboux/generate.py",
+        "    del duals\n",
+        "",
+        (
+            "tests/test_engine.py::"
+            "test_generate_never_holds_the_dual_table_and_the_source_sequence_together",
+        ),
+    ),
+    Mutant(
+        "verify-holds-the-instance-through-its-scan",
+        "src/banded_darboux/cli.py",
+        "    del built\n",
+        "",
+        ("tests/test_cli.py::test_verify_lets_the_generated_instance_go_before_its_scan",),
+    ),
+    Mutant(
         "chain-split-accepts-p-rows",
         "src/banded_darboux/factorization.py",
         "if len(free_rows) != p - 1:",
@@ -113,8 +141,8 @@ MUTANTS = (
     Mutant(
         "row-lu-drops-the-left-neighbour",
         "src/banded_darboux/factorization.py",
-        "x = row[k] = (bands[k][i] - x) / u",
-        "x = row[k] = bands[k][i] / u",
+        "x = row[k] = (bands[k][i] - x) / diag[i - p + k]",
+        "x = row[k] = bands[k][i] / diag[i - p + k]",
         (
             "tests/test_factorization.py::test_lu_reconstructs_shifted_matrix_exactly",
             "tests/test_factorization.py::test_lu_pivots_are_minor_ratios",
@@ -268,7 +296,7 @@ MUTANTS = (
     Mutant(
         "moment-budget-uncapped",
         "src/banded_darboux/generate.py",
-        "        if self.moment_budget > MAX_BUDGET:\n",
+        "        if self.moment_budget > max_budget(self.p):\n",
         "        if False:\n",
         ("tests/test_cli.py::test_budget_beyond_the_cap_is_rejected_before_anything_is_built",),
     ),

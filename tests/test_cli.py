@@ -1,5 +1,6 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
+import gc
 import hashlib
 import io
 import json
@@ -33,7 +34,8 @@ from banded_darboux import (
     generate,
     moment_budget,
 )
-from banded_darboux.generate import MAX_BUDGET, MAX_N
+from banded_darboux.engine import run_theorem
+from banded_darboux.generate import MAX_N, GeneratedInstance, max_budget
 from banded_darboux import banded, cli, engine, factorization
 from banded_darboux.cli import (
     EXIT_CONFIG,
@@ -562,21 +564,30 @@ def test_n_beyond_the_cap_is_rejected_before_anything_is_built(tmp_path, capsys,
     assert not (tmp_path / "reports").exists()
 
 
+def test_budget_cap_falls_with_p():
+    # p <= 2 keep 350; p >= 5 is unmeasured and takes p = 4's cap. Every cap
+    # admits the benchmark's largest budget, 145.
+    assert [max_budget(p) for p in range(1, 7)] == [350, 350, 270, 240, 240, 240]
+    assert max_budget(100) == 240
+
+
 def test_n_at_the_cap_is_accepted():
     InstanceConfig.from_json_dict({"p": 1, "N": MAX_N, "window": 1}).validate()
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_budget_beyond_the_cap_is_rejected_before_anything_is_built(
     tmp_path, capsys, monkeypatch, p
 ):
-    # The widest window within the cap is accepted and the next is not;
+    # The widest window within p's cap is accepted and the next is not;
     # validate rejects it, so no command reaches generate.
-    window = max(w for w in range(1, MAX_BUDGET) if moment_budget(w, p) <= MAX_BUDGET)
+    cap = max_budget(p)
+    window = max(w for w in range(1, cap) if moment_budget(w, p) <= cap)
     InstanceConfig.from_json_dict({"p": p, "N": MAX_N, "window": window}).validate()
     document = {"p": p, "N": MAX_N, "window": window + 1}
     message = (
-        f"moment budget {moment_budget(window + 1, p)} exceeds {MAX_BUDGET}; shrink the window"
+        f"moment budget {moment_budget(window + 1, p)} exceeds {cap} at p = {p}; "
+        "shrink the window"
     )
     with pytest.raises(ConfigError, match=message):
         InstanceConfig.from_json_dict(document)
@@ -1209,6 +1220,28 @@ def test_factorize_peak_memory_is_under_its_report(tmp_path):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak < (tmp_path / "reports" / "factorize.json").stat().st_size
+
+
+def test_verify_lets_the_generated_instance_go_before_its_scan(tmp_path, monkeypatch, capsys):
+    # The scan reads the instance and nu only, so P_0 .. P_B and the staging
+    # are gone when run_theorem starts: neither the runner nor verify still
+    # holds what generate returned.
+    config = write_config(tmp_path)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, GeneratedInstance)]
+    live = []
+
+    def scanned(*args):
+        live.extend(
+            o for o in gc.get_objects()
+            if isinstance(o, GeneratedInstance) and not any(o is b for b in before)
+        )
+        return run_theorem(*args)
+
+    monkeypatch.setattr(cli, "run_theorem", scanned)
+    assert run_cli(tmp_path, "verify", config) == EXIT_OK
+    assert live == []
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def _cli_subprocess(*args):

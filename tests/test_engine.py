@@ -4,6 +4,7 @@ of vectors, and full certificate runs."""
 from fractions import Fraction
 import importlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -337,6 +338,24 @@ def test_zero_ladder_diagonal_stops_generate_before_staging(monkeypatch):
     with pytest.raises(LadderViolation, match=r"ladder diagonal \(2, 1\) is zero"):
         built_instance(2, seed=5, nu_source="ladder", nu_ladder=[["1"], ["0", "0"]])
     assert staged == []
+
+
+def _heap_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_never_holds_the_dual_table_and_the_source_sequence_together():
+    # Both tables run to the moment budget B = 49. nu reads p dual columns,
+    # so the duals go before P_0 .. P_B are built, and generate's heap peak
+    # stays near dual_sequence's own; holding both reads about 1.75 times it.
+    cfg = InstanceConfig(p=1, n=49, window=24, seed=1)
+    J = generate(cfg).instance.J
+    assert _heap_peak(generate, cfg) < 1.25 * _heap_peak(dual_sequence, J, cfg.moment_budget)
 
 
 # --------------------------------------------------------------- rotations

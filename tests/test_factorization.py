@@ -9,6 +9,7 @@ from banded_darboux import (
     BadFreeSpec,
     BandedHessenberg,
     IndexOutOfRange,
+    InstanceConfig,
     ShiftedInstance,
     ShapeMismatch,
     SingularLeadingMinor,
@@ -16,6 +17,7 @@ from banded_darboux import (
     chain_from_instance,
     characteristic_polys,
     darboux_transform,
+    generate,
     multiply_window,
     peel_stages,
     shifted_lu,
@@ -31,6 +33,7 @@ from helpers import (
     dense_rows,
     divide_exactly,
     draw_rational,
+    freivalds_mismatches,
     g_matrix,
     gamma,
     hand_example,
@@ -383,3 +386,19 @@ def test_transformed_sequence_catalan_kernel_oracle():
         ratio = P[n + 1](0) / P[n](0)
         expected = divide_exactly(P[n + 1] - ratio * P[n], 0)
         assert got[n] == expected
+
+
+@pytest.mark.parametrize(
+    "p, n", [(1, 1000), (2, 700), (4, 400)], ids=["p1-N1000", "p2-N700", "p4-N400"]
+)
+def test_chain_and_rotations_pass_a_freivalds_check_at_full_n(p, n):
+    # Shapes of the chain-long benchmark, far past the N <= 40 of the exact
+    # oracles: J - C*I = L(1) .. L(p) U on all N rows, and each J(j) on the
+    # rows 0 .. N-2 it is valid on, checked mod 2^61 - 1 with random vectors.
+    # C is nonzero, so a J(j) that left it off would differ.
+    built = generate(InstanceConfig(p=p, n=n, window=8, seed=1, shift="1/2"))
+    chain = chain_from_instance(built.instance, built.staging.free_rows, n)
+    rng = random.Random(p)
+    assert freivalds_mismatches(chain, built.instance.J, 0, rng) == []
+    for j, hess in darboux_transform(chain, range(1, p + 1)):
+        assert freivalds_mismatches(chain, hess, j, rng) == []
