@@ -15,6 +15,7 @@ from banded_darboux import (
     characteristic_polys,
     darboux_transform,
     format_polynomial,
+    format_rational,
     shifted_lu,
     transformed_polys,
 )
@@ -25,10 +26,11 @@ print("J: tridiagonal, diagonal 2, subdiagonal 1, unit superdiagonal")
 
 # -- characteristic sequence ------------------------------------------------
 
-# Each P_n is its tuple of coefficients, constant term first.
+# Each P_n is its tuple of coefficients, constant term first;
+# format_polynomial prints their wire forms.
 P = characteristic_polys(J, N)
 for n, poly in enumerate(P[:6]):
-    print(f"  P_{n} = {format_polynomial(poly)}")
+    print(f"  P_{n} = {format_polynomial([format_rational(c) for c in poly])}")
 
 # -- shifted LU (shift C = 0 is admissible: no P_n vanishes there) ----------
 
@@ -55,7 +57,7 @@ print("  new diagonal:", ", ".join(str(J1.a(i, i)) for i in range(4)), "...")
 [(_, K)] = transformed_polys(chain, 5, [1])
 print("\nkernel sequence of the rotation:")
 for n, poly in enumerate(K):
-    print(f"  K_{n} = {format_polynomial(poly)}")
+    print(f"  K_{n} = {format_polynomial([format_rational(c) for c in poly])}")
 
 print("\nclassical check: K_n = (P_{n+1} - (P_{n+1}(0)/P_n(0)) P_n) / z")
 # The ratio cancels the constant term, so dividing by z drops it.

@@ -339,9 +339,9 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
         stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
     sequences = {}
     for j, polys in stages:
-        sequences[str(j)] = [[format_rational(c) for c in poly] for poly in polys]
+        sequences[str(j)] = printed = [[format_rational(c) for c in poly] for poly in polys]
         print(f"stage {j}:", file=out)
-        for n, poly in enumerate(polys):
+        for n, poly in enumerate(printed):
             print(f"  P_{n} = {format_polynomial(poly)}", file=out)
     body = {"nmax": nmax, "sequences": sequences}
     return body, EXIT_OK

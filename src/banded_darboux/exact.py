@@ -93,24 +93,26 @@ def check_printable(values: Iterable[Fraction]) -> None:
             raise _unprintable()
 
 
-def format_polynomial(coeffs: Sequence[Fraction]) -> str:
-    """The polynomial sum_k coeffs[k] z^k as text, highest degree first.
+def format_polynomial(coeffs: Sequence[str]) -> str:
+    """The polynomial sum_k coeffs[k] z^k as text, highest degree first,
+    from its coefficients' wire forms (`format_rational`).
 
-    For example (1, -3/2, 0, 1) reads "z^3 - 3/2*z + 1". Zero coefficients
-    are skipped, and a polynomial without nonzero ones reads "0".
+    For example ("1", "-3/2", "0", "1") reads "z^3 - 3/2*z + 1". Zero
+    coefficients are skipped, and a polynomial without nonzero ones reads "0".
     """
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if c == 0:
+        if c == "0":
             continue
-        mag = abs(c)
+        negative = c[0] == "-"
+        mag = c[1:] if negative else c
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             var = "z" if k == 1 else f"z^{k}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        terms.append(("- " if c < 0 else "+ ") + body)
+            body = var if mag == "1" else f"{mag}*{var}"
+        terms.append(("- " if negative else "+ ") + body)
     if not terms:
         return "0"
     text = " ".join(terms)

@@ -17,12 +17,13 @@ L passes from the LU to the split as its rows, row i being [L(i, i-p), ..,
 L(i, i-1)] with 0 where the column is negative; the split's last remainder,
 one column wide, is L(p). Both are row-ordered, so `chain_from_instance(
 inst, free_rows, rows)` computes them exactly only on the leading rows a
-command keeps, at least p, so every free entry falls there. Past those,
-`shifted_lu` hands L's rows to `peel_stages` as residue rows mod q = 2^61 -
-1, which only have to show every peel divisor nonzero. A residue that cannot
-decide raises _UndecidedResidue out of either; `chain_from_instance` alone
-catches it and reruns the chain exactly on all N rows. Every other caller
-peels an L that is exact on all its rows, with no residue rows.
+command keeps, at least p, so every free entry falls there. Past those, the
+LU's row loop and each stage's row loop run on, on the same code, with
+values mod q = 2^61 - 1 (`_Residue`) that only have to show every peel
+divisor nonzero. A residue that cannot decide raises _UndecidedResidue out
+of either; `chain_from_instance` alone catches it and reruns the chain
+exactly on all N rows. Every other caller peels an L that is exact on all
+its rows, with no residue rows.
 """
 
 from __future__ import annotations
@@ -53,12 +54,8 @@ _ONE = Fraction(1)
 
 
 # The Mersenne prime 2^61 - 1: LU pivots and peel divisors past the exact
-# rows are shown nonzero by their residues modulo it. A residue row is a
-# pair (numerators, denominator) mod _Q with a nonzero denominator, so a
-# value is zero mod _Q exactly when its numerator is, and no inverse is
-# taken row by row.
+# rows are shown nonzero by their residues modulo it.
 _Q = (1 << 61) - 1
-_ResidueRow = tuple[list[int], int]
 
 
 class _UndecidedResidue(Exception):
@@ -66,23 +63,56 @@ class _UndecidedResidue(Exception):
     denominator is divisible by _Q; the exact route reruns."""
 
 
-def _pair(v: Fraction) -> tuple[int, int]:
-    """v as (numerator, denominator) mod _Q."""
-    den = v.denominator % _Q
-    if den == 0:
+class _Residue:
+    """A rational's image mod _Q as a pair num / den with den nonzero mod
+    _Q, so that no inverse is taken. It takes a Fraction on either side
+    of - and /, and on the right of *, as the LU and the peel need.
+
+    A nonzero num proves the rational nonzero, but num = 0 proves nothing
+    (q may divide the exact numerator). So the zero test (`bool`) and a
+    division by such a residue raise _UndecidedResidue, as does the image
+    of a rational whose denominator q divides.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __bool__(self) -> bool:
+        if self.num:
+            return True
         raise _UndecidedResidue
-    return v.numerator % _Q, den
+
+    def __sub__(self, other) -> _Residue:
+        b = _residue(other)
+        return _Residue((self.num * b.den - b.num * self.den) % _Q, self.den * b.den % _Q)
+
+    def __rsub__(self, other) -> _Residue:
+        return _residue(other) - self
+
+    def __mul__(self, other) -> _Residue:
+        b = _residue(other)
+        return _Residue(self.num * b.num % _Q, self.den * b.den % _Q)
+
+    def __truediv__(self, other) -> _Residue:
+        b = _residue(other)
+        if not b.num:
+            raise _UndecidedResidue
+        return _Residue(self.num * b.den % _Q, self.den * b.num % _Q)
+
+    def __rtruediv__(self, other) -> _Residue:
+        return _residue(other) / self
 
 
-def _residue_row(values: Iterable[Fraction]) -> _ResidueRow:
-    """Exact values as one residue row over a common denominator."""
-    row, den = [], 1
-    for v in values:
-        num, d = _pair(v)
-        row = [x * d % _Q for x in row]
-        row.append(num * den % _Q)
-        den = den * d % _Q
-    return row, den
+def _residue(v: Fraction | _Residue) -> _Residue:
+    """v mod _Q."""
+    if type(v) is _Residue:
+        return v
+    den = v.denominator % _Q
+    if not den:
+        raise _UndecidedResidue
+    return _Residue(v.numerator % _Q, den)
 
 
 class ShiftedInstance:
@@ -122,7 +152,7 @@ class ShiftedInstance:
 
 def shifted_lu(
     inst: ShiftedInstance, rows: int
-) -> tuple[list[list[Fraction]], UpperBidiagonal, list[_ResidueRow]]:
+) -> tuple[list[list[Fraction]], UpperBidiagonal, list[list[_Residue]]]:
     """Unique factorization J - C*I = L U with unit-diagonal L, exact on the
     leading `rows` rows, p <= rows <= N (IndexOutOfRange otherwise).
 
@@ -134,14 +164,15 @@ def shifted_lu(
 
     Returns L's leading rows in the module's row layout, U as a leading
     rows x rows block, and L's rows rows .. N-1 mod q = 2^61 - 1, the
-    residue rows `peel_stages` reads: tail[r - rows] is (nums, den) with
-    L(r, r-p+k) = nums[k] / den mod q. The tail runs the same recurrence
-    with each row over one denominator, so it takes no modular inverse. A
-    pivot residue of 0, or a denominator divisible by q, raises
-    _UndecidedResidue, on which `chain_from_instance` reruns with rows = N.
-    rows = N gives the full exact factorization and an empty tail, and so
-    does p = 1: its split peels no stage, so nothing reads the tail, and
-    admissibility already shows every pivot nonzero.
+    residue rows `peel_stages` reads, in the same layout. The same row loop
+    runs on past the kept rows, on C and the last p exact pivots taken mod
+    q, so every later value is a residue. A pivot is tested only where a
+    later row divides by it, so u_{N-1} never is (admissibility shows it
+    nonzero). A division by a pivot residue of 0, or an entry whose
+    denominator q divides, raises _UndecidedResidue, on which
+    `chain_from_instance` reruns with rows = N. rows = N gives the
+    full exact factorization and no residue rows, and so does p = 1: its
+    split peels no stage, so nothing would read them.
     """
     J, C = inst.J, inst.shift
     p, n = J.p, J.n
@@ -149,62 +180,35 @@ def shifted_lu(
         raise IndexOutOfRange(f"leading block {rows} outside {p}..{n}")
     bands = [J.band(d) for d in range(-p, 1)]
     L: list[list[Fraction]] = []
+    # U's diagonal; the loop appends to `pivots`, which is diag itself on
+    # the kept rows and residues past them.
     diag: list[Fraction] = []
-    for i in range(rows):
-        # Row i; x is L(i, m-1) for the column m = i-p+k in progress.
+    pivots = diag
+    for i in range(n if p > 1 else rows):
+        if i == rows:
+            C, pivots = _residue(C), [_residue(u) for u in diag[-p:]]
+        # Row i; x is L(i, m-1) for the column m = i-p+k in progress, whose
+        # pivot u_m is pivots[k - p].
         row, x = [_ZERO] * p, _ZERO
         for k in range(max(0, p - i), p):
-            x = row[k] = (bands[k][i] - x) / diag[i - p + k]
-        diag.append(bands[p][i] - C - x)
+            x = row[k] = (bands[k][i] - x) / pivots[k - p]
+        pivots.append(bands[p][i] - C - x)
         L.append(row)
-    return L, UpperBidiagonal(rows, diag), _lu_tail(bands, C, diag[rows - p:], rows)
-
-
-def _lu_tail(
-    bands: list[tuple[Fraction, ...]], C: Fraction, last: list[Fraction], rows: int
-) -> list[_ResidueRow]:
-    """L's rows rows .. N-1 mod _Q as residue rows, from J's bands -p .. 0 and
-    the exact pivots u_{rows-p} .. u_{rows-1} (`last`), rows >= p."""
-    p, n = len(bands) - 1, len(bands[0])
-    if rows == n or p == 1:
-        return []
-    # piv[k] = u_{i-p+k} as a pair mod q, for the row i in progress.
-    piv = [_pair(u) for u in last]
-    if any(num == 0 for num, _ in piv):
-        raise _UndecidedResidue
-    cn, cd = _pair(C)
-    tail = []
-    for i in range(rows, n):
-        # Row i over the running denominator y; x is L(i, m-1)'s numerator.
-        row, x, y = [0] * p, 0, 1
-        for k in range(p):
-            an, ad = _pair(bands[k][i])
-            un, ud = piv[k]
-            # L(i, m) = (a(i, m) - x/y) * ud/un over the denominator y*ad*un.
-            t = ad * un % _Q
-            row = [v * t % _Q for v in row]
-            x = row[k] = (an * y - x * ad) * ud % _Q
-            y = y * t % _Q
-        an, ad = _pair(bands[p][i])
-        # u_i = a(i, i) - C - x/y over the denominator y*ad*cd.
-        un = ((an * cd - cn * ad) * y - x * ad * cd) % _Q
-        if un == 0:
-            raise _UndecidedResidue
-        piv.pop(0)
-        piv.append((un, y * ad * cd % _Q))
-        tail.append((row, y))
-    return tail
+    return L[:rows], UpperBidiagonal(rows, diag), L[rows:]
 
 
 def _stage_rows(
     block: list[list[Fraction]], prescribed: list[Fraction], j: int, w: int
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """One exact peeling stage on the leading rows of a w-banded remainder.
+    """One peeling stage on the rows of a w-banded remainder: exact rows,
+    and after them, where `peel_stages` has any, residue rows.
 
     Row r holds the entries of columns r-w .. r-1 (zero where negative).
     With prev the new remainder's row r-1 extended by its unit diagonal,
     s(r) = row[0] / prev[0] for r >= w and the new row is
-    row[k] - s(r) * prev[k], k = 1 .. w-1; s(r) = 0 on a last-row 0 / 0.
+    row[k] - s(r) * prev[k], k = 1 .. w-1; s(r) = 0 on a last-row 0 / 0. On
+    a residue row the zero tests prove a divisor nonzero or raise
+    _UndecidedResidue.
     """
     prev = [_ZERO] * (w - 1)
     out = [prev]
@@ -214,10 +218,10 @@ def _stage_rows(
         ext = prev + [_ONE]
         if r <= w - 1:
             s = prescribed[r - 1]
-        elif ext[0] != 0:
+        elif ext[0]:
             s = row[0] / ext[0]
-        elif row[0] != 0 or r < len(block) - 1:
-            raise ZeroPeelPivot(j, r, vacuous=row[0] == 0)
+        elif row[0] or r < len(block) - 1:
+            raise ZeroPeelPivot(j, r, vacuous=not row[0])
         else:
             s = _ZERO
         sub.append(s)
@@ -226,32 +230,11 @@ def _stage_rows(
     return sub, out
 
 
-def _stage_residues(tail: list[_ResidueRow], seed: list[Fraction], w: int) -> list[_ResidueRow]:
-    """The same stage on the residue rows past the exact ones (at least w,
-    so each tail row is forced), from the last exact row (`seed`); raises
-    _UndecidedResidue on a zero divisor residue.
-
-    With the tail row as row / d and the new row r-1 as ext / e (unit
-    diagonal included), the new row is (row[k] e0 - row[0] ext[k]) / (d e0).
-    """
-    prev, e = _residue_row(seed)
-    out = []
-    for row, d in tail:
-        ext = prev + [e]
-        e0 = ext[0]
-        if e0 == 0:
-            raise _UndecidedResidue
-        prev = [(row[k] * e0 - row[0] * ext[k]) % _Q for k in range(1, w)]
-        e = d * e0 % _Q
-        out.append((prev, e))
-    return out
-
-
 def peel_stages(
     L: Sequence[Sequence[Fraction]],
     free_rows: Sequence[Sequence[ScalarLike]],
     stages: int,
-    tail: Sequence[_ResidueRow] = (),
+    tail: Sequence[Sequence[_Residue]] = (),
 ) -> tuple[list[LowerBidiagonalUnit], list[list[Fraction]]]:
     """Peel `stages` bidiagonal factors off the left of L, given by its w
     subdiagonals in the module's row layout, exactly on all of L's rows.
@@ -276,11 +259,11 @@ def peel_stages(
     except on the last row: any s solves 0 = s * 0 there; the peel takes 0.
 
     `tail` continues L past its own rows as residue rows mod q = 2^61 - 1,
-    in the layout `shifted_lu` returns, after at least w exact rows. Each
-    stage also runs on them, only to show every divisor there nonzero: a
-    nonzero residue proves it, and a residue of 0 or a denominator divisible
-    by q raises _UndecidedResidue, on which `chain_from_instance` reruns the
-    chain exactly on all N rows.
+    as `shifted_lu` returns them, after at least w exact rows. Each stage
+    runs over L's rows and then the tail's, the tail's only to show every
+    divisor there nonzero: a nonzero residue proves it, and a residue of 0
+    or a denominator divisible by q raises _UndecidedResidue, on which
+    `chain_from_instance` reruns the chain exactly on all N rows.
     """
     if not L or any(len(row) != len(L[0]) for row in L):
         raise ShapeMismatch("L needs one or more rows, all of one width")
@@ -298,10 +281,9 @@ def peel_stages(
             raise BadFreeSpec(
                 f"stage {j} needs {w - 1} free entries, got {len(prescribed)}"
             )
-        sub, L = _stage_rows(L, prescribed, j, w)
-        if tail:
-            tail = _stage_residues(tail, L[-1], w)
-        factors.append(LowerBidiagonalUnit(n, sub))
+        sub, out = _stage_rows([*L, *tail], prescribed, j, w)
+        L, tail = out[:n], out[n:]
+        factors.append(LowerBidiagonalUnit(n, sub[: n - 1]))
         w -= 1
     return factors, list(L)
 
@@ -314,11 +296,15 @@ def chain_from_instance(
     Returns the chain of the leading rows x rows block, p <= rows <= N
     (IndexOutOfRange otherwise), so the free entries fall in the exact rows:
     the LU and the split are row-ordered, so it equals the full chain's
-    `leading(rows)`. Past those rows the LU and the split run on residues
-    mod q only, to show every peel divisor nonzero. When a residue cannot
-    decide, the chain is rerun exactly on all N rows and cut to its leading
-    block; this is the one rerun, so ZeroPeelPivot(j, r) comes out as on the
-    exact route.
+    `leading(rows)`. Past those rows the LU's and the split's row loops run
+    on residues mod q only, to show every peel divisor nonzero; the LU's
+    last pivot, which nothing divides by, is not tested. The first residue
+    row's divisor comes from the last kept row, exactly: when it is zero and
+    the row's numerator residue is not, ZeroPeelPivot(j, rows) is raised at
+    once, as the exact route raises it. When a residue
+    cannot decide, the chain is rerun exactly on all N rows and cut to its
+    leading block; this is the one rerun, so ZeroPeelPivot(j, r) comes out
+    as on the exact route.
     """
     try:
         return _chain(inst, free_rows, rows)

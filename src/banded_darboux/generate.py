@@ -37,9 +37,11 @@ MAX_N = 10_000
 # by p near where verify, at N = B, bound 9, seed 1 (fresh process, 2-vCPU VM),
 # first takes a minute: 60 s at B = 501 (p = 1) and 47/89 s at 346/361 (p = 2),
 # both capped at 350; 53/70/75 s at 269/280/275 (p = 3); 47/64/69 s at
-# 236/240/241 (p = 4). verify does p stages of work, so p >= 5, unmeasured,
-# takes p = 4's cap.
-MAX_BUDGETS = (350, 350, 270, 240)
+# 236/240/241 (p = 4). verify does p stages of work, so the cap falls with p.
+# Measured later on the same VM, where p = 4 took 38.5 s at 240: 58 s at 240
+# (p = 5); 49/58/63 s at 210/215/220 (p = 6); 53/62/64 s at 195/200/205
+# (p = 7); 51/62 s at 180/190 (p = 8). p >= 9, unmeasured, takes p = 8's cap.
+MAX_BUDGETS = (350, 350, 270, 240, 240, 215, 200, 190)
 
 
 def max_budget(p: int) -> int:

@@ -141,8 +141,8 @@ MUTANTS = (
     Mutant(
         "row-lu-drops-the-left-neighbour",
         "src/banded_darboux/factorization.py",
-        "x = row[k] = (bands[k][i] - x) / diag[i - p + k]",
-        "x = row[k] = bands[k][i] / diag[i - p + k]",
+        "x = row[k] = (bands[k][i] - x) / pivots[k - p]",
+        "x = row[k] = bands[k][i] / pivots[k - p]",
         (
             "tests/test_factorization.py::test_lu_reconstructs_shifted_matrix_exactly",
             "tests/test_factorization.py::test_lu_pivots_are_minor_ratios",
@@ -159,11 +159,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "lu-tail-ignores-zero-pivot",
+        "residue-division-ignores-a-zero-divisor",
         "src/banded_darboux/factorization.py",
-        "        if un == 0:\n            raise _UndecidedResidue\n        piv.pop(0)\n",
-        "        piv.pop(0)\n",
-        ("tests/test_kernels.py::test_undecided_lu_tail_reruns_the_exact_chain",),
+        "        if not b.num:\n            raise _UndecidedResidue\n",
+        "",
+        (
+            "tests/test_kernels.py::test_undecided_lu_tail_reruns_the_exact_chain",
+            "tests/test_kernels.py::test_residue_scalar_matches_fraction_arithmetic_mod_q",
+        ),
+    ),
+    Mutant(
+        "residue-zero-test-answers-nonzero",
+        "src/banded_darboux/factorization.py",
+        "        if self.num:\n            return True\n        raise _UndecidedResidue\n",
+        "        return True\n",
+        ("tests/test_kernels.py::test_residue_scalar_matches_fraction_arithmetic_mod_q",),
     ),
     Mutant(
         "undecided-residue-not-rerun",
@@ -278,14 +288,14 @@ MUTANTS = (
     Mutant(
         "last-row-0-over-0-raises",
         "src/banded_darboux/factorization.py",
-        "        elif row[0] != 0 or r < len(block) - 1:\n",
+        "        elif row[0] or r < len(block) - 1:\n",
         "        elif True:\n",
         ("tests/test_factorization.py::test_peel_vacuous_constraint_takes_zero",),
     ),
     Mutant(
         "peel-pivot-message-ignores-the-numerator",
         "src/banded_darboux/factorization.py",
-        "ZeroPeelPivot(j, r, vacuous=row[0] == 0)",
+        "ZeroPeelPivot(j, r, vacuous=not row[0])",
         "ZeroPeelPivot(j, r)",
         (
             "tests/test_factorization.py::test_peel_identity_with_zero_free_entries",

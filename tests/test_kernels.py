@@ -6,7 +6,8 @@ configs) and draw every band entry, the diagonal and the lowest band
 included, from num/den with |num| <= bound and 1 <= den <= bound, so zeros
 and large denominators both occur. The residue tails of the LU and the
 peel are checked against the exact route on all N rows, including inputs
-built so that a residue cannot decide.
+built so that a residue cannot decide, and their residue scalar against
+Fraction arithmetic mod q.
 """
 
 from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
@@ -275,36 +276,82 @@ def residue_rows(L, first):
     return [[residue(v) for v in row] for row in L[first:]]
 
 
-def normalised(tail):
-    """Residue rows (numerators, denominator) as plain residues."""
-    assert all(0 < den < Q for _, den in tail)
-    return [[x * pow(den, -1, Q) % Q for x in row] for row, den in tail]
+def normalised(rows):
+    """Rows of residue scalars (num, den) as plain residues."""
+    assert all(0 < x.den < Q for row in rows for x in row)
+    return [[x.num * pow(x.den, -1, Q) % Q for x in row] for row in rows]
+
+
+# Operands of the residue scalar: small rationals, and rationals whose
+# numerator or denominator lies near a multiple of q.
+near_q = st.integers(-2, 2).map(lambda d: Q + d) | st.integers(-2, 2).map(lambda d: 3 * Q + d)
+scalar_operands = st.builds(
+    Fraction, st.integers(-9, 9) | near_q, st.integers(1, 9) | near_q.filter(lambda d: d % Q)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=scalar_operands, b=scalar_operands)
+def test_residue_scalar_matches_fraction_arithmetic_mod_q(a, b):
+    # -, * and / of two residues, or of a residue and a Fraction (either
+    # side of - and /), are the images of the exact results; a nonzero
+    # residue tests nonzero, and a residue of 0 decides nothing.
+    lift = factorization._residue
+    undecided = factorization._UndecidedResidue
+    plain = lambda x: x.num * pow(x.den, -1, Q) % Q
+    assert plain(lift(a) * lift(b)) == plain(lift(a) * b) == residue(a * b)
+    for x, y in ((lift(a), lift(b)), (lift(a), b), (a, lift(b))):
+        assert plain(x - y) == residue(a - b)
+        if residue(b):
+            assert plain(x / y) == residue(a / b)
+        else:
+            with pytest.raises(undecided):
+                x / y
+    for v in (a, b):
+        if residue(v):
+            assert bool(lift(v)) is True
+        else:
+            with pytest.raises(undecided):
+                bool(lift(v))
+    # Zero, and a nonzero multiple of q: a zero test and a division raise.
+    for zero in (Fraction(0), Fraction(Q), Fraction(-3 * Q, 7)):
+        with pytest.raises(undecided):
+            bool(lift(zero))
+        with pytest.raises(undecided):
+            lift(a) / lift(zero)
+        with pytest.raises(undecided):
+            a / lift(zero)
+    # A denominator divisible by q has no image.
+    with pytest.raises(undecided):
+        lift(Fraction(a.numerator * Q + 1, Q * a.denominator))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=unit_lowers())
 def test_residue_stage_matches_exact_stage(case):
-    # Each stage on residue rows, started from every exact row past the
-    # free entries, against the exact stage on all N rows: the same rows mod
-    # Q, and undecided exactly when a divisor past the start is zero.
+    # Each stage on exact rows followed by residue rows, switching at every
+    # row past the free entries, against the exact stage on all N rows: the
+    # same exact rows and factor entries, the same residue rows mod Q, and
+    # undecided exactly when a divisor past the switch is zero.
     exact, free, stages = case
     n, w = len(exact), len(exact[0])
     for j in range(1, stages + 1):
         prescribed = [Fraction(v) for v in free[j - 1]]
         try:
-            _, out = factorization._stage_rows(exact, prescribed, j, w)
+            sub, out = factorization._stage_rows(exact, prescribed, j, w)
         except ZeroPeelPivot:
             return
         for rows in range(w, n):
-            tail = [factorization._residue_row(row) for row in exact[rows:]]
+            tail = [[factorization._residue(v) for v in row] for row in exact[rows:]]
             zero = any(out[r - 1][0] == 0 for r in range(rows, n))
             try:
-                got = factorization._stage_residues(tail, out[rows - 1], w)
+                got_sub, got = factorization._stage_rows(exact[:rows] + tail, prescribed, j, w)
             except factorization._UndecidedResidue:
                 assert zero
             else:
                 assert not zero
-                assert normalised(got) == [[residue(v) for v in row] for row in out[rows:]]
+                assert got_sub[: rows - 1] == sub[: rows - 1] and got[:rows] == out[:rows]
+                assert normalised(got[rows:]) == residue_rows(out, rows)
         exact, w = out, w - 1
 
 
@@ -432,13 +479,16 @@ def chain_outcome(build):
 def test_undecided_lu_tail_reruns_the_exact_chain(case, kind, forced, data):
     # Row k, past the exact rows, gets a pivot u_k that is a nonzero
     # multiple of q (residue 0), or an in-band entry of denominator q. The
-    # LU tail cannot decide either, so at p >= 2 chain_from_instance reruns
-    # the chain with shifted_lu on all N rows. k is drawn from the last row
-    # up: no later row divides by the last pivot, so only the tail's own
-    # check sees it.
+    # LU's residue rows cannot decide either, so at p >= 2
+    # chain_from_instance reruns the chain with shifted_lu on all N rows.
+    # k is drawn from the last row up. Row k + 1 divides by u_k, so a pivot
+    # comes from rows p .. N-2; no row divides by u_{N-1}, which
+    # admissibility already shows nonzero, and nothing tests it.
     J, shift, free = case
     n, p = J.n, J.p
-    k = n - 1 - data.draw(st.integers(0, n - 1 - p))
+    last = n - 1 if kind == "entry" else n - 2
+    assume(last >= p)
+    k = last - data.draw(st.integers(0, last - p))
     rows = data.draw(st.integers(p, k))
     bands = {-d: list(J.band(-d)) for d in range(p + 1)}
     if kind == "entry":
