@@ -17,6 +17,25 @@ respect to a vector (nu_1, .., nu_p) of functionals in the staircase sense:
 Such vectors are exactly the lower-staircase combinations of the dual
 sequence, nu_i = sum_{k < i} lambda(i, k) * dual_k with lambda(i, i-1) != 0;
 the lambda table is the "ladder" below.
+
+The scan (`is_p_orthogonal`) decides nu_r's zero conditions inside a window
+W from a certificate of about W + W/p of them: the column k = 0,
+nu_r[P_n] = 0 for r <= n <= W, and the window's last row,
+nu_r[z^k P_W] = 0 for 1 <= k <= (W - r) // p. They imply every other zero
+condition by induction on k. The recurrence
+z P_n = P_{n+1} + sum_{s=0..p} a(n, n-s) P_{n-s} gives, for k >= 1 and
+k*p + r <= n <= W - 1,
+
+    nu_r[z^k P_n] = nu_r[z^(k-1) P_{n+1}]
+                    + sum_{s=0..p} a(n, n-s) nu_r[z^(k-1) P_{n-s}],
+
+and every term on the right is a zero condition of column k - 1 inside the
+window; row n = W is the last row itself. These are the mixed moments of
+Chebyshev's algorithm (W. Gautschi, Orthogonal Polynomials: Computation and
+Approximation, OUP 2004, ch. 2). The argument needs only that P_0 .. P_W
+satisfy some (p'+2)-term recurrence with p' <= p, which every caller's
+sequence does: `characteristic_polys` builds it from a `BandedHessenberg`
+with p subdiagonals.
 """
 
 from __future__ import annotations
@@ -57,6 +76,8 @@ def shift_multiply(moments: Sequence[Fraction], c: ScalarLike) -> Moments:
     if len(moments) < 2:
         raise InsufficientMoments("need at least two moments to multiply by (z - c)")
     c = rational(c)
+    if not c:
+        return tuple(map(rational, moments[1:]))
     return tuple(b - c * a for a, b in zip(moments, moments[1:]))
 
 
@@ -320,12 +341,22 @@ def is_p_orthogonal(
     p: int,
     window: int,
 ) -> OrthogonalityReport:
-    """Scan every staircase condition with indices inside the window.
+    """Decide every staircase condition with indices inside the window.
 
     Zero conditions: nu_r[z^k P_n] = 0 for all r = 1..p, k >= 0 and
     n <= window with k*p + r <= n. Nonzero conditions: nu_r[z^k P_{kp+r-1}]
     != 0 for all k with kp + r - 1 <= window. The moment budget must cover
     every application (the caller sizes it; DegreeExceedsMoments otherwise).
+
+    polys must satisfy a (p'+2)-term recurrence with p' <= p, as the
+    characteristic sequence of a p-banded Hessenberg matrix does: then
+    nu_r's zero conditions all hold when its certificate does (module
+    docstring), the column k = 0 and the last row n = window, and the scan
+    counts them without computing the rest. Where the certificate fails, or
+    the budget does not reach degree window + (window - r) // p, the top of
+    the zero conditions, every zero condition of nu_r is computed, in order,
+    so the witnesses and the budget error are those of the whole scan.
+    Every nonzero condition is computed.
     """
     if len(nu) != p:
         raise ShapeMismatch(f"vector has {len(nu)} entries, expected {p}")
@@ -346,14 +377,26 @@ def is_p_orthogonal(
                 raise DegreeExceedsMoments(len(c) - 1 + k, len(moments) - 1)
             return sum(map(mul, c, islice(moments, k, None)))
 
-        for n in range(window + 1):
-            k = 0
-            while k * p + r <= n:
-                num = value(n, k)
-                zero_checks += 1
-                if num:
-                    failures.append(Witness("zero", r, k, n, Fraction(num, d_nu * coeffs[n][1])))
-                k += 1
+        # The certificate: column k = 0 and the window's last row, read
+        # where the budget covers the whole scan (module docstring).
+        top = (window - r) // p
+        if (
+            window + top < len(moments)
+            and not any(value(n, 0) for n in range(r, window + 1))
+            and not any(value(window, k) for k in range(1, top + 1))
+        ):
+            zero_checks += sum((n - r) // p + 1 for n in range(r, window + 1))
+        else:
+            for n in range(window + 1):
+                k = 0
+                while k * p + r <= n:
+                    num = value(n, k)
+                    zero_checks += 1
+                    if num:
+                        failures.append(
+                            Witness("zero", r, k, n, Fraction(num, d_nu * coeffs[n][1]))
+                        )
+                    k += 1
         k = 0
         while k * p + r - 1 <= window:
             idx = k * p + r - 1

@@ -35,13 +35,13 @@ DEFAULT_RETRY_CAP = 32
 MAX_N = 10_000
 # Larger moment budgets B = W + ceil(W/p) + 1 are rejected likewise, at a cap
 # by p near where verify, at N = B, bound 9, seed 1 (fresh process, 2-vCPU VM),
-# first takes a minute: 60 s at B = 501 (p = 1) and 47/89 s at 346/361 (p = 2),
-# both capped at 350; 53/70/75 s at 269/280/275 (p = 3); 47/64/69 s at
-# 236/240/241 (p = 4). verify does p stages of work, so the cap falls with p.
-# Measured later on the same VM, where p = 4 took 38.5 s at 240: 58 s at 240
-# (p = 5); 49/58/63 s at 210/215/220 (p = 6); 53/62/64 s at 195/200/205
-# (p = 7); 51/62 s at 180/190 (p = 8). p >= 9, unmeasured, takes p = 8's cap.
-MAX_BUDGETS = (350, 350, 270, 240, 240, 215, 200, 190)
+# first takes a minute, all measured together: 59 s at 899 (p = 1);
+# 52/61 s at 649/670 (p = 2); 65 s at 517 (p = 3); 65 s at 415 (p = 4); 61 s
+# at 349 (p = 5); 65 s at 295 (p = 6); 63/70 s at 249/260 (p = 7); 61/68 s at
+# 228/235 (p = 8). verify does p stages of work, so the cap falls with p;
+# p >= 9, unmeasured, takes p = 8's cap. gen's dual table grows as B^2: gen
+# peaks at 558 MB ru_maxrss at p = 1's cap, 232 MB at p = 2's.
+MAX_BUDGETS = (900, 670, 517, 415, 350, 295, 250, 228)
 
 
 def max_budget(p: int) -> int:

@@ -265,6 +265,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "shift-by-zero-keeps-the-input-scalars",
+        "src/banded_darboux/functionals.py",
+        "tuple(map(rational, moments[1:]))",
+        "tuple(moments[1:])",
+        ("tests/test_functionals.py::test_shift_multiply_by_zero_is_the_general_formula",),
+    ),
+    Mutant(
+        "scan-certificate-skips-the-last-row",
+        "src/banded_darboux/functionals.py",
+        "            and not any(value(window, k) for k in range(1, top + 1))\n",
+        "",
+        (
+            "tests/test_functionals.py::test_scan_certificate_reads_the_last_row",
+            "tests/test_kernels.py::test_stage_reports_match_the_per_rotation_oracle",
+        ),
+    ),
+    Mutant(
+        "scan-certificate-column-starts-past-r",
+        "src/banded_darboux/functionals.py",
+        "value(n, 0) for n in range(r, window + 1)",
+        "value(n, 0) for n in range(r + 1, window + 1)",
+        ("tests/test_functionals.py::test_scan_certificate_column_starts_at_r",),
+    ),
+    Mutant(
+        "scan-certificate-column-stops-before-the-window",
+        "src/banded_darboux/functionals.py",
+        "value(n, 0) for n in range(r, window + 1)",
+        "value(n, 0) for n in range(r, window)",
+        ("tests/test_functionals.py::test_scan_certificate_column_ends_at_the_window",),
+    ),
+    Mutant(
+        "scan-certificate-miscounts-zero-checks",
+        "src/banded_darboux/functionals.py",
+        "(n - r) // p + 1 for n in",
+        "(n - r) // p for n in",
+        (
+            "tests/test_functionals.py::test_scan_certificate_reads_the_last_row",
+            "tests/test_kernels.py::test_scan_matches_apply",
+        ),
+    ),
+    Mutant(
         "polys-j-0-builds-the-chain",
         "src/banded_darboux/cli.py",
         "    if rotated:\n        chain = _build_chain(built, max(nmax + 1, config.p))\n",

@@ -565,10 +565,10 @@ def test_n_beyond_the_cap_is_rejected_before_anything_is_built(tmp_path, capsys,
 
 
 def test_budget_cap_falls_with_p():
-    # p <= 2 keep 350; p >= 9 is unmeasured and takes p = 8's cap. Every cap
-    # admits the benchmark's largest budget, 145.
-    assert [max_budget(p) for p in range(1, 10)] == [350, 350, 270, 240, 240, 215, 200, 190, 190]
-    assert max_budget(100) == 190
+    # p >= 9 is unmeasured and takes p = 8's cap. Every cap admits the
+    # benchmark's largest budget, 145.
+    assert [max_budget(p) for p in range(1, 10)] == [900, 670, 517, 415, 350, 295, 250, 228, 228]
+    assert max_budget(100) == 228
 
 
 def test_n_at_the_cap_is_accepted():

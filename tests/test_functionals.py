@@ -15,12 +15,14 @@ from banded_darboux import (
     LadderViolation,
     LambdaLadder,
     NotMonicOrDegreeGap,
+    Witness,
     build_nu,
     characteristic_polys,
     delta_det,
     dual_sequence,
     is_p_orthogonal,
     lambda_of,
+    moment_budget,
     shift_multiply,
 )
 from banded_darboux.functionals import _apply, _det
@@ -36,6 +38,7 @@ from helpers import (
     draw_rational,
     dual_sequence_by_inversion,
     random_hessenberg_local,
+    scan_by_apply,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -86,6 +89,18 @@ def test_shift_multiply_pure_shift():
 
 def test_shift_multiply_constant_moments():
     assert shift_multiply((1, 1, 1), 1) == (0, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(moments=st.lists(fractions_st | st.integers(-9, 9), min_size=2, max_size=7))
+def test_shift_multiply_by_zero_is_the_general_formula(moments):
+    # The shift by z - 0 skips the arithmetic; its moments are the general
+    # formula's, Fraction for Fraction, whatever scalars come in.
+    general = tuple(b - Fraction(0) * a for a, b in zip(moments, moments[1:]))
+    for c in (0, Fraction(0), "0"):
+        got = shift_multiply(moments, c)
+        assert got == general
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_shift_multiply_needs_degree():
@@ -373,6 +388,46 @@ def test_scan_needs_enough_moments():
     nu = canonical_nu(duals, 1)
     with pytest.raises(DegreeExceedsMoments):
         is_p_orthogonal(nu, polys, 1, 4)
+
+
+def _scan_with_a_dual_added(p, window, r, m, seed):
+    """The scan of canonical nu with nu_r + eps * dual_m in place of nu_r, on
+    a banded J and its own dual sequence to the moment budget; the oracle
+    scan must give the same report."""
+    rng = random.Random(seed)
+    budget = moment_budget(window, p)
+    J = random_hessenberg_local(rng, p, budget + 1)
+    polys = characteristic_polys(J, window)
+    duals = dual_sequence(J, budget)
+    eps = Fraction(2, 7)
+    nu = list(canonical_nu(duals, p))
+    nu[r - 1] = tuple(a + eps * b for a, b in zip(nu[r - 1], duals[m]))
+    report = is_p_orthogonal(nu, polys, p, window)
+    assert report == scan_by_apply(nu, polys, p, window)
+    return report, eps
+
+
+def test_scan_certificate_column_starts_at_r():
+    # dual_r fails column 0 at n = r alone; W - r = 5 is not a multiple of p,
+    # so the last row z^k P_W, k <= 2, expands over P_i with i > r and holds.
+    report, eps = _scan_with_a_dual_added(p=2, window=7, r=2, m=2, seed=331)
+    assert [w.n for w in report.failures if (w.kind, w.r, w.k) == ("zero", 2, 0)] == [2]
+    assert report.failures[0] == Witness("zero", 2, 0, 2, eps)
+
+
+def test_scan_certificate_column_ends_at_the_window():
+    # dual_W fails column 0 at n = W alone; (W - r) // p = 0, so functional
+    # r has no last row, and no zero condition beyond column 0.
+    report, eps = _scan_with_a_dual_added(p=3, window=5, r=3, m=5, seed=332)
+    assert [w for w in report.failures if w.kind == "zero"] == [Witness("zero", 3, 0, 5, eps)]
+
+
+def test_scan_certificate_reads_the_last_row():
+    # dual_{W+1} vanishes on P_0 .. P_W, so column 0 holds everywhere; only
+    # the last row shows the failure, at nu_r[z P_W] = eps.
+    report, eps = _scan_with_a_dual_added(p=3, window=9, r=2, m=10, seed=333)
+    assert not any(w.k == 0 for w in report.failures)
+    assert Witness("zero", 2, 1, 9, eps) in report.failures
 
 
 # ------------------------------------------------------------ common budget

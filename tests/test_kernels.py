@@ -140,7 +140,10 @@ def test_dual_sequence_matches_inversion(case, data):
 @given(case=hessenbergs(), data=st.data())
 def test_scan_matches_apply(case, data):
     J, bound = case
-    p, n = J.p, J.n
+    n = J.n
+    # A (J.p + 2)-term recurrence is also (p + 2)-term for every p >= J.p,
+    # so the scan's certificate must hold at any such p.
+    p = data.draw(st.integers(J.p, J.p + 2))
     polys = characteristic_polys(J, n)
     window = data.draw(st.integers(1, n))
     # A ladder vector needs p duals, that is n + 1 >= p.
@@ -154,8 +157,9 @@ def test_scan_matches_apply(case, data):
             for _ in range(p)
         )
     else:
-        # A regular ladder over the duals passes wherever its budget lasts;
-        # one perturbed moment makes it fail with nonzero witness values.
+        # A regular ladder over the duals meets every zero condition its
+        # budget covers (at p > J.p some nonzero conditions may fail); one
+        # perturbed moment makes zero conditions fail with nonzero values.
         ladder = LambdaLadder(
             [[data.draw(rationals(bound)) for _ in range(i - 1)]
              + [data.draw(rationals(bound, nonzero=True))] for i in range(1, p + 1)]
@@ -163,7 +167,12 @@ def test_scan_matches_apply(case, data):
         nu = build_nu(ladder, dual_sequence(J, n))
         if kind == "perturbed":
             r = data.draw(st.integers(0, p - 1))
-            k = data.draw(st.integers(0, n))
+            # Half the draws land near the window, where the certificate's
+            # last row reads degrees W + 1 .. W + (W - r) // p.
+            k = data.draw(
+                st.integers(max(0, window - p), min(n, window + window // p + 1))
+                | st.integers(0, n)
+            )
             moments = list(nu[r])
             moments[k] += data.draw(rationals(bound, nonzero=True))
             nu = (*nu[:r], tuple(moments), *nu[r + 1:])
