@@ -20,13 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
-from .exact import (
-    ScalarLike,
-    format_rational,
-    integer_image,
-    parse_rational,
-    rational,
-)
+from .exact import ScalarLike, format_rational, parse_rational, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -187,7 +181,8 @@ class BandedHessenberg(BandMatrix):
     @classmethod
     def from_band_matrix(cls, bm: BandMatrix, p: int, shift: Fraction) -> "BandedHessenberg":
         """Reinterpret shift*I + bm, bm a windowed product, as a Hessenberg
-        truncation; the shift is added to the diagonal as it is read.
+        truncation; the shift is added to the diagonal as it is read, and a
+        zero shift keeps bm's diagonal as it is.
 
         Checks the structure on trustworthy rows: nothing above the
         superdiagonal, nothing below band -p, and a unit superdiagonal.
@@ -207,7 +202,7 @@ class BandedHessenberg(BandMatrix):
                 if bm.band(1)[i] != 1:
                     raise SizeMismatch(f"superdiagonal entry ({i}, {i + 1}) is {bm.band(1)[i]}, not 1")
         bands = {d: bm.band(d) for d in range(-min(p, bm.lower), 0)}
-        bands[0] = [v + shift for v in bm.band(0)]
+        bands[0] = [v + shift for v in bm.band(0)] if shift else bm.band(0)
         return cls(p, bm.n, bands, bm.valid_rows)
 
     def printed_values(self) -> Iterator[Fraction]:
@@ -384,10 +379,11 @@ def characteristic_polys(
     P_n is its coefficient tuple, lowest degree first: n + 1 Fractions, the
     last of them 1. Built by the band recurrence; P_n also equals
     det(z I_n - J_n), which the tests assert independently. Each P_m is
-    carried as integer numerators over its least common denominator d_m:
-    row n scales its band entries to integers over their lcm e, combines
-    P_n .. P_{n-p} over L = lcm(d_n .. d_{n-p}), and divides out one gcd.
-    Only the last p + 1 integer rows are kept; Fractions are built once per
+    carried as integer numerators over its least common denominator d_m.
+    Row n combines z P_n and the terms a(n, n-s) P_{n-s} over D, the lcm of
+    the terms' denominators den(a(n, n-s)) d_{n-s}; z P_n lies over d_n,
+    which divides the s = 0 term's. One gcd is then divided out. Only the
+    last p + 1 integer rows are kept; Fractions are built once per
     coefficient.
     """
     if nmax > hess.valid_rows:
@@ -399,18 +395,17 @@ def characteristic_polys(
     nums: list[list[int]] = [[1]]
     dens = [1]
     for n in range(nmax):
-        band, e = integer_image(hess.a(n, n - s) for s in range(min(n, p) + 1))
-        common = lcm(*dens[-len(band):])
-        # z * e * P_n, then minus a(n, n-s) * e * P_{n-s} for s = 0..p,
-        # all over the denominator e * common.
-        scale = common // dens[-1]
-        acc = [0] + [c * e * scale for c in nums[-1]]
-        for s, v in enumerate(band):
-            coef = v * (common // dens[-1 - s])
-            if coef:
+        row = [hess.a(n, n - s) for s in range(min(n, p) + 1)]
+        # A zero term adds no denominator; z P_n adds d_n.
+        den = lcm(*(v.denominator * dens[-1 - s] for s, v in enumerate(row) if v), dens[-1])
+        # z P_n, then minus a(n, n-s) P_{n-s} for s = 0..p, all over D.
+        scale = den // dens[-1]
+        acc = [0] + [c * scale for c in nums[-1]]
+        for s, v in enumerate(row):
+            if v:
+                coef = v.numerator * (den // (v.denominator * dens[-1 - s]))
                 q = nums[-1 - s]
                 acc[: len(q)] = [x - coef * c for x, c in zip(acc, q)]
-        den = e * common
         g = gcd(den, *acc)
         acc = [c // g for c in acc]
         den //= g

@@ -44,7 +44,7 @@ clock, run the command, write its report, then copy its stdout from the
 spool and print the final `report: <path>` line. Each command generates its
 instance and is its only holder, so the instance goes when the command is
 done with it, before the report is written; verify keeps only J, C and nu,
-so the source sequence P_0 .. P_B, which only polys reads, is gone before
+so the source sequence P_0 .. P_W, which only polys reads, is gone before
 its scan. A library error ends the run with one `error:` line on stderr and
 its class's `exit_code`; the table of classes and codes is in
 `banded_darboux.errors`.
@@ -333,7 +333,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
     rotated = [j for j in js if j]
     # J(0)'s sequence is the source's, so the chain (of at least p rows) is
     # built only when a rotated sequence is asked for.
-    stages = [(0, built.source_polys[: nmax + 1])] if 0 in js else []
+    stages = [(0, built.source_polys)] if 0 in js else []
     if rotated:
         chain = _build_chain(built, max(nmax + 1, config.p))
         stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
@@ -350,7 +350,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
 def cmd_verify(config: InstanceConfig, out: TextIO) -> CommandResult:
     built = generate(config)
     instance, nu = built.instance, built.nu
-    # The scan reads the instance and nu only: P_0 .. P_B and the staging go.
+    # The scan reads the instance and nu only: P_0 .. P_W and the staging go.
     del built
     certificate = run_theorem(instance, nu, config.window)
     print(f"verdict: {'pass' if certificate.passed else 'FAIL'}", file=out)

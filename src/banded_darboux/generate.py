@@ -238,10 +238,10 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance, nu as p moment tuples, the source sequence P_0 .. P_B up to
-    the moment budget B (only `polys` reads it), the staging of the ladder nu
-    was built from (the ladder is `staging.stage_ladders[0]`), and the
-    retries it took. The config it came from is not kept: the caller has it."""
+    """Instance, nu as p moment tuples, the source sequence P_0 .. P_W up to
+    the window W (only `polys` reads it), the staging of the ladder nu was
+    built from (the ladder is `staging.stage_ladders[0]`), and the retries it
+    took. The config it came from is not kept: the caller has it."""
 
     instance: ShiftedInstance
     nu: tuple[tuple[Fraction, ...], ...]
@@ -260,10 +260,10 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
     hypothesis minor vanishes (when require_hypotheses is set). The ladder
     nu is built from is staged once; the chain commands read that staging.
 
-    Two tables run up to the moment budget B: the B + 1 dual functionals,
-    of which nu reads p, and P_0 .. P_B. The duals are built first and let
-    go once nu is formed, before P_0 .. P_B are built, so the peak holds
-    one table, not both.
+    Two tables are built: the B + 1 dual functionals up to the moment budget
+    B, of which nu reads p, and P_0 .. P_W up to the window W. The duals are
+    built first and let go once nu is formed, before P_0 .. P_W are built,
+    so the peak holds one table, not both.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -299,8 +299,7 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             f"no admissible shift within {config.retry_cap} retries from {config.shift}"
         )
 
-    budget = config.moment_budget
-    duals = dual_sequence(J, budget)
+    duals = dual_sequence(J, config.moment_budget)
 
     # Every source ends in one ladder, one nu and one staging of the ladder.
     staging = None
@@ -330,11 +329,11 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             staging = _staging(ladder, config.p)
     # build_nu checks a given ladder regular before it is staged.
     nu = build_nu(ladder, duals)
-    # The dual table goes before P_0 .. P_B are built.
+    # The dual table goes before P_0 .. P_W are built.
     del duals
     if staging is None:
         staging = _staging(ladder, config.p)
-    source_polys = characteristic_polys(J, budget)
+    source_polys = characteristic_polys(J, config.window)
 
     return GeneratedInstance(
         instance=instance,

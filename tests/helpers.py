@@ -69,6 +69,7 @@ from banded_darboux import (
     darboux_transform,
     UpperBidiagonal,
     delta_det,
+    lambda_of,
     multiply_window,
     parse_rational,
     peel_stages,
@@ -726,6 +727,13 @@ def transport_identity_by_dense(factors, stage_ladders, j, s):
     stair = DenseMatrix.from_function(s, s, lambda r, c: stage.value(c + 2, r))
     slab = DenseMatrix.from_function(s, s, lambda r, c: source.value(j + 2 + c, r))
     return lhs * stair == slab
+
+
+def source_ladder(built):
+    """The ladder of a generated vector, read on P_0 .. P_{p-1} of the source
+    as `run_theorem` reads it: `source_polys` stops at the window, which may
+    be shorter."""
+    return lambda_of(built.nu, characteristic_polys(built.instance.J, len(built.nu)))
 
 
 def canonical_nu(duals, p):

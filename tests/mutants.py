@@ -106,9 +106,9 @@ MUTANTS = (
     Mutant(
         "generate-builds-the-sequence-before-the-duals",
         "src/banded_darboux/generate.py",
-        "    duals = dual_sequence(J, budget)\n",
-        "    source_polys = characteristic_polys(J, budget)\n"
-        "    duals = dual_sequence(J, budget)\n",
+        "    duals = dual_sequence(J, config.moment_budget)\n",
+        "    source_polys = characteristic_polys(J, config.window)\n"
+        "    duals = dual_sequence(J, config.moment_budget)\n",
         (
             "tests/test_engine.py::"
             "test_generate_never_holds_the_dual_table_and_the_source_sequence_together",
@@ -231,6 +231,35 @@ MUTANTS = (
         (
             "tests/test_kernels.py::test_rotations_from_shared_halves_match_chained_product",
             "tests/test_kernels.py::test_rotations_built_once_for_any_index_set",
+        ),
+    ),
+    Mutant(
+        "zero-shift-path-for-every-shift",
+        "src/banded_darboux/banded.py",
+        "if shift else bm.band(0)",
+        "if False else bm.band(0)",
+        ("tests/test_banded.py::test_from_band_matrix_zero_shift_is_the_general_formula",),
+    ),
+    Mutant(
+        "recurrence-term-denominator-without-its-polynomial",
+        "src/banded_darboux/banded.py",
+        "lcm(*(v.denominator * dens[-1 - s] for s, v in",
+        "lcm(*(v.denominator for s, v in",
+        (
+            "tests/test_kernels.py::test_characteristic_polys_matches_polynomial_recurrence",
+            "tests/test_kernels.py::"
+            "test_characteristic_polys_of_rotations_match_polynomial_recurrence",
+        ),
+    ),
+    Mutant(
+        "recurrence-lcm-without-the-s-0-term",
+        "src/banded_darboux/banded.py",
+        "for s, v in enumerate(row) if v)",
+        "for s, v in enumerate(row) if v and s)",
+        (
+            "tests/test_kernels.py::test_characteristic_polys_matches_polynomial_recurrence",
+            "tests/test_kernels.py::"
+            "test_characteristic_polys_of_rotations_match_polynomial_recurrence",
         ),
     ),
     Mutant(

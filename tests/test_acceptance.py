@@ -21,7 +21,6 @@ from banded_darboux import (
     dual_sequence,
     generate,
     is_p_orthogonal,
-    lambda_of,
     moment_budget,
     multiply_window,
     peel_stages,
@@ -51,6 +50,7 @@ from helpers import (
     random_hessenberg_local,
     random_unit_lower,
     recurrence_values_by_fractions,
+    source_ladder,
     split_chain,
     transformed_nu,
     unit_lower,
@@ -274,7 +274,7 @@ def test_08_negative_paths():
     assert not cert.passed and cert.partial is not None
     assert cert.partial.stages == 1
     assert cert.partial.violated == (1, 1)
-    ladder = lambda_of(built.nu, built.source_polys)
+    ladder = source_ladder(built)
     staging = _staging(ladder, 3)
     L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1)
@@ -317,7 +317,7 @@ def test_10_staircase_transport_identity_and_minor_agreement():
         identity_checks += len(cert.transport_checks)
         # Minors two ways: the certificate records the staged route; the
         # direct route recomputes them from the source ladder.
-        ladder = lambda_of(built.nu, built.source_polys)
+        ladder = source_ladder(built)
         for j, m, recorded in cert.hypotheses:
             assert str(delta_det(ladder, j, m)) == recorded
         runs += 1

@@ -230,6 +230,21 @@ def _tiny_chain():
     return BidiagonalChain(2, n, Fraction(1, 2), factors, upper)
 
 
+def test_from_band_matrix_zero_shift_is_the_general_formula():
+    # A zero shift keeps the product's diagonal; any shift, zero or not,
+    # gives what adding it entry by entry gives.
+    chain = _tiny_chain()
+    bm = multiply_window(multiply_window(chain.upper, chain.factors[0]), chain.factors[1])
+    for shift in (0, Fraction(0), Fraction(-7, 3)):
+        bands = {d: bm.band(d) for d in (-2, -1)}
+        bands[0] = [v + shift for v in bm.band(0)]
+        expected = BandedHessenberg(2, bm.n, bands, bm.valid_rows)
+        got = BandedHessenberg.from_band_matrix(bm, 2, shift)
+        assert got == expected
+        assert got.valid_rows == expected.valid_rows == bm.valid_rows
+        assert all(type(v) is Fraction for v in got.band(0))
+
+
 def test_chain_gamma_values_land_in_declared_slots():
     chain = _tiny_chain()
     p, n = chain.p, chain.n

@@ -25,6 +25,7 @@ from banded_darboux import (
     ZeroPeelPivot,
     build_nu,
     chain_from_instance,
+    characteristic_polys,
     delta_det,
     dual_sequence,
     generate,
@@ -47,6 +48,7 @@ from helpers import (
     check_hypotheses,
     draw_rational,
     product_window,
+    source_ladder,
     transformed_nu,
     transport_identity_by_dense,
     unit_lower,
@@ -309,7 +311,7 @@ def test_generate_stages_the_ladder_nu_is_built_from(
     except GenerationExhausted:
         return  # bound 1 at p = 4 can run out of admissible ladders
     ladder = built.staging.stage_ladders[0]
-    assert lambda_of(built.nu, built.source_polys) == ladder
+    assert source_ladder(built) == ladder
     assert _staging(ladder, p) == built.staging
     if source == "random" and require_hypotheses:
         assert built.staging.violation is None
@@ -328,7 +330,7 @@ def test_resampled_ladder_keeps_the_accepted_draws_staging():
     assert built.staging.violation is None
     # nu is built from the accepted draw, so its ladder heads the staging.
     ladder = built.staging.stage_ladders[0]
-    assert lambda_of(built.nu, built.source_polys) == ladder
+    assert source_ladder(built) == ladder
     assert built.staging == _staging(ladder, 2)
 
 
@@ -350,12 +352,23 @@ def _heap_peak(fn, *args):
 
 
 def test_generate_never_holds_the_dual_table_and_the_source_sequence_together():
-    # Both tables run to the moment budget B = 49. nu reads p dual columns,
-    # so the duals go before P_0 .. P_B are built, and generate's heap peak
-    # stays near dual_sequence's own; holding both reads about 1.75 times it.
-    cfg = InstanceConfig(p=1, n=49, window=24, seed=1)
+    # The duals run to the moment budget B = 51 and the sequence to the
+    # window W = 40. nu reads p dual columns, so the duals go before
+    # P_0 .. P_W are built, and generate's heap peak stays near
+    # dual_sequence's own; holding both reads about 1.5 times it.
+    cfg = InstanceConfig(p=4, n=52, window=40, seed=1)
     J = generate(cfg).instance.J
     assert _heap_peak(generate, cfg) < 1.25 * _heap_peak(dual_sequence, J, cfg.moment_budget)
+
+
+@pytest.mark.parametrize("p, window", [(1, 8), (2, 5), (3, 12), (4, 1)])
+def test_generate_builds_the_source_sequence_to_the_window(p, window):
+    # polys reads P_0 .. P_W and nothing else reads the sequence; at W = 1,
+    # p = 4 it is shorter than the P_0 .. P_{p-1} the ladder reads.
+    n = max(moment_budget(window, p), window + p + 1)
+    cfg = InstanceConfig(p=p, n=n, window=window, seed=p)
+    built = generate(cfg)
+    assert built.source_polys == characteristic_polys(built.instance.J, window)
 
 
 # --------------------------------------------------------------- rotations
@@ -468,7 +481,7 @@ def test_certificate_partial_on_staged_zero():
     assert cert.partial.stages == 1
     assert cert.partial.violated == (1, 1)
     assert cert.partial.remainder_bands == 2
-    ladder = lambda_of(built.nu, built.source_polys)
+    ladder = source_ladder(built)
     staging = _staging(ladder, 3)
     assert staging == built.staging
     L, _, _ = shifted_lu(built.instance, built.instance.n)

@@ -125,6 +125,18 @@ def test_characteristic_polys_matches_polynomial_recurrence(case, data):
         assert a == b.coefficients
 
 
+@settings(max_examples=30, deadline=None)
+@given(chain=chains())
+def test_characteristic_polys_of_rotations_match_polynomial_recurrence(chain):
+    # A rotation's band entries have large denominators with no common
+    # factor, which hessenbergs() does not draw; each term of a recurrence
+    # row then lies over a different denominator.
+    for j, J in darboux_transform(chain, range(chain.p + 1)):
+        fast = characteristic_polys(J, J.valid_rows)
+        slow = characteristic_polys_by_polynomials(J, J.valid_rows)
+        assert fast == tuple(poly.coefficients for poly in slow)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=hessenbergs(), data=st.data())
 def test_dual_sequence_matches_inversion(case, data):
