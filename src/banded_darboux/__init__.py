@@ -53,6 +53,7 @@ from .exact import (
     check_printable,
     format_polynomial,
     format_rational,
+    format_row,
     parse_rational,
     rational,
 )

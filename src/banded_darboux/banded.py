@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, SizeMismatch
-from .exact import ScalarLike, format_rational, parse_rational, rational
+from .exact import IntegerRow, ScalarLike, format_rational, parse_rational, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -373,45 +373,41 @@ def recurrence_values(hess: BandedHessenberg, z: ScalarLike, nmax: int) -> list[
 
 def characteristic_polys(
     hess: BandedHessenberg, nmax: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Monic characteristic sequence P_0 .. P_nmax of the truncation.
+) -> tuple[IntegerRow, ...]:
+    """Monic characteristic sequence P_0 .. P_nmax of the truncation, as
+    integer rows.
 
-    P_n is its coefficient tuple, lowest degree first: n + 1 Fractions, the
-    last of them 1. Built by the band recurrence; P_n also equals
-    det(z I_n - J_n), which the tests assert independently. Each P_m is
-    carried as integer numerators over its least common denominator d_m.
-    Row n combines z P_n and the terms a(n, n-s) P_{n-s} over D, the lcm of
-    the terms' denominators den(a(n, n-s)) d_{n-s}; z P_n lies over d_n,
-    which divides the s = 0 term's. One gcd is then divided out. Only the
-    last p + 1 integer rows are kept; Fractions are built once per
-    coefficient.
+    P_n is the row (nums, d_n): its coefficients are nums[i] / d_n, lowest
+    degree first, with d_n > 0, nums[-1] == d_n (monic) and
+    gcd(d_n, *nums) == 1, which is what `exact.integer_image` gives for the
+    coefficient tuple. No Fraction is built: a caller that prints P_n forms
+    each coefficient then (`exact.format_row`). Built by the band
+    recurrence; P_n also equals det(z I_n - J_n), which the tests assert
+    independently. Row n combines z P_n and the terms a(n, n-s) P_{n-s}
+    over D, the lcm of the terms' denominators den(a(n, n-s)) d_{n-s};
+    z P_n lies over d_n, which divides the s = 0 term's. One gcd is then
+    divided out.
     """
     if nmax > hess.valid_rows:
         raise IndexOutOfRange(
             f"need rows 0..{nmax - 1} but only {hess.valid_rows} rows are trustworthy"
         )
     p = hess.p
-    polys = [(_ONE,)]
-    nums: list[list[int]] = [[1]]
-    dens = [1]
+    rows: list[IntegerRow] = [([1], 1)]
     for n in range(nmax):
-        row = [hess.a(n, n - s) for s in range(min(n, p) + 1)]
+        terms = [(hess.a(n, n - s), *rows[n - s]) for s in range(min(n, p) + 1)]
+        nums, d = rows[n]
         # A zero term adds no denominator; z P_n adds d_n.
-        den = lcm(*(v.denominator * dens[-1 - s] for s, v in enumerate(row) if v), dens[-1])
+        den = lcm(*(v.denominator * d_s for v, _, d_s in terms if v), d)
         # z P_n, then minus a(n, n-s) P_{n-s} for s = 0..p, all over D.
-        scale = den // dens[-1]
-        acc = [0] + [c * scale for c in nums[-1]]
-        for s, v in enumerate(row):
+        scale = den // d
+        acc = [0] + [c * scale for c in nums]
+        for v, q, d_s in terms:
             if v:
-                coef = v.numerator * (den // (v.denominator * dens[-1 - s]))
-                q = nums[-1 - s]
+                coef = v.numerator * (den // (v.denominator * d_s))
                 acc[: len(q)] = [x - coef * c for x, c in zip(acc, q)]
         g = gcd(den, *acc)
-        acc = [c // g for c in acc]
-        den //= g
-        polys.append(tuple(Fraction(c, den) if c else _ZERO for c in acc))
-        nums.append(acc)
-        dens.append(den)
-        if len(nums) > p + 1:
-            del nums[0], dens[0]
-    return tuple(polys)
+        if g > 1:
+            acc = [c // g for c in acc]
+        rows.append((acc, den // g))
+    return tuple(rows)

@@ -37,7 +37,9 @@ at a time, plus, at p >= 10, the J(j) it skipped because the keys sort as
 strings ("10" before "2"). A J(j) unprintable there fails the run as an
 early check does, since the report is renamed into place only when
 complete. polys and verify likewise take their J(j) one at a time from one
-call, through transformed_polys.
+call, through transformed_polys. Each sequence comes as integer rows
+(nums, d_n); verify's scan reads them as they are, and polys forms each
+coefficient nums[i] / d_n only as it prints it (exact.format_row).
 
 Every command runs through one runner (`_run`): load the config, start the
 clock, run the command, write its report, then copy its stdout from the
@@ -81,7 +83,7 @@ from . import __version__
 from .banded import BidiagonalChain
 from .engine import run_theorem
 from .errors import BandedDarbouxError, ConfigError, HypothesisViolated
-from .exact import check_printable, format_polynomial, format_rational
+from .exact import check_printable, format_polynomial, format_rational, format_row
 from .factorization import (
     chain_from_instance,
     darboux_transform,
@@ -339,7 +341,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
         stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
     sequences = {}
     for j, polys in stages:
-        sequences[str(j)] = printed = [[format_rational(c) for c in poly] for poly in polys]
+        sequences[str(j)] = printed = [format_row(poly) for poly in polys]
         print(f"stage {j}:", file=out)
         for n, poly in enumerate(printed):
             print(f"  P_{n} = {format_polynomial(poly)}", file=out)

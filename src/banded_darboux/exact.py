@@ -3,8 +3,9 @@
 Everything in this package computes over `fractions.Fraction`; there is no
 floating point anywhere. The identities being certified are exact
 nonvanishing conditions, which rounding could neither establish nor refute.
-This module holds scalar helpers only; a polynomial is a plain tuple of
-Fraction coefficients, lowest degree first.
+This module holds scalar helpers only. A polynomial is an integer row
+(nums, d): its coefficients are nums[i] / d, lowest degree first, as
+`integer_image` gives them; `format_row` prints one.
 
 Wire format for scalars: the canonical `str` of a Fraction, i.e. "num/den"
 in lowest terms with a positive denominator, plain "num" for integers.
@@ -21,6 +22,8 @@ from typing import Iterable, Sequence, Union
 from .errors import ConfigError
 
 ScalarLike = Union[Fraction, int, str]
+# A polynomial as an integer row (nums, d): coefficients nums[i] / d.
+IntegerRow = tuple[list[int], int]
 
 
 def rational(value: ScalarLike) -> Fraction:
@@ -32,7 +35,7 @@ def rational(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def integer_image(values: Iterable[Fraction]) -> tuple[list[int], int]:
+def integer_image(values: Iterable[Fraction]) -> IntegerRow:
     """Numerators over the least common denominator d: values[i] = nums[i] / d."""
     values = list(values)
     d = math.lcm(*(v.denominator for v in values))
@@ -74,6 +77,13 @@ def format_rational(value: Fraction) -> str:
         return str(value)
     except ValueError as exc:
         raise _unprintable() from exc
+
+
+def format_row(row: IntegerRow) -> list[str]:
+    """The wire forms of an integer row's coefficients nums[i] / d, lowest
+    degree first; each Fraction is formed as it is printed."""
+    nums, d = row
+    return [format_rational(Fraction(c, d)) for c in nums]
 
 
 def check_printable(values: Iterable[Fraction]) -> None:

@@ -47,7 +47,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroPeelPivot,
 )
-from .exact import ScalarLike, rational
+from .exact import IntegerRow, ScalarLike, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -405,9 +405,9 @@ def last_row_lowest_entry(chain: BidiagonalChain, j: int) -> Fraction:
 
 def transformed_polys(
     chain: BidiagonalChain, nmax: int, js: Iterable[int]
-) -> Iterator[tuple[int, tuple[tuple[Fraction, ...], ...]]]:
+) -> Iterator[tuple[int, tuple[IntegerRow, ...]]]:
     """(j, monic sequence generated by J(j), degrees 0 .. nmax) for each j
-    in `js`, in increasing j, as coefficient tuples (see
+    in `js`, in increasing j, as integer rows (nums, d_n) (see
     `characteristic_polys`).
 
     Degrees up to nmax read rows 0 .. nmax-1 only, so the J(j) are formed

@@ -36,6 +36,12 @@ Approximation, OUP 2004, ch. 2). The argument needs only that P_0 .. P_W
 satisfy some (p'+2)-term recurrence with p' <= p, which every caller's
 sequence does: `characteristic_polys` builds it from a `BandedHessenberg`
 with p subdiagonals.
+
+A sequence comes as `characteristic_polys` returns it, P_n as the integer
+row (nums, d_n) with coefficients nums[i] / d_n. The scan and `lambda_of`
+read the rows as they are: each value nu_r[z^k P_n] is an integer dot
+product of nums with nu_r's moments scaled to integers over d_nu, and a
+Fraction over d_nu * d_n is formed only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -56,19 +62,12 @@ from .errors import (
     NotMonicOrDegreeGap,
     ShapeMismatch,
 )
-from .exact import ScalarLike, format_rational, integer_image, rational
+from .exact import IntegerRow, ScalarLike, format_rational, integer_image, rational
 
 _ZERO = Fraction(0)
 
 # A functional's moments m_0 .. m_M; a vector is a tuple of these.
 Moments = tuple[Fraction, ...]
-
-
-def _apply(moments: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    """The functional's value on the polynomial with coefficient tuple q."""
-    if len(q) > len(moments):
-        raise DegreeExceedsMoments(len(q) - 1, len(moments) - 1)
-    return sum(map(mul, q, moments), _ZERO)
 
 
 def shift_multiply(moments: Sequence[Fraction], c: ScalarLike) -> Moments:
@@ -135,12 +134,12 @@ class LambdaLadder:
         return f"LambdaLadder(nrows={self.nrows})"
 
 
-def _validate_monic_run(polys: Sequence[Sequence[Fraction]]) -> None:
-    for n, poly in enumerate(polys):
-        monic = bool(poly) and poly[-1] == 1
-        if len(poly) != n + 1 or not monic:
+def _validate_monic_run(polys: Sequence[IntegerRow]) -> None:
+    for n, (nums, d) in enumerate(polys):
+        monic = bool(nums) and nums[-1] == d
+        if len(nums) != n + 1 or not monic:
             raise NotMonicOrDegreeGap(
-                f"position {n} holds degree {len(poly) - 1}, monic={monic}"
+                f"position {n} holds degree {len(nums) - 1}, monic={monic}"
             )
 
 
@@ -186,12 +185,13 @@ def dual_sequence(hess: BandedHessenberg, nmax: int) -> tuple[Moments, ...]:
     return tuple(map(tuple, columns))
 
 
-def lambda_of(
-    nu: Sequence[Sequence[Fraction]], polys: Sequence[Sequence[Fraction]]
-) -> LambdaLadder:
-    """Recover the ladder from nu by lambda(i, k) = nu_i[P_k].
+def lambda_of(nu: Sequence[Sequence[Fraction]], polys: Sequence[IntegerRow]) -> LambdaLadder:
+    """Recover the ladder from nu by lambda(i, k) = nu_i[P_k], reading the
+    integer rows (nums, d_k) of P_0 .. P_{p-1} (`characteristic_polys`).
 
-    Also validates the staircase: nu_i[P_k] must vanish for k >= i and the
+    nu_i[P_k] = Fraction(sum_m nums[m] * mu[m], d_k * d_nu), where nu_i's
+    first p moments are mu[m] / d_nu (`exact.integer_image`). Also
+    validates the staircase: nu_i[P_k] must vanish for k >= i and the
     diagonal nu_i[P_{i-1}] must not; a violation means nu is not a vector of
     staircase orthogonality for {P_n} in ladder form.
     """
@@ -201,14 +201,23 @@ def lambda_of(
     _validate_monic_run(polys[:p])
     rows = []
     for i, f in enumerate(nu, start=1):
+        # P_0 .. P_{p-1} read moments 0 .. p-1 only.
+        moments, d_nu = integer_image(f[:p])
+
+        def value(k: int) -> Fraction:
+            nums, d = polys[k]
+            if len(nums) > len(f):
+                raise DegreeExceedsMoments(len(nums) - 1, len(f) - 1)
+            return Fraction(sum(map(mul, nums, moments)), d_nu * d)
+
         for k in range(i, p):
-            value = _apply(f, polys[k])
-            if value != 0:
-                raise LadderViolation(i, k, value, f"nu_{i}[P_{k}] = {value}, expected 0")
-        diag = _apply(f, polys[i - 1])
+            v = value(k)
+            if v != 0:
+                raise LadderViolation(i, k, v, f"nu_{i}[P_{k}] = {v}, expected 0")
+        diag = value(i - 1)
         if diag == 0:
             raise LadderViolation(i, i - 1, diag, f"nu_{i}[P_{i - 1}] = 0, expected nonzero")
-        rows.append([_apply(f, polys[k]) for k in range(i - 1)] + [diag])
+        rows.append([value(k) for k in range(i - 1)] + [diag])
     return LambdaLadder(rows)
 
 
@@ -337,7 +346,7 @@ class OrthogonalityReport:
 
 def is_p_orthogonal(
     nu: Sequence[Sequence[Fraction]],
-    polys: Sequence[Sequence[Fraction]],
+    polys: Sequence[IntegerRow],
     p: int,
     window: int,
 ) -> OrthogonalityReport:
@@ -348,7 +357,8 @@ def is_p_orthogonal(
     != 0 for all k with kp + r - 1 <= window. The moment budget must cover
     every application (the caller sizes it; DegreeExceedsMoments otherwise).
 
-    polys must satisfy a (p'+2)-term recurrence with p' <= p, as the
+    polys are integer rows (nums, d_n), as `characteristic_polys` gives
+    them. They must satisfy a (p'+2)-term recurrence with p' <= p, as the
     characteristic sequence of a p-banded Hessenberg matrix does: then
     nu_r's zero conditions all hold when its certificate does (module
     docstring), the column k = 0 and the last row n = window, and the scan
@@ -363,8 +373,7 @@ def is_p_orthogonal(
     if len(polys) <= window:
         raise ShapeMismatch(f"need polynomials 0..{window}, got {len(polys)}")
     # nu_r[z^k P_n] = sum_i c_{n,i} m_{r,i+k}, computed as an integer dot
-    # product over the denominators d_nu * d_P; Fractions only for witnesses.
-    coeffs = [integer_image(polys[n]) for n in range(window + 1)]
+    # product over the denominators d_nu * d_n; Fractions only for witnesses.
     failures: list[Witness] = []
     zero_checks = 0
     nonzero_checks = 0
@@ -372,7 +381,7 @@ def is_p_orthogonal(
         moments, d_nu = integer_image(f)
 
         def value(n: int, k: int) -> int:
-            c = coeffs[n][0]
+            c = polys[n][0]
             if c and len(c) + k > len(moments):
                 raise DegreeExceedsMoments(len(c) - 1 + k, len(moments) - 1)
             return sum(map(mul, c, islice(moments, k, None)))
@@ -394,7 +403,7 @@ def is_p_orthogonal(
                     zero_checks += 1
                     if num:
                         failures.append(
-                            Witness("zero", r, k, n, Fraction(num, d_nu * coeffs[n][1]))
+                            Witness("zero", r, k, n, Fraction(num, d_nu * polys[n][1]))
                         )
                     k += 1
         k = 0

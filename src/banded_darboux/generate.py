@@ -24,7 +24,7 @@ from .errors import (
     SingularLeadingMinor,
     SizeMismatch,
 )
-from .exact import format_rational, parse_rational
+from .exact import IntegerRow, format_rational, parse_rational
 from .factorization import ShiftedInstance
 from .functionals import LambdaLadder, build_nu, dual_sequence
 
@@ -239,13 +239,15 @@ class InstanceConfig:
 @dataclass(frozen=True)
 class GeneratedInstance:
     """Instance, nu as p moment tuples, the source sequence P_0 .. P_W up to
-    the window W (only `polys` reads it), the staging of the ladder nu was
-    built from (the ladder is `staging.stage_ladders[0]`), and the retries it
-    took. The config it came from is not kept: the caller has it."""
+    the window W as integer rows (nums, d_n) (`characteristic_polys`; only
+    `polys` reads it, and forms each coefficient as it prints it), the
+    staging of the ladder nu was built from (the ladder is
+    `staging.stage_ladders[0]`), and the retries it took. The config it came
+    from is not kept: the caller has it."""
 
     instance: ShiftedInstance
     nu: tuple[tuple[Fraction, ...], ...]
-    source_polys: tuple[tuple[Fraction, ...], ...]
+    source_polys: tuple[IntegerRow, ...]
     staging: StagingResult
     shift_retries: tuple[str, ...]
     ladder_retries: int

@@ -24,7 +24,8 @@ each J(j)) are oracles too.
 What the package itself no longer carries, because no command uses it,
 lives here as well: the polynomial type with its printed form, arithmetic
 and evaluation (`Poly`, `Z`, `as_polys`, `divide_exactly`; the package's
-polynomials are coefficient tuples, and `Poly.__str__` is the oracle for
+polynomials are integer rows (nums, d_n), `fraction_polys` reads a sequence
+of them as coefficient tuples, and `Poly.__str__` is the oracle for
 `format_polynomial`), dense matrices with their product and the Bareiss
 determinant (`DenseMatrix`, `det_exact`, `NotSquare`; the oracles for the
 elimination in `delta_det` and the row updates in
@@ -85,8 +86,8 @@ class Poly:
 
     Immutable. `coefficients[k]` is the coefficient of z^k; trailing zeros
     are trimmed, so the zero polynomial has an empty coefficient tuple and
-    degree -1. The package's polynomials are plain coefficient tuples:
-    `Poly(q)` wraps one, and `.coefficients` gives it back.
+    degree -1. `Poly(q)` wraps a coefficient tuple, and `.coefficients`
+    gives it back; `as_polys` wraps the package's integer rows.
     """
 
     __slots__ = ("_coeffs",)
@@ -218,9 +219,15 @@ def _as_poly(value):
 Z = Poly((0, 1))
 
 
-def as_polys(polys):
-    """A sequence of coefficient tuples as `Poly`s, for arithmetic on them."""
-    return tuple(Poly(q) for q in polys)
+def fraction_polys(rows):
+    """A sequence of integer rows (nums, d_n), as the package gives it, in
+    coefficient-tuple form: P_n's coefficients nums[i] / d_n as Fractions."""
+    return tuple(tuple(Fraction(c, d) for c in nums) for nums, d in rows)
+
+
+def as_polys(rows):
+    """A sequence of integer rows as `Poly`s, for arithmetic on them."""
+    return tuple(Poly(q) for q in fraction_polys(rows))
 
 
 def divide_exactly(poly, root):
@@ -524,8 +531,10 @@ def transformed_nu(nu, c, j):
     return tuple(tuple(f[:m]) for f in entries)
 
 
-def scan_by_apply(nu, polys, p, window):
-    """The staircase scan by applying each functional to z^k P_n."""
+def scan_by_apply(nu, rows, p, window):
+    """The staircase scan by applying each functional to z^k P_n, the
+    sequence given as the scan takes it, in integer rows."""
+    polys = fraction_polys(rows)
     if len(nu) != p:
         raise ShapeMismatch(f"vector has {len(nu)} entries, expected {p}")
     if len(polys) <= window:

@@ -243,8 +243,8 @@ MUTANTS = (
     Mutant(
         "recurrence-term-denominator-without-its-polynomial",
         "src/banded_darboux/banded.py",
-        "lcm(*(v.denominator * dens[-1 - s] for s, v in",
-        "lcm(*(v.denominator for s, v in",
+        "lcm(*(v.denominator * d_s for v, _, d_s in",
+        "lcm(*(v.denominator for v, _, d_s in",
         (
             "tests/test_kernels.py::test_characteristic_polys_matches_polynomial_recurrence",
             "tests/test_kernels.py::"
@@ -254,13 +254,41 @@ MUTANTS = (
     Mutant(
         "recurrence-lcm-without-the-s-0-term",
         "src/banded_darboux/banded.py",
-        "for s, v in enumerate(row) if v)",
-        "for s, v in enumerate(row) if v and s)",
+        "for v, _, d_s in terms if v)",
+        "for v, _, d_s in terms[1:] if v)",
         (
             "tests/test_kernels.py::test_characteristic_polys_matches_polynomial_recurrence",
             "tests/test_kernels.py::"
             "test_characteristic_polys_of_rotations_match_polynomial_recurrence",
         ),
+    ),
+    Mutant(
+        "recurrence-rows-left-unreduced",
+        "src/banded_darboux/banded.py",
+        "        g = gcd(den, *acc)\n",
+        "        g = 1\n",
+        (
+            "tests/test_kernels.py::test_characteristic_polys_matches_polynomial_recurrence",
+            "tests/test_kernels.py::"
+            "test_characteristic_polys_of_rotations_match_polynomial_recurrence",
+        ),
+    ),
+    Mutant(
+        "scan-witness-over-the-functionals-denominator-alone",
+        "src/banded_darboux/functionals.py",
+        "Fraction(num, d_nu * polys[n][1])",
+        "Fraction(num, d_nu)",
+        (
+            "tests/test_kernels.py::test_scan_matches_apply",
+            "tests/test_kernels.py::test_stage_reports_match_the_per_rotation_oracle",
+        ),
+    ),
+    Mutant(
+        "ladder-over-the-functionals-denominator-alone",
+        "src/banded_darboux/functionals.py",
+        "sum(map(mul, nums, moments)), d_nu * d)",
+        "sum(map(mul, nums, moments)), d_nu)",
+        ("tests/test_functionals.py::test_ladder_round_trip_exact",),
     ),
     Mutant(
         "rotated-vector-from-the-previous-window",

@@ -21,6 +21,7 @@ from helpers import (
     DenseMatrix,
     Z,
     as_polys,
+    fraction_polys,
     catalan_hessenberg,
     dense_mul,
     dense_rows,
@@ -180,12 +181,12 @@ def test_band_closure_of_unit_lower_products():
 def test_characteristic_initial_polynomial_is_one():
     rng = random.Random(2)
     J = random_hessenberg_local(rng, 2, 5)
-    assert characteristic_polys(J, 0) == ((1,),)
+    assert fraction_polys(characteristic_polys(J, 0)) == ((1,),)
 
 
 def test_characteristic_catalan_values():
     J = catalan_hessenberg(4)
-    P = characteristic_polys(J, 3)
+    P = fraction_polys(characteristic_polys(J, 3))
     assert P[1] == (Z - 2).coefficients
     assert P[2] == (Z * Z - 4 * Z + 3).coefficients
     assert P[3] == (-4, 10, -6, 1)
@@ -193,7 +194,7 @@ def test_characteristic_catalan_values():
 
 def test_characteristic_nilpotent_case_gives_monomials():
     J = BandedHessenberg(2, 5, {})
-    P = characteristic_polys(J, 5)
+    P = fraction_polys(characteristic_polys(J, 5))
     for n, poly in enumerate(P):
         assert poly == (0,) * n + (1,)
 

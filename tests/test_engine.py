@@ -352,11 +352,13 @@ def _heap_peak(fn, *args):
 
 
 def test_generate_never_holds_the_dual_table_and_the_source_sequence_together():
-    # The duals run to the moment budget B = 51 and the sequence to the
-    # window W = 40. nu reads p dual columns, so the duals go before
+    # The duals run to the moment budget B = 111 and the sequence to the
+    # window W = 100. nu reads p dual columns, so the duals go before
     # P_0 .. P_W are built, and generate's heap peak stays near
-    # dual_sequence's own; holding both reads about 1.5 times it.
-    cfg = InstanceConfig(p=4, n=52, window=40, seed=1)
+    # dual_sequence's own (1.13 times it); holding both reads about 1.35
+    # times it. The sequence's integer rows are small beside the dual
+    # table, so the config takes a large p, where B is close to W.
+    cfg = InstanceConfig(p=10, n=112, window=100, seed=1)
     J = generate(cfg).instance.J
     assert _heap_peak(generate, cfg) < 1.25 * _heap_peak(dual_sequence, J, cfg.moment_budget)
 

@@ -14,8 +14,10 @@ from banded_darboux import (
     check_printable,
     format_polynomial,
     format_rational,
+    format_row,
     parse_rational,
 )
+from banded_darboux.exact import integer_image
 from helpers import (
     DenseMatrix,
     NotSquare,
@@ -127,6 +129,22 @@ coefficient_st = st.one_of(
 def test_format_polynomial_matches_the_oracle(coeffs):
     # format_polynomial reads the wire forms the report holds.
     assert format_polynomial([format_rational(c) for c in coeffs]) == str(Poly(coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(coefficient_st, min_size=1, max_size=7), scale=st.integers(1, 12))
+def test_format_row_prints_each_coefficient_in_lowest_terms(coeffs, scale):
+    # Over its least denominator or a multiple of it, a row prints the
+    # wire forms of its Fractions.
+    nums, d = integer_image(coeffs)
+    expected = [format_rational(c) for c in coeffs]
+    assert format_row((nums, d)) == expected
+    assert format_row(([c * scale for c in nums], d * scale)) == expected
+
+
+def test_format_row_beyond_int_str_limit_is_config_error():
+    with pytest.raises(ConfigError, match="4300-digit"):
+        format_row(([1, 10**5000], 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from helpers import (
     Poly,
     Z,
     as_polys,
+    fraction_polys,
     catalan_hessenberg,
     dense_mul,
     dense_rows,
@@ -351,7 +352,7 @@ def test_transformed_sequence_starts_at_one_and_is_monic():
     _, chain = make_chain(rng, 2, 8)
     sequences = dict(transformed_polys(chain, 6, range(3)))
     for j in range(3):
-        polys = sequences[j]
+        polys = fraction_polys(sequences[j])
         assert polys[0] == (1,)
         for n, poly in enumerate(polys):
             assert len(poly) == n + 1 and poly[-1] == 1

@@ -1,10 +1,11 @@
 """Differential tests: each integer kernel against its Fraction oracle.
 
 The oracles in helpers.py are the routes the kernels replaced. Inputs are
-bounded (p = 1..4, N <= 16, N <= 24 for chains, peels, instances and CLI
-configs) and draw every band entry, the diagonal and the lowest band
-included, from num/den with |num| <= bound and 1 <= den <= bound, so zeros
-and large denominators both occur. The residue tails of the LU and the
+bounded (p = 1..4, 1..5 for the characteristic sequences, N <= 16,
+N <= 24 for chains, peels, instances and CLI configs) and draw every band
+entry, the diagonal and the lowest band included, from num/den with
+|num| <= bound and 1 <= den <= bound, so zeros and large denominators both
+occur. The residue tails of the LU and the
 peel are checked against the exact route on all N rows, including inputs
 built so that a residue cannot decide, and their residue scalar against
 Fraction arithmetic mod q.
@@ -15,7 +16,7 @@ from fractions import Fraction
 import io
 from itertools import accumulate
 import json
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 import sys
@@ -54,6 +55,7 @@ from banded_darboux import (
 )
 from banded_darboux import BandMatrix, banded, engine, factorization
 from banded_darboux.cli import main
+from banded_darboux.exact import integer_image
 from helpers import (
     characteristic_polys_by_polynomials,
     darboux_transform_chained,
@@ -79,8 +81,8 @@ def rationals(bound, nonzero=False):
 
 
 @st.composite
-def hessenbergs(draw):
-    p = draw(st.integers(1, 4))
+def hessenbergs(draw, max_p=4):
+    p = draw(st.integers(1, max_p))
     n = draw(st.integers(1, 16))
     bound = draw(st.sampled_from(BOUNDS))
     bands = {
@@ -91,10 +93,10 @@ def hessenbergs(draw):
 
 
 @st.composite
-def chains(draw):
+def chains(draw, max_p=4):
     """Any chain: the rotations need no LU behind it, so every coefficient,
     the shift included, is drawn freely."""
-    p = draw(st.integers(1, 4))
+    p = draw(st.integers(1, max_p))
     n = draw(st.integers(1, 24))
     bound = draw(st.sampled_from(BOUNDS))
 
@@ -113,28 +115,36 @@ def scan_outcome(scan, nu, polys, p, window):
         return ("DegreeExceedsMoments", exc.degree, exc.max_degree)
 
 
+def assert_reduced_integer_rows(J, nmax):
+    """characteristic_polys is the integer image of the `Poly` recurrence,
+    row for row: (nums, d_n), d_n > 0, monic (nums[-1] == d_n) and in
+    lowest terms. An unreduced row holds the same values, so only this
+    contract shows it."""
+    rows = characteristic_polys(J, nmax)
+    slow = characteristic_polys_by_polynomials(J, nmax)
+    assert len(rows) == len(slow) == nmax + 1
+    for n, (row, poly) in enumerate(zip(rows, slow)):
+        assert row == integer_image(poly.coefficients)
+        nums, d = row
+        assert len(nums) == n + 1 and d > 0 and nums[-1] == d
+        assert gcd(d, *nums) == 1
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=hessenbergs(), data=st.data())
+@given(case=hessenbergs(max_p=5), data=st.data())
 def test_characteristic_polys_matches_polynomial_recurrence(case, data):
     J, _ = case
-    nmax = data.draw(st.integers(0, J.n))
-    fast = characteristic_polys(J, nmax)
-    slow = characteristic_polys_by_polynomials(J, nmax)
-    assert len(fast) == len(slow) == nmax + 1
-    for a, b in zip(fast, slow):
-        assert a == b.coefficients
+    assert_reduced_integer_rows(J, data.draw(st.integers(0, J.n)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(chain=chains())
+@given(chain=chains(max_p=5))
 def test_characteristic_polys_of_rotations_match_polynomial_recurrence(chain):
     # A rotation's band entries have large denominators with no common
     # factor, which hessenbergs() does not draw; each term of a recurrence
     # row then lies over a different denominator.
     for j, J in darboux_transform(chain, range(chain.p + 1)):
-        fast = characteristic_polys(J, J.valid_rows)
-        slow = characteristic_polys_by_polynomials(J, J.valid_rows)
-        assert fast == tuple(poly.coefficients for poly in slow)
+        assert_reduced_integer_rows(J, J.valid_rows)
 
 
 @settings(max_examples=60, deadline=None)
