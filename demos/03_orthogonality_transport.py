@@ -22,6 +22,7 @@ from banded_darboux import (
     run_theorem,
     shift_multiply,
     transformed_polys,
+    vector,
 )
 
 p, window = 3, 12
@@ -31,7 +32,7 @@ n = max(window + p + 2, moment_budget(window, p) + 1)
 
 cfg = InstanceConfig(p=p, n=n, window=window, seed=2024)
 built = generate(cfg)
-cert = run_theorem(built.instance, built.nu, window)
+cert = run_theorem(built.instance, vector(built, cfg.moment_budget), window)
 print(f"generic ladder, p={p}, window={window}")
 print(f"  minors checked: {[(j, m) for j, m, _ in cert.hypotheses]}")
 print(f"  free entries  : {[list(r) for r in cert.free_entries]}")
@@ -46,8 +47,9 @@ print(f"  certificate passed: {cert.passed}")
 
 canon = InstanceConfig(p=p, n=n, window=window, seed=2024, nu_source="canonical")
 built_canon = generate(canon)
+nu_canon = vector(built_canon, canon.moment_budget)
 try:
-    run_theorem(built_canon.instance, built_canon.nu, window)
+    run_theorem(built_canon.instance, nu_canon, window)
 except HypothesisViolated as err:
     print(f"\ncanonical vector: rejected, minor (stage {err.stage}, size {err.size}) = 0")
 
@@ -57,7 +59,7 @@ zeros = [[0] * (p - j) for j in range(1, p)]  # free_rows[j-1]: L(j)'s first p-j
 chain = chain_from_instance(built_canon.instance, zeros, built_canon.instance.n)
 [(_, seq)] = transformed_polys(chain, window, [p])
 # nu(p) = ((z-C) nu_1, .., (z-C) nu_p); each nu_i is its moment tuple.
-rotated = [shift_multiply(f, built_canon.instance.shift) for f in built_canon.nu]
+rotated = [shift_multiply(f, built_canon.instance.shift) for f in nu_canon]
 print(
     "full rotation of the canonical vector, arbitrary free entries:",
     "passed" if is_p_orthogonal(rotated, seq, p, window).passed else "failed",

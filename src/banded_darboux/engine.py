@@ -113,7 +113,7 @@ def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> Lamb
 
 @dataclass(frozen=True)
 class StagingResult:
-    """Stage ladders, per-stage minors (computed two ways), free entries.
+    """Stage ladders, per-stage minors and free entries.
 
     `stage_ladders[j]` is the stage-j ladder; `violation` is the (stage,
     size) of the first zero staged minor, or None."""
@@ -125,7 +125,8 @@ class StagingResult:
 
 
 def _staging(ladder: LambdaLadder, p: int) -> StagingResult:
-    """Run the stage recursion, auditing each minor against the source.
+    """Run the stage recursion, auditing each stage-j minor, j >= 1, against
+    the source's offset-j minor.
 
     Stops (without raising) at the first zero staged minor, recording it;
     the stages completed so far still determine factors 1..completed.
@@ -137,12 +138,14 @@ def _staging(ladder: LambdaLadder, p: int) -> StagingResult:
     for j in range(p - 1):
         staged = [delta_det(cur, 0, m) for m in range(p - j)]
         for m in range(1, p - j):
-            direct = delta_det(ladder, j, m)
-            if staged[m] != direct:
-                raise InternalCheckError(
-                    f"minor (offset {j}, size {m}) differs between routes: "
-                    f"{staged[m]} vs {direct}"
-                )
+            # At j = 0 the staged ladder is the source: there is one route.
+            if j:
+                direct = delta_det(ladder, j, m)
+                if staged[m] != direct:
+                    raise InternalCheckError(
+                        f"minor (offset {j}, size {m}) differs between routes: "
+                        f"{staged[m]} vs {direct}"
+                    )
             deltas.append((j, m, staged[m]))
         zero_m = next((m for m in range(1, p - j) if staged[m] == 0), None)
         if zero_m is not None:

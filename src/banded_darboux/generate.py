@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .banded import BandedHessenberg, characteristic_polys
+from .banded import BandedHessenberg
 from .engine import StagingResult, _staging, moment_budget
 from .errors import (
     ConfigError,
@@ -24,9 +24,9 @@ from .errors import (
     SingularLeadingMinor,
     SizeMismatch,
 )
-from .exact import IntegerRow, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .factorization import ShiftedInstance
-from .functionals import LambdaLadder, build_nu, dual_sequence
+from .functionals import LambdaLadder, Moments, build_nu, dual_sequence
 
 DEFAULT_BOUND = 9
 DEFAULT_RETRY_CAP = 32
@@ -238,34 +238,25 @@ class InstanceConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Instance, nu as p moment tuples, the source sequence P_0 .. P_W up to
-    the window W as integer rows (nums, d_n) (`characteristic_polys`; only
-    `polys` reads it, and forms each coefficient as it prints it), the
-    staging of the ladder nu was built from (the ladder is
+    """Instance, the staging of its ladder (the ladder is
     `staging.stage_ladders[0]`), and the retries it took. The config it came
     from is not kept: the caller has it."""
 
     instance: ShiftedInstance
-    nu: tuple[tuple[Fraction, ...], ...]
-    source_polys: tuple[IntegerRow, ...]
     staging: StagingResult
     shift_retries: tuple[str, ...]
     ladder_retries: int
 
 
 def generate(config: InstanceConfig) -> GeneratedInstance:
-    """Build the (J, C) instance and the nu vector a config describes.
+    """Build the (J, C) instance and the staged ladder a config describes.
 
     Shift admissibility: C is accepted only if every P_n(C), n <= N, is
     nonzero; otherwise C+1 is tried, up to the retry cap, recording each
     rejected value. Random ladders are likewise resampled while any
     hypothesis minor vanishes (when require_hypotheses is set). The ladder
-    nu is built from is staged once; the chain commands read that staging.
-
-    Two tables are built: the B + 1 dual functionals up to the moment budget
-    B, of which nu reads p, and P_0 .. P_W up to the window W. The duals are
-    built first and let go once nu is formed, before P_0 .. P_W are built,
-    so the peak holds one table, not both.
+    is staged once; the chain commands read that staging, and `vector`
+    builds nu from it.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -301,10 +292,7 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             f"no admissible shift within {config.retry_cap} retries from {config.shift}"
         )
 
-    duals = dual_sequence(J, config.moment_budget)
-
-    # Every source ends in one ladder, one nu and one staging of the ladder.
-    staging = None
+    # Every source ends in one ladder and one staging of it.
     ladder_retries = 0
     if config.nu_source == "canonical":
         # nu = (dual_0, .., dual_{p-1}) is the identity ladder.
@@ -318,30 +306,30 @@ def generate(config: InstanceConfig) -> GeneratedInstance:
             raise ConfigError(f"bad ladder: {exc}") from None
         if ladder.nrows != config.p:
             raise ConfigError(f"ladder has {ladder.nrows} rows, p is {config.p}")
+        # Before staging; build_nu, a library entry point, checks it again.
+        ladder.check_regular()
     else:
         ladder = random_ladder(rng, config.p, config.bound)
+    staging = _staging(ladder, config.p)
+    while config.nu_source == "random" and config.require_hypotheses and staging.violation is not None:
+        ladder_retries += 1
+        if ladder_retries > config.retry_cap:
+            raise GenerationExhausted(
+                f"no hypothesis-satisfying ladder within {config.retry_cap} retries"
+            )
+        ladder = random_ladder(rng, config.p, config.bound)
         staging = _staging(ladder, config.p)
-        while config.require_hypotheses and staging.violation is not None:
-            ladder_retries += 1
-            if ladder_retries > config.retry_cap:
-                raise GenerationExhausted(
-                    f"no hypothesis-satisfying ladder within {config.retry_cap} retries"
-                )
-            ladder = random_ladder(rng, config.p, config.bound)
-            staging = _staging(ladder, config.p)
-    # build_nu checks a given ladder regular before it is staged.
-    nu = build_nu(ladder, duals)
-    # The dual table goes before P_0 .. P_W are built.
-    del duals
-    if staging is None:
-        staging = _staging(ladder, config.p)
-    source_polys = characteristic_polys(J, config.window)
 
     return GeneratedInstance(
         instance=instance,
-        nu=nu,
-        source_polys=source_polys,
         staging=staging,
         shift_retries=tuple(retries),
         ladder_retries=ladder_retries,
     )
+
+
+def vector(built: GeneratedInstance, budget: int) -> tuple[Moments, ...]:
+    """The vector nu of the staged ladder, nu_i = sum_k lambda(i, k) dual_k,
+    with moments to degree `budget`. The budget + 1 dual functionals are
+    built here and let go on return; only gen and verify read nu."""
+    return build_nu(built.staging.stage_ladders[0], dual_sequence(built.instance.J, budget))

@@ -5,8 +5,8 @@
 
 Each run is `banded_darboux.cli.main` in this process, on a config written
 to a temporary directory, with the report in a directory of its own. Its
-digest is the SHA-256 of the exit code, stdout with the report directory
-masked, stderr, and the report's bytes up to its `timings` member (the
+digest is the SHA-256 of the exit code (or the error the CLI let escape),
+stdout with the report directory masked, stderr, and the report's bytes up to its `timings` member (the
 member sorts last, and only it holds times); a run that writes no report
 hashes empty report bytes. So two versions of the package that match here
 print, report and exit the same on every run of the grid.
@@ -162,7 +162,7 @@ def cases() -> dict[str, tuple[dict, tuple[str, ...], int | None]]:
     return out
 
 
-def _digest(code: int, stdout: str, stderr: str, report: bytes) -> str:
+def _digest(code: int | str, stdout: str, stderr: str, report: bytes) -> str:
     digest = hashlib.sha256()
     for part in (str(code).encode(), stdout.encode(), stderr.encode(), report):
         digest.update(len(part).to_bytes(8, "big"))
@@ -183,7 +183,12 @@ def run_case(config: dict, args: tuple[str, ...], digits: int | None, workdir: P
         for command in COMMANDS:
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
-                code = cli_main([command, "--config", str(path), "--report-dir", str(reports), *args])
+                try:
+                    code = cli_main(
+                        [command, "--config", str(path), "--report-dir", str(reports), *args]
+                    )
+                except Exception as exc:  # an uncaught error is an outcome too
+                    code = f"raised {type(exc).__name__}: {exc}"
             report = reports / f"{command}.json"
             data = b""
             if report.exists():

@@ -738,11 +738,10 @@ def transport_identity_by_dense(factors, stage_ladders, j, s):
     return lhs * stair == slab
 
 
-def source_ladder(built):
-    """The ladder of a generated vector, read on P_0 .. P_{p-1} of the source
-    as `run_theorem` reads it: `source_polys` stops at the window, which may
-    be shorter."""
-    return lambda_of(built.nu, characteristic_polys(built.instance.J, len(built.nu)))
+def source_ladder(built, nu):
+    """The ladder of a generated vector nu, read on P_0 .. P_{p-1} of the
+    source as `run_theorem` reads it."""
+    return lambda_of(nu, characteristic_polys(built.instance.J, len(nu)))
 
 
 def canonical_nu(duals, p):

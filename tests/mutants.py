@@ -82,11 +82,11 @@ MUTANTS = (
     Mutant(
         "generate-keeps-first-draws-staging",
         "src/banded_darboux/generate.py",
-        "            ladder = random_ladder(rng, config.p, config.bound)\n"
-        "            staging = _staging(ladder, config.p)\n",
-        "            ladder = random_ladder(rng, config.p, config.bound)\n"
-        "            if _staging(ladder, config.p).violation is None:\n"
-        "                break\n",
+        "        ladder = random_ladder(rng, config.p, config.bound)\n"
+        "        staging = _staging(ladder, config.p)\n",
+        "        ladder = random_ladder(rng, config.p, config.bound)\n"
+        "        if _staging(ladder, config.p).violation is None:\n"
+        "            break\n",
         (
             "tests/test_engine.py::test_resampled_ladder_keeps_the_accepted_draws_staging",
             "tests/test_engine.py::test_generate_stages_the_ladder_nu_is_built_from",
@@ -104,32 +104,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "generate-builds-the-sequence-before-the-duals",
-        "src/banded_darboux/generate.py",
-        "    duals = dual_sequence(J, config.moment_budget)\n",
-        "    source_polys = characteristic_polys(J, config.window)\n"
-        "    duals = dual_sequence(J, config.moment_budget)\n",
-        (
-            "tests/test_engine.py::"
-            "test_generate_never_holds_the_dual_table_and_the_source_sequence_together",
-        ),
-    ),
-    Mutant(
-        "generate-keeps-the-dual-table",
-        "src/banded_darboux/generate.py",
-        "    del duals\n",
-        "",
-        (
-            "tests/test_engine.py::"
-            "test_generate_never_holds_the_dual_table_and_the_source_sequence_together",
-        ),
-    ),
-    Mutant(
-        "verify-holds-the-instance-through-its-scan",
+        "gen-holds-the-sequence-while-it-builds-nu",
         "src/banded_darboux/cli.py",
-        "    del built\n",
-        "",
-        ("tests/test_cli.py::test_verify_lets_the_generated_instance_go_before_its_scan",),
+        "    nu = vector(built, config.moment_budget)\n",
+        "    polys = characteristic_polys(built.instance.J, config.window)\n"
+        "    nu = vector(built, config.moment_budget)\n",
+        (
+            "tests/test_cli.py::"
+            "test_gen_never_holds_the_dual_table_and_the_source_sequence_together",
+        ),
+    ),
+    Mutant(
+        "gen-keeps-the-dual-table",
+        "src/banded_darboux/cli.py",
+        "    nu = vector(built, config.moment_budget)\n",
+        "    from .functionals import build_nu, dual_sequence\n"
+        "    duals = dual_sequence(built.instance.J, config.moment_budget)\n"
+        "    nu = build_nu(built.staging.stage_ladders[0], duals)\n",
+        (
+            "tests/test_cli.py::"
+            "test_gen_never_holds_the_dual_table_and_the_source_sequence_together",
+        ),
+    ),
+    Mutant(
+        "verify-builds-the-source-sequence",
+        "src/banded_darboux/cli.py",
+        "    certificate = run_theorem(",
+        "    characteristic_polys(built.instance.J, config.window)\n"
+        "    certificate = run_theorem(",
+        ("tests/test_cli.py::test_verify_builds_no_source_sequence",),
+    ),
+    Mutant(
+        "factorize-builds-nu-again",
+        "src/banded_darboux/cli.py",
+        "    chain = _build_chain(built, config.n)\n"
+        "    check_printable(chain.printed_values())\n"
+        "    shift = ",
+        "    vector(built, config.moment_budget)\n"
+        "    chain = _build_chain(built, config.n)\n"
+        "    check_printable(chain.printed_values())\n"
+        "    shift = ",
+        ("tests/test_cli.py::test_chain_commands_build_no_vector",),
     ),
     Mutant(
         "chain-split-accepts-p-rows",

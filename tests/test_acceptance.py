@@ -28,6 +28,7 @@ from banded_darboux import (
     run_theorem,
     shifted_lu,
     transformed_polys,
+    vector,
 )
 from banded_darboux.engine import _staging
 from helpers import (
@@ -225,10 +226,11 @@ def test_06_full_rotation_ignores_minor_hypotheses():
                 require_hypotheses=False,
             )
             built = generate(cfg)
+            nu = vector(built, cfg.moment_budget)
             free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
             chain = chain_from_instance(built.instance, free_rows, built.instance.n)
             [(_, seq)] = transformed_polys(chain, window, [p])
-            rotated = transformed_nu(built.nu, built.instance.shift, p)
+            rotated = transformed_nu(nu, built.instance.shift, p)
             assert is_p_orthogonal(rotated, seq, p, window).passed
             runs += 1
     report(6, "full rotation, no minor hypothesis", f"{runs} vectors incl. canonical, window 4p")
@@ -243,7 +245,8 @@ def test_07_certified_transport_50_runs():
         n = max(window + p + 2, moment_budget(window, p) + 1)
         cfg = InstanceConfig(p=p, n=n, window=window, seed=7000 + case)
         built = generate(cfg)
-        cert = run_theorem(built.instance, built.nu, window)
+        nu = vector(built, cfg.moment_budget)
+        cert = run_theorem(built.instance, nu, window)
         assert cert.passed
         assert [v.j for v in cert.stage_verdicts] == list(range(1, p + 1))
         passed += 1
@@ -260,8 +263,9 @@ def test_08_negative_paths():
         n = max(window + p + 2, moment_budget(window, p) + 1)
         cfg = InstanceConfig(p=p, n=n, window=window, seed=800 + p, nu_source="canonical")
         built = generate(cfg)
+        nu = vector(built, cfg.moment_budget)
         with pytest.raises(HypothesisViolated) as err:
-            run_theorem(built.instance, built.nu, window)
+            run_theorem(built.instance, nu, window)
         assert (err.value.stage, err.value.size) == (0, 1)
         assert err.value.value == 0
     # Constructed ladder zeroes a later stage: partial factorization returned.
@@ -270,11 +274,12 @@ def test_08_negative_paths():
         nu_ladder=[["1"], ["1", "1"], ["0", "1", "1"]],
     )
     built = generate(cfg)
-    cert = run_theorem(built.instance, built.nu, 9)
+    nu = vector(built, cfg.moment_budget)
+    cert = run_theorem(built.instance, nu, 9)
     assert not cert.passed and cert.partial is not None
     assert cert.partial.stages == 1
     assert cert.partial.violated == (1, 1)
-    ladder = source_ladder(built)
+    ladder = source_ladder(built, nu)
     staging = _staging(ladder, 3)
     L, _, _ = shifted_lu(built.instance, built.instance.n)
     factors, remainder = peel_stages(L, staging.free_rows, 1)
@@ -311,13 +316,14 @@ def test_10_staircase_transport_identity_and_minor_agreement():
         n = max(window + p + 2, moment_budget(window, p) + 1)
         cfg = InstanceConfig(p=p, n=n, window=window, seed=1000 + case)
         built = generate(cfg)
-        cert = run_theorem(built.instance, built.nu, window)
+        nu = vector(built, cfg.moment_budget)
+        cert = run_theorem(built.instance, nu, window)
         assert cert.passed
         assert cert.transport_checks and all(ok for _, _, ok in cert.transport_checks)
         identity_checks += len(cert.transport_checks)
         # Minors two ways: the certificate records the staged route; the
         # direct route recomputes them from the source ladder.
-        ladder = source_ladder(built)
+        ladder = source_ladder(built, nu)
         for j, m, recorded in cert.hypotheses:
             assert str(delta_det(ladder, j, m)) == recorded
         runs += 1

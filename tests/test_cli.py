@@ -1,6 +1,5 @@
 """Command dispatch, reports, determinism, and the exit-code contract."""
 
-import gc
 import hashlib
 import io
 import json
@@ -33,10 +32,11 @@ from banded_darboux import (
     chain_from_instance,
     generate,
     moment_budget,
+    vector,
 )
-from banded_darboux.engine import run_theorem
-from banded_darboux.generate import MAX_N, GeneratedInstance, max_budget
-from banded_darboux import banded, cli, engine, factorization
+from banded_darboux.exact import format_rational
+from banded_darboux.generate import MAX_N, max_budget
+from banded_darboux import banded, cli, engine, factorization, functionals
 from banded_darboux.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -57,6 +57,7 @@ from banded_darboux.errors import (
     ZeroPeelPivot,
 )
 from helpers import (
+    characteristic_polys_by_polynomials,
     darboux_transform_chained,
     dense_rows,
     plain_json,
@@ -373,6 +374,47 @@ def test_bad_ladder_and_matrix_are_config_errors(tmp_path, capsys):
     )
     assert run_cli(tmp_path, "gen", config) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"p": 0}, "p must be >= 1, got 0"),
+        ({"window": 0}, "window must be >= 1, got 0"),
+        ({"bound": 0}, "bound must be >= 1, got 0"),
+        ({"retry_cap": -1}, "retry cap must be >= 0, got -1"),
+        ({"N": 10}, "window 8 with p 2 needs N >= 11, got 10"),
+        ({"N": 12}, "moment budget 13 exceeds N = 12; raise N or shrink the window"),
+        ({"matrix": {"source": "dense"}}, "unknown matrix source 'dense'"),
+        ({"nu": {"source": "moments"}}, "unknown nu source 'moments'"),
+        (
+            {"matrix": {"source": "explicit", "bands": {"0": [1.5]}}},
+            "explicit matrix source needs bands: an object of rational lists",
+        ),
+        (
+            {"nu": {"source": "ladder", "lambda": [["1"], "12"]}},
+            "ladder nu source needs ladder rows: a list of rational lists",
+        ),
+        ({"nu": {"source": "ladder", "lambda": [["0"]]}}, "ladder has 1 rows, p is 2"),
+        ({"report_dir": 5}, "report_dir must be a string, got 5"),
+        ({"transform_index": 3}, "transform index 3 outside 0..2"),
+    ],
+    ids=[
+        "p", "window", "bound", "retry-cap", "n-below-window", "budget-above-n",
+        "matrix-source", "nu-source", "matrix-bands", "ladder-rows", "ladder-row-count",
+        "report-dir", "transform-index",
+    ],
+)
+def test_config_checks_name_their_field(tmp_path, capsys, overrides, message):
+    # Each check of the config fails every command before anything is built:
+    # exit 1, one error line, no report.
+    config = write_config(tmp_path, **overrides)
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, config) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize(
@@ -783,7 +825,8 @@ def test_config_validation_matches_direct_construction():
     built_a = generate(cfg)
     built_b = generate(cfg)
     assert built_a.instance.J == built_b.instance.J
-    assert built_a.nu == built_b.nu
+    assert built_a.staging == built_b.staging
+    assert vector(built_a, cfg.moment_budget) == vector(built_b, cfg.moment_budget)
 
 
 @pytest.mark.parametrize(
@@ -1222,26 +1265,100 @@ def test_factorize_peak_memory_is_under_its_report(tmp_path):
     assert peak < (tmp_path / "reports" / "factorize.json").stat().st_size
 
 
-def test_verify_lets_the_generated_instance_go_before_its_scan(tmp_path, monkeypatch, capsys):
-    # The scan reads the instance and nu only, so P_0 .. P_B and the staging
-    # are gone when run_theorem starts: neither the runner nor verify still
-    # holds what generate returned.
+def _rebind(monkeypatch, original, replacement):
+    """Point every package module global bound to `original` at
+    `replacement`, for the rest of the test."""
+    for name, module in list(sys.modules.items()):
+        if name == "banded_darboux" or name.startswith("banded_darboux."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_verify_builds_no_source_sequence(tmp_path, monkeypatch, capsys):
+    # verify reads P_0 .. P_{p-1} of the source, for lambda_of, and the
+    # rotated sequences; P_0 .. P_W of the source is for polys (and gen).
     config = write_config(tmp_path)
-    gc.collect()
-    before = [o for o in gc.get_objects() if isinstance(o, GeneratedInstance)]
-    live = []
-
-    def scanned(*args):
-        live.extend(
-            o for o in gc.get_objects()
-            if isinstance(o, GeneratedInstance) and not any(o is b for b in before)
-        )
-        return run_theorem(*args)
-
-    monkeypatch.setattr(cli, "run_theorem", scanned)
+    sources, calls = [], []
+    monkeypatch.setattr(cli, "generate", lambda cfg: sources.append(generate(cfg)) or sources[-1])
+    original = banded.characteristic_polys
+    _rebind(
+        monkeypatch, original,
+        lambda hess, nmax: calls.append((hess, nmax)) or original(hess, nmax),
+    )
     assert run_cli(tmp_path, "verify", config) == EXIT_OK
-    assert live == []
     assert "verdict: pass" in capsys.readouterr().out
+    [built] = sources
+    assert [nmax for hess, nmax in calls if hess is built.instance.J] == [2]
+    assert [nmax for hess, nmax in calls if hess is not built.instance.J] == [8, 8]
+
+
+def test_gen_never_holds_the_dual_table_and_the_source_sequence_together():
+    # gen builds the duals to the moment budget B = 111 for nu, and the
+    # sequence to the window W = 100. nu reads p dual columns, so the duals
+    # go before P_0 .. P_W are built, and gen's heap peak stays near
+    # dual_sequence's own; holding both reads about 1.35 times it. The
+    # sequence's integer rows are small beside the dual table, so the
+    # config takes a large p, where B is close to W.
+    cfg = InstanceConfig(p=10, n=112, window=100, seed=1)
+    J = generate(cfg).instance.J
+
+    def heap_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gen = heap_peak(cli.cmd_gen, cfg, _Discard())
+    assert gen < 1.25 * heap_peak(functionals.dual_sequence, J, cfg.moment_budget)
+
+
+@pytest.mark.parametrize("p, window", [(1, 8), (2, 5), (3, 12), (4, 1)])
+def test_polys_builds_the_source_sequence_to_the_window(tmp_path, capsys, p, window):
+    # Stage 0 of polys is P_0 .. P_W of the source; at W = 1, p = 4 it is
+    # shorter than the P_0 .. P_{p-1} the ladder reads.
+    n = max(moment_budget(window, p), window + p + 1)
+    config = write_config(tmp_path, p=p, N=n, window=window, seed=p)
+    assert run_cli(tmp_path, "polys", config, "--j", "0") == EXIT_OK
+    capsys.readouterr()
+    J = generate(InstanceConfig(p=p, n=n, window=window, seed=p)).instance.J
+    expected = [
+        [format_rational(c) for c in poly.coefficients]
+        for poly in characteristic_polys_by_polynomials(J, window)
+    ]
+    assert read_report(tmp_path, "polys")["payload"]["sequences"] == {"0": expected}
+
+
+def _run_bytes(tmp_path, capsys, command, config):
+    """Exit code, stdout, stderr and report bytes up to `timings`."""
+    code = run_cli(tmp_path, command, config)
+    captured = capsys.readouterr()
+    report = tmp_path / "reports" / f"{command}.json"
+    data = report.read_bytes() if report.exists() else b""
+    return code, captured.out, captured.err, data[: data.find(b',\n  "timings": ')]
+
+
+@pytest.mark.parametrize("command", ["factorize", "transform", "polys"])
+@pytest.mark.parametrize(
+    "overrides",
+    [{"p": 1, "N": 12, "window": 5}, {"p": 3, "N": 20, "window": 6, "seed": 2}, {"C": "1/3"}],
+    ids=["p1", "p3", "p2-C13"],
+)
+def test_chain_commands_build_no_vector(tmp_path, monkeypatch, capsys, command, overrides):
+    # The chain commands read J, C and the staged ladder: with the dual
+    # functionals and nu stubbed to raise, each prints and reports the same.
+    config = write_config(tmp_path, **overrides)
+    expected = _run_bytes(tmp_path, capsys, command, config)
+    assert expected[0] == EXIT_OK
+
+    def unreachable(*args):
+        raise AssertionError("a chain command built a table it does not read")
+
+    _rebind(monkeypatch, functionals.dual_sequence, unreachable)
+    _rebind(monkeypatch, functionals.build_nu, unreachable)
+    assert _run_bytes(tmp_path, capsys, command, config) == expected
 
 
 def _cli_subprocess(*args):

@@ -4,7 +4,6 @@ of vectors, and full certificate runs."""
 from fractions import Fraction
 import importlib
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +24,6 @@ from banded_darboux import (
     ZeroPeelPivot,
     build_nu,
     chain_from_instance,
-    characteristic_polys,
     delta_det,
     dual_sequence,
     generate,
@@ -39,6 +37,7 @@ from banded_darboux import (
     stage_ladder,
     staircase_transport_identity,
     transformed_polys,
+    vector,
 )
 from banded_darboux.engine import _staging
 from banded_darboux.generate import random_ladder
@@ -71,7 +70,8 @@ def built_instance(p, seed, window=None, nu_source="random", nu_ladder=None, shi
         p=p, n=n, window=window, seed=seed, shift=shift,
         nu_source=nu_source, nu_ladder=nu_ladder,
     )
-    return cfg, generate(cfg)
+    built = generate(cfg)
+    return vector(built, cfg.moment_budget), built
 
 
 # ------------------------------------------------------------- hypotheses
@@ -310,8 +310,9 @@ def test_generate_stages_the_ladder_nu_is_built_from(
         built = generate(cfg)
     except GenerationExhausted:
         return  # bound 1 at p = 4 can run out of admissible ladders
+    nu = vector(built, cfg.moment_budget)
     ladder = built.staging.stage_ladders[0]
-    assert source_ladder(built) == ladder
+    assert source_ladder(built, nu) == ladder
     assert _staging(ladder, p) == built.staging
     if source == "random" and require_hypotheses:
         assert built.staging.violation is None
@@ -319,7 +320,7 @@ def test_generate_stages_the_ladder_nu_is_built_from(
         duals = dual_sequence(built.instance.J, cfg.moment_budget)
         identity = LambdaLadder([[0] * i + [1] for i in range(p)])
         assert ladder == identity
-        assert build_nu(identity, duals) == canonical_nu(duals, p) == built.nu
+        assert build_nu(identity, duals) == canonical_nu(duals, p) == nu
 
 
 def test_resampled_ladder_keeps_the_accepted_draws_staging():
@@ -330,7 +331,7 @@ def test_resampled_ladder_keeps_the_accepted_draws_staging():
     assert built.staging.violation is None
     # nu is built from the accepted draw, so its ladder heads the staging.
     ladder = built.staging.stage_ladders[0]
-    assert source_ladder(built) == ladder
+    assert source_ladder(built, vector(built, cfg.moment_budget)) == ladder
     assert built.staging == _staging(ladder, 2)
 
 
@@ -340,37 +341,6 @@ def test_zero_ladder_diagonal_stops_generate_before_staging(monkeypatch):
     with pytest.raises(LadderViolation, match=r"ladder diagonal \(2, 1\) is zero"):
         built_instance(2, seed=5, nu_source="ladder", nu_ladder=[["1"], ["0", "0"]])
     assert staged == []
-
-
-def _heap_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_generate_never_holds_the_dual_table_and_the_source_sequence_together():
-    # The duals run to the moment budget B = 111 and the sequence to the
-    # window W = 100. nu reads p dual columns, so the duals go before
-    # P_0 .. P_W are built, and generate's heap peak stays near
-    # dual_sequence's own (1.13 times it); holding both reads about 1.35
-    # times it. The sequence's integer rows are small beside the dual
-    # table, so the config takes a large p, where B is close to W.
-    cfg = InstanceConfig(p=10, n=112, window=100, seed=1)
-    J = generate(cfg).instance.J
-    assert _heap_peak(generate, cfg) < 1.25 * _heap_peak(dual_sequence, J, cfg.moment_budget)
-
-
-@pytest.mark.parametrize("p, window", [(1, 8), (2, 5), (3, 12), (4, 1)])
-def test_generate_builds_the_source_sequence_to_the_window(p, window):
-    # polys reads P_0 .. P_W and nothing else reads the sequence; at W = 1,
-    # p = 4 it is shorter than the P_0 .. P_{p-1} the ladder reads.
-    n = max(moment_budget(window, p), window + p + 1)
-    cfg = InstanceConfig(p=p, n=n, window=window, seed=p)
-    built = generate(cfg)
-    assert built.source_polys == characteristic_polys(built.instance.J, window)
 
 
 # --------------------------------------------------------------- rotations
@@ -403,11 +373,11 @@ def test_rotated_vector_bounds():
 def test_classical_kernel_functional_p1():
     # p = 1: the rotated vector is ((z - C) nu) and it certifies the kernel
     # sequence; checked by the direct scan.
-    _, built = built_instance(1, seed=21, window=6)
+    nu, built = built_instance(1, seed=21, window=6)
     inst = built.instance
     chain = chain_from_instance(inst, (), inst.n)
     [(_, seq)] = transformed_polys(chain, 6, [1])
-    rotated = transformed_nu(built.nu, inst.shift, 1)
+    rotated = transformed_nu(nu, inst.shift, 1)
     assert is_p_orthogonal(rotated, seq, 1, 6).passed
 
 
@@ -415,14 +385,14 @@ def test_full_rotation_needs_no_minor_hypothesis():
     # Even the canonical vector (whose minors vanish) transports to j = p,
     # for any choice of free entries.
     for p, seed in [(2, 31), (3, 32)]:
-        _, built = built_instance(p, seed=seed, nu_source="canonical")
+        nu, built = built_instance(p, seed=seed, nu_source="canonical")
         inst = built.instance
         rng = random.Random(seed)
         free_rows = [[draw_rational(rng) for _ in range(p - j)] for j in range(1, p)]
         chain = chain_from_instance(inst, free_rows, inst.n)
         window = 4 * p
         [(_, seq)] = transformed_polys(chain, window, [p])
-        rotated = transformed_nu(built.nu, inst.shift, p)
+        rotated = transformed_nu(nu, inst.shift, p)
         assert is_p_orthogonal(rotated, seq, p, window).passed
 
 
@@ -442,8 +412,8 @@ def test_certificate_catalan_p1():
 
 def test_certificate_seeded_p2_p3():
     for p, seed in [(2, 41), (3, 43)]:
-        _, built = built_instance(p, seed=seed)
-        cert = run_theorem(built.instance, built.nu, 4 * p)
+        nu, built = built_instance(p, seed=seed)
+        cert = run_theorem(built.instance, nu, 4 * p)
         assert cert.passed
         assert [v.j for v in cert.stage_verdicts] == list(range(1, p + 1))
         assert all(ok for _, _, ok in cert.transport_checks)
@@ -454,8 +424,8 @@ def test_certificate_seeded_p2_p3():
 def test_certificate_four_bands_deep_stage_recursion():
     # Three peeling stages, six transport identities: the widest case the
     # generator parameters keep cheap.
-    _, built = built_instance(4, seed=9)
-    cert = run_theorem(built.instance, built.nu, 16)
+    nu, built = built_instance(4, seed=9)
+    cert = run_theorem(built.instance, nu, 16)
     assert cert.passed
     assert [v.j for v in cert.stage_verdicts] == [1, 2, 3, 4]
     assert [(j, s) for j, s, _ in cert.transport_checks] == [
@@ -464,9 +434,9 @@ def test_certificate_four_bands_deep_stage_recursion():
 
 
 def test_certificate_rejects_canonical_vector_immediately():
-    _, built = built_instance(2, seed=44, nu_source="canonical")
+    nu, built = built_instance(2, seed=44, nu_source="canonical")
     with pytest.raises(HypothesisViolated) as err:
-        run_theorem(built.instance, built.nu, 8)
+        run_theorem(built.instance, nu, 8)
     assert (err.value.stage, err.value.size) == (0, 1)
     assert err.value.value == 0
 
@@ -476,14 +446,14 @@ def test_certificate_partial_on_staged_zero():
     # minor, so exactly one factor is peeled and the remainder (2 bands)
     # still reconstructs L together with it.
     ladder_rows = [["1"], ["1", "1"], ["0", "1", "1"]]
-    cfg, built = built_instance(3, seed=45, window=9, nu_source="ladder", nu_ladder=ladder_rows)
-    cert = run_theorem(built.instance, built.nu, 9)
+    nu, built = built_instance(3, seed=45, window=9, nu_source="ladder", nu_ladder=ladder_rows)
+    cert = run_theorem(built.instance, nu, 9)
     assert not cert.passed
     assert cert.partial is not None
     assert cert.partial.stages == 1
     assert cert.partial.violated == (1, 1)
     assert cert.partial.remainder_bands == 2
-    ladder = source_ladder(built)
+    ladder = source_ladder(built, nu)
     staging = _staging(ladder, 3)
     assert staging == built.staging
     L, _, _ = shifted_lu(built.instance, built.instance.n)
@@ -492,9 +462,9 @@ def test_certificate_partial_on_staged_zero():
 
 
 def test_certificate_config_guards():
-    _, built = built_instance(2, seed=46)
+    nu, built = built_instance(2, seed=46)
     with pytest.raises(ConfigError):
-        run_theorem(built.instance, built.nu, built.instance.n)  # window too big
+        run_theorem(built.instance, nu, built.instance.n)  # window too big
 
 
 def test_mixed_vectors_from_adjacent_stages():
@@ -505,16 +475,16 @@ def test_mixed_vectors_from_adjacent_stages():
     p, seed = 3, 47
     # Generate with extra moment headroom: the spliced vectors re-shift an
     # already-shifted entry, consuming one more degree than a plain run.
-    _, built = built_instance(p, seed=seed, window=4 * p + p)
+    nu, built = built_instance(p, seed=seed, window=4 * p + p)
     inst = built.instance
     window = 4 * p
-    cert = run_theorem(inst, built.nu, window)
+    cert = run_theorem(inst, nu, window)
     assert cert.passed
     chain = chain_from_instance(inst, built.staging.free_rows, window + 1)
     seqs = dict(transformed_polys(chain, window, range(p + 1)))
-    vectors = {0: built.nu}
+    vectors = {0: nu}
     for j in range(1, p + 1):
-        vectors[j] = transformed_nu(built.nu, inst.shift, j)
+        vectors[j] = transformed_nu(nu, inst.shift, j)
     for j in range(p):
         nu_j, nu_next = vectors[j], vectors[j + 1]
         spliced_up = (*nu_next[: p - 1], shift_multiply(nu_j[0], inst.shift))
@@ -524,8 +494,8 @@ def test_mixed_vectors_from_adjacent_stages():
 
 
 def test_certificate_json_shape_is_stable():
-    _, built = built_instance(2, seed=48)
-    cert = run_theorem(built.instance, built.nu, 8)
+    nu, built = built_instance(2, seed=48)
+    cert = run_theorem(built.instance, nu, 8)
     doc = cert.to_json_dict()
     assert list(doc) == [
         "fingerprint", "p", "N", "C", "window", "moment_budget", "hypotheses",
@@ -533,13 +503,13 @@ def test_certificate_json_shape_is_stable():
         "partial", "passed",
     ]
     assert doc["passed"] is True
-    again = run_theorem(built.instance, built.nu, 8)
+    again = run_theorem(built.instance, nu, 8)
     assert again.to_json_dict() == doc
 
 
 @st.composite
 def generated_runs(draw):
-    """A generated instance and random nu at p = 2..5, N <= 40; configs that
+    """A generated instance and its random nu at p = 2..5, N <= 40; configs that
     raise are skipped. A budget of p or more moments leaves (z-C) nu_i
     enough of them to be applied to P_0 .. P_{p-1}."""
     p = draw(st.integers(2, 5))
@@ -552,20 +522,22 @@ def generated_runs(draw):
         shift=draw(st.sampled_from(["0", "1/3", "-1"])),
     )
     try:
-        return generate(config)
+        built = generate(config)
     except BandedDarbouxError:
         assume(False)
+    return built, vector(built, config.moment_budget)
 
 
 @settings(max_examples=30, deadline=None)
-@given(built=generated_runs())
-def test_staged_ladder_is_the_rotated_vectors_ladder(built):
+@given(run=generated_runs())
+def test_staged_ladder_is_the_rotated_vectors_ladder(run):
     # Stage j's ladder comes from the source ladder and the free entries
     # alone. It is the leading p - j rows of the ladder of the rotated
     # vector nu(j) = (nu_{j+1}, .., nu_p, (z-C) nu_1, .., (z-C) nu_j) over
     # the sequence of J(j), j = 1 .. p-1: a route that shares nothing with
     # the staging but the chain.
-    inst, nu, staging = built.instance, built.nu, built.staging
+    built, nu = run
+    inst, staging = built.instance, built.staging
     p = inst.p
     assume(staging.violation is None)
     try:

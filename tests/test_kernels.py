@@ -52,6 +52,7 @@ from banded_darboux import (
     run_theorem,
     shifted_lu,
     transformed_polys,
+    vector,
 )
 from banded_darboux import BandMatrix, banded, engine, factorization
 from banded_darboux.cli import main
@@ -708,9 +709,10 @@ def test_rotations_take_3p_minus_2_products():
                 one_at_a_time += counted.call_count if j else 0
             assert one_at_a_time == p * p
         config = {"p": p, "N": 20, "window": 8, "seed": p}
-        built = generate(InstanceConfig.from_json_dict(config))
+        cfg = InstanceConfig.from_json_dict(config)
+        built = generate(cfg)
         with counted_products() as counted:
-            assert run_theorem(built.instance, built.nu, 8).passed
+            assert run_theorem(built.instance, vector(built, cfg.moment_budget), 8).passed
         assert counted.call_count == 3 * p - 2
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
@@ -761,9 +763,10 @@ def test_each_moved_functional_is_formed_once():
     # p(p + 1)/2 over the rotations one at a time.
     for p in range(1, 5):
         config = {"p": p, "N": 20, "window": 8, "seed": p}
-        built = generate(InstanceConfig.from_json_dict(config))
+        cfg = InstanceConfig.from_json_dict(config)
+        built = generate(cfg)
         with counted_shifts() as shifts:
-            assert run_theorem(built.instance, built.nu, 8).passed
+            assert run_theorem(built.instance, vector(built, cfg.moment_budget), 8).passed
         assert shifts == [built.instance.shift] * p
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
@@ -789,8 +792,9 @@ def perturbed_runs(draw):
     # window >= p keeps degree p + 1 within the moment budget.
     window = draw(st.integers(p, 10))
     n = max(moment_budget(window, p), window + p + 1) + 1
-    built = generate(InstanceConfig(p=p, n=n, window=window, seed=draw(st.integers(0, 10**6))))
-    inst, nu = built.instance, built.nu
+    cfg = InstanceConfig(p=p, n=n, window=window, seed=draw(st.integers(0, 10**6)))
+    built = generate(cfg)
+    inst, nu = built.instance, vector(built, cfg.moment_budget)
     if draw(st.booleans()):
         delta = draw(rationals(3, nonzero=True))
         try:
