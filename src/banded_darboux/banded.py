@@ -205,10 +205,6 @@ class BandedHessenberg(BandMatrix):
         bands[0] = [v + shift for v in bm.band(0)] if shift else bm.band(0)
         return cls(p, bm.n, bands, bm.valid_rows)
 
-    def printed_values(self) -> Iterator[Fraction]:
-        """Every value to_json_dict() prints (exact.check_printable reads them)."""
-        return chain_iter.from_iterable(self._bands[-d][d:] for d in range(self.p + 1))
-
     def to_json_dict(self) -> dict:
         """The JSON layout. Each band is a lazy `map` of format_rational,
         formatted as it is read and read once (see cli._chunks)."""

@@ -25,26 +25,29 @@ fills a temporary file in the report directory and renames it onto the
 report only when the whole document is written: a failed command leaves no
 report and prints nothing to stdout, and an older report at that path stays
 as it was. `timings` is written last, so `total_s` includes formatting and
-writing. factorize and transform check their results printable
-(exact.check_printable) before formatting them. transform checks the chain,
-and the last row's lowest-band entry of each J(j) it prints, j >= 1, a
-product of p + 1 chain values, before it forms any J(j): entry sizes grow
-with the row index, so an unprintable J(j) fails there first, without being
-formed. The J(j), j >= 1, then come from one lazy darboux_transform call
-(J(0) is the source matrix): each is taken only when the writer reaches its
-section, checked in full, written and let go. So transform holds one J(j)
-at a time, plus, at p >= 10, the J(j) it skipped because the keys sort as
-strings ("10" before "2"). A J(j) unprintable there fails the run as an
-early check does, since the report is renamed into place only when
-complete. polys and verify likewise take their J(j) one at a time from one
-call, through transformed_polys. Each sequence comes as integer rows
-(nums, d_n); verify's scan reads them as they are, and polys forms each
-coefficient nums[i] / d_n only as it prints it (exact.format_row).
+writing. factorize and transform check their chain printable
+(exact.check_printable) before formatting anything. transform also checks
+the last row's lowest-band entry of each J(j) it prints, j >= 1, a product
+of p + 1 chain values, before it forms any J(j): entry sizes grow with the
+row index, so an unprintable J(j) fails there first, without being formed.
+The J(j), j >= 1, then come from one lazy darboux_transform call (J(0) is
+the source matrix): each is taken only when the writer reaches its section,
+written and let go. So transform holds one J(j) at a time, plus, at
+p >= 10, the J(j) it skipped because the keys sort as strings ("10" before
+"2"). A J(j) that passes the last-row check yet holds a value too long to
+print is refused by the writer, whose format_rational raises the same
+ConfigError on that value: the run fails as an early check does, since the
+report is renamed into place only when complete. polys and verify likewise
+take their J(j) one at a time from one call, through transformed_polys.
+Each sequence comes as integer rows (nums, d_n); verify's scan reads them
+as they are, and polys forms each coefficient nums[i] / d_n only as it
+prints it (exact.format_row).
 
 Every command runs through one runner (`_run`): load the config, start the
-clock, run the command, write its report, then copy its stdout from the
-spool and print the final `report: <path>` line. Each command generates its
-instance (J, C and the staged ladder) and builds only the tables it reads:
+clock, generate the instance (J, C and the staged ladder), run the command
+on it, write its report, then copy its stdout from the spool and print the
+final `report: <path>` line. The instance is passed as a temporary, so the
+runner keeps only the config. Each command builds only the tables it reads:
 gen and verify build nu, through its dual functionals; polys builds the
 source sequence P_0 .. P_W for its stage 0; factorize and transform build
 neither. gen also builds P_0 .. P_W, unread, after nu (see cmd_gen). A
@@ -92,7 +95,7 @@ from .factorization import (
     transformed_polys,
 )
 from .functionals import nu_to_json_dict
-from .generate import InstanceConfig, generate, vector
+from .generate import GeneratedInstance, InstanceConfig, generate, vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -233,16 +236,15 @@ def _load_config(args) -> InstanceConfig:
     return InstanceConfig.from_json_dict(data)
 
 
-# A command maps (config, out) to its payload body (every key but "command",
-# "tool_version" and "config", which the runner adds) and its exit code. It
-# generates its instance itself, so the runner never holds it. It prints its
-# stdout to `out`, a spool the runner copies to stdout once the report is
-# written.
+# A command maps (config, built, out) to its payload body (every key but
+# "command", "tool_version" and "config", which the runner adds) and its exit
+# code; `built` is the instance the runner generated from the config. It
+# prints its stdout to `out`, a spool the runner copies to stdout once the
+# report is written.
 CommandResult = tuple[dict, int]
 
 
-def cmd_gen(config: InstanceConfig, out: TextIO) -> CommandResult:
-    built = generate(config)
+def cmd_gen(config: InstanceConfig, built: GeneratedInstance, out: TextIO) -> CommandResult:
     nu = vector(built, config.moment_budget)
     # Read by no one: perfbench's gen-deep coverage list requires
     # banded.characteristic_polys, which only this call makes there, until
@@ -268,8 +270,7 @@ def cmd_gen(config: InstanceConfig, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_factorize(config: InstanceConfig, out: TextIO) -> CommandResult:
-    built = generate(config)
+def cmd_factorize(config: InstanceConfig, built: GeneratedInstance, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     shift = format_rational(built.instance.shift)
@@ -300,8 +301,7 @@ def _indices(config: InstanceConfig) -> range | list[int]:
     return range(config.p + 1) if index is None else [index]
 
 
-def cmd_transform(config: InstanceConfig, out: TextIO) -> CommandResult:
-    built = generate(config)
+def cmd_transform(config: InstanceConfig, built: GeneratedInstance, out: TextIO) -> CommandResult:
     chain = _build_chain(built, config.n)
     check_printable(chain.printed_values())
     js = _indices(config)
@@ -318,12 +318,12 @@ def cmd_transform(config: InstanceConfig, out: TextIO) -> CommandResult:
     def section(j: int) -> dict:
         # The writer reaches the keys as sorted strings ("10" before "2"), so
         # the builder is read forward to J(j), keeping only the J(k) skipped.
-        # The section is J(j)'s last reader, so it lets go of it.
+        # The section is J(j)'s last reader, so it lets go of it. The writer's
+        # format_rational refuses any of its values too long to print.
         while j not in taken:
             k, hess = next(rotations)
             taken[k] = hess
         hess = taken.pop(j)
-        check_printable(hess.printed_values())
         return {"matrix": hess.to_json_dict(), "valid_rows": hess.valid_rows}
 
     body = {
@@ -333,8 +333,7 @@ def cmd_transform(config: InstanceConfig, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
-    built = generate(config)
+def cmd_polys(config: InstanceConfig, built: GeneratedInstance, out: TextIO) -> CommandResult:
     nmax = config.window
     js = _indices(config)
     rotated = [j for j in js if j]
@@ -354,8 +353,7 @@ def cmd_polys(config: InstanceConfig, out: TextIO) -> CommandResult:
     return body, EXIT_OK
 
 
-def cmd_verify(config: InstanceConfig, out: TextIO) -> CommandResult:
-    built = generate(config)
+def cmd_verify(config: InstanceConfig, built: GeneratedInstance, out: TextIO) -> CommandResult:
     certificate = run_theorem(built.instance, vector(built, config.moment_budget), config.window)
     print(f"verdict: {'pass' if certificate.passed else 'FAIL'}", file=out)
     for verdict in certificate.stage_verdicts:
@@ -412,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Load, run the command (which generates its instance), write its
+    """Load, generate the instance, run the command on it, write its
     report, print its stdout."""
     config = _load_config(args)
     t0 = time.perf_counter()
     with tempfile.TemporaryFile("w+", buffering=_BATCH_CHARS, encoding="utf-8") as spool:
-        body, code = _COMMANDS[args.command](config, spool)
+        body, code = _COMMANDS[args.command](config, generate(config), spool)
         payload = {
             "command": args.command,
             "tool_version": __version__,

@@ -14,7 +14,9 @@ print, report and exit the same on every run of the grid.
 The grid is p = 1..4 x bound 1, 2, 9 x window W = 1, 3, 6 x seeds 1..8 x
 the five commands, with N at the moment budget (or at W + p + 1 where that
 is larger), and beside it the paths the grid does not reach: explicit
-ladders, regular and not; explicit matrices, one with a singular shift;
+ladders, regular and not; explicit matrices, one with a singular shift and
+two whose chain is rerun exactly past residues mod 2^61 - 1 that cannot
+decide;
 `require_hypotheses: false` and `retry_cap: 0`; `--j`; p = 10; results past
 the digit limit; and each config check the CLI can reach.
 
@@ -110,6 +112,19 @@ def cases() -> dict[str, tuple[dict, tuple[str, ...], int | None]]:
     add("explicit-p2-ladder", {"p": 2, "N": 12, "window": 6, "seed": 1, "C": "1/3",
                                "matrix": {"source": "explicit", "bands": p2_bands},
                                "nu": _ladder(["2"], ["1", "-1"])})
+    # polys and verify keep W + 1 = 7 exact rows, and past them a residue mod
+    # q = 2^61 - 1 cannot decide: a band value over q (a(10, 9) = 1/q), or a
+    # pivot u_9 = q, which row 10 divides by. chain_from_instance reruns on
+    # all N rows exactly, and every command exits 0.
+    q = (1 << 61) - 1
+    toeplitz = {"0": ["2"] * 14, "-1": ["1"] * 13, "-2": ["1"] * 12}
+    rerun = {
+        "denominator-q": {**toeplitz, "-1": ["1"] * 9 + [f"1/{q}"] + ["1"] * 3},
+        "pivot-q": {**toeplitz, "0": ["2"] * 9 + ["348182294391267786638/151"] + ["2"] * 4},
+    }
+    for name, bands in rerun.items():
+        add(f"explicit-rerun-{name}", {"p": 2, "N": 14, "window": 6, "seed": 1,
+                                       "matrix": {"source": "explicit", "bands": bands}})
 
     for p in (2, 3, 4):
         for bound in (1, 2):

@@ -147,6 +147,14 @@ MUTANTS = (
         ("tests/test_cli.py::test_chain_commands_build_no_vector",),
     ),
     Mutant(
+        "verify-generates-its-instance-again",
+        "src/banded_darboux/cli.py",
+        "    certificate = run_theorem(",
+        "    built = generate(config)\n"
+        "    certificate = run_theorem(",
+        ("tests/test_cli.py::test_the_runner_generates_each_instance_once",),
+    ),
+    Mutant(
         "chain-split-accepts-p-rows",
         "src/banded_darboux/factorization.py",
         "if len(free_rows) != p - 1:",

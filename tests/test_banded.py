@@ -277,7 +277,3 @@ def test_printed_values_are_what_to_json_dict_prints():
     data = chain.to_json_dict()
     printed = [data["C"], *(v for f in data["factors"] for v in f["sub"]), *data["U"]["diag"]]
     assert [format_rational(v) for v in chain.printed_values()] == printed
-    J = random_hessenberg_local(random.Random(3), 3, 9)
-    bands = J.to_json_dict()["bands"]
-    printed = [v for d in range(J.p + 1) for v in bands[str(-d)]]
-    assert [format_rational(v) for v in J.printed_values()] == printed

@@ -483,6 +483,27 @@ def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"p": 2, "N": 14}', "malformed config: 'window'"),
+    ],
+    ids=["not-json", "missing-window"],
+)
+def test_config_not_json_or_without_a_field_is_a_config_error(tmp_path, capsys, text, message):
+    # json's own error passes through _load_config and ends the run in main;
+    # a missing field is named by InstanceConfig.from_json_dict.
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for command in ("gen", "factorize", "transform", "polys", "verify"):
+        assert run_cli(tmp_path, command, path) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize(
     "key, document",
     [
         ("p", {**_BASE, "p": 2.9}),
@@ -1051,8 +1072,9 @@ def test_unprintable_chain_writes_nothing(tmp_path, capsys, command, existing):
 def _run_unprintable_transforms(tmp_path, capsys, monkeypatch):
     """Under a 640-digit limit, the p = 1, N = 100, bound 1000 chain prints
     but its J(1) does not. Runs factorize, then transform for all rotations
-    and for --j 1; returns the exit codes of the transforms, their stderr,
-    what they formatted and the windowed products they formed.
+    and for --j 1; checks that the transforms print nothing to stdout, and
+    returns their exit codes, their stderr, what they formatted and the
+    windowed products they formed.
 
     `formatted` records each call of the chain's and J(j)'s to_json_dict
     (their layout) and each value their lazy lists format, through
@@ -1087,7 +1109,9 @@ def _run_unprintable_transforms(tmp_path, capsys, monkeypatch):
         codes, errs = [], []
         for extra in ((), ("--j", "1")):
             codes.append(run_cli(tmp_path, "transform", config, *extra))
-            errs.append(capsys.readouterr().err)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
     finally:
         sys.set_int_max_str_digits(old)
     return codes, errs, formatted, products
@@ -1112,19 +1136,25 @@ def test_transform_checks_every_rotation_before_formatting(tmp_path, capsys, mon
 def test_transform_full_check_still_rejects_a_rotation_the_last_row_passes(
     tmp_path, capsys, monkeypatch
 ):
-    # With the last-row check blinded, the full check of the formed J(1)
-    # must still stop transform before J(1) is formatted. Its section is
-    # checked when the writer reaches it, after the chain's and J(0)'s
-    # sections (only the chain's with --j 1); the report is never renamed
+    # With the last-row check blinded, the writer must still refuse the
+    # formed J(1) while it writes J(1)'s section, after the chain's and
+    # J(0)'s sections (only the chain's with --j 1): format_rational raises
+    # on its first value too long to print, and the report is never renamed
     # into place.
     monkeypatch.setattr(cli, "last_row_lowest_entry", lambda chain, j: Fraction(0))
+    old = tmp_path / "reports" / "transform.json"
+    old.parent.mkdir()
+    old.write_bytes(b'{"old": true}\n')
     codes, errs, formatted, products = _run_unprintable_transforms(tmp_path, capsys, monkeypatch)
     assert codes == [EXIT_CONFIG, EXIT_CONFIG]
     layouts = [x for x in formatted if isinstance(x, type)]
-    assert layouts == [BidiagonalChain, BandedHessenberg, BidiagonalChain]
+    assert layouts == [
+        BidiagonalChain, BandedHessenberg, BandedHessenberg, BidiagonalChain, BandedHessenberg
+    ]
     assert len(products) == 2  # J(1) was formed once per run, then refused
     assert all(_one_digit_limit_error(err) for err in errs)
-    assert os.listdir(tmp_path / "reports") == ["factorize.json"]
+    assert sorted(os.listdir(old.parent)) == ["factorize.json", "transform.json"]
+    assert old.read_bytes() == b'{"old": true}\n'
 
 
 # (p, N, window) of the configs whose transform reports are checked byte for
@@ -1164,10 +1194,10 @@ def test_transform_sections_match_the_chained_oracle_byte_for_byte(
 def test_transform_rotation_unprintable_mid_stream_writes_nothing(
     tmp_path, capsys, monkeypatch, existing
 ):
-    # J(2) is found unprintable only when the writer reaches its section,
-    # after the chain, J(0) and J(1) are written to the temporary file: the
-    # run must end as an early check would, with one error: line, no
-    # stdout and no report.
+    # J(2) holds a value too long to print, found only when the writer
+    # formats it, after the chain, J(0) and J(1) are written to the
+    # temporary file: the run must end as an early check would, with one
+    # error: line, no stdout and no report.
     config = write_config(tmp_path, p=3, N=14, window=8, seed=1)
     reports = tmp_path / "reports"
     old = reports / "transform.json"
@@ -1176,25 +1206,26 @@ def test_transform_rotation_unprintable_mid_stream_writes_nothing(
         old.write_bytes(b'{"old": true}\n')
     j2, written = [], []
     build = cli.darboux_transform
+    too_long = Fraction(10) ** sys.get_int_max_str_digits()
 
     def rotations(chain, js):
         for j, hess in build(chain, js):
             if j == 2:
+                # The last diagonal entry, which the writer reaches last.
+                bands = {-d: hess.band(-d) for d in range(hess.p + 1)}
+                bands[0] = (*bands[0][:-1], too_long)
+                hess = BandedHessenberg(hess.p, hess.n, bands, hess.valid_rows)
                 j2.append(hess)
             yield j, hess
 
-    values, layout = BandedHessenberg.printed_values, BandedHessenberg.to_json_dict
-    too_long = Fraction(10) ** sys.get_int_max_str_digits()
+    layout = BandedHessenberg.to_json_dict
     monkeypatch.setattr(cli, "darboux_transform", rotations)
-    monkeypatch.setattr(
-        BandedHessenberg, "printed_values",
-        lambda self: iter([too_long]) if any(self is h for h in j2) else values(self),
-    )
     monkeypatch.setattr(
         BandedHessenberg, "to_json_dict", lambda self: written.append(self) or layout(self)
     )
     assert run_cli(tmp_path, "transform", config) == EXIT_CONFIG
-    assert len(j2) == 1 and len(written) == 2  # J(0) and J(1) were written
+    # J(0) and J(1) were written, and J(2) was being written.
+    assert len(j2) == 1 and len(written) == 3 and written[2] is j2[0]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -1293,6 +1324,19 @@ def test_verify_builds_no_source_sequence(tmp_path, monkeypatch, capsys):
     assert [nmax for hess, nmax in calls if hess is not built.instance.J] == [8, 8]
 
 
+@pytest.mark.parametrize("command", ["gen", "factorize", "transform", "polys", "verify"])
+def test_the_runner_generates_each_instance_once(tmp_path, monkeypatch, capsys, command):
+    # The runner generates the instance and hands it to the command, which
+    # generates none of its own.
+    config = write_config(tmp_path)
+    configs = []
+    monkeypatch.setattr(cli, "generate", lambda cfg: configs.append(cfg) or generate(cfg))
+    assert run_cli(tmp_path, command, config) == EXIT_OK
+    assert len(configs) == 1
+    assert configs[0].to_json_dict() == read_report(tmp_path, command)["payload"]["config"]
+    capsys.readouterr()
+
+
 def test_gen_never_holds_the_dual_table_and_the_source_sequence_together():
     # gen builds the duals to the moment budget B = 111 for nu, and the
     # sequence to the window W = 100. nu reads p dual columns, so the duals
@@ -1311,7 +1355,8 @@ def test_gen_never_holds_the_dual_table_and_the_source_sequence_together():
         finally:
             tracemalloc.stop()
 
-    gen = heap_peak(cli.cmd_gen, cfg, _Discard())
+    # The run as the runner makes it: the instance is generated and passed.
+    gen = heap_peak(lambda: cli.cmd_gen(cfg, generate(cfg), _Discard()))
     assert gen < 1.25 * heap_peak(functionals.dual_sequence, J, cfg.moment_budget)
 
 
