@@ -64,6 +64,9 @@ class BandMatrix:
         bands: Mapping[int, Iterable[ScalarLike]],
         valid_rows: int | None = None,
     ):
+        for d in bands:
+            if not -lower <= d <= upper:
+                raise SizeMismatch(f"band {d} lies outside bands {-lower}..{upper}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -166,6 +169,8 @@ class BandedHessenberg(BandMatrix):
     ):
         if p < 1:
             raise IndexOutOfRange(f"band parameter must be >= 1, got {p}")
+        if 1 in bands:
+            raise SizeMismatch("band 1 is the unit superdiagonal; it is not given")
         super().__init__(n, p, 1, {**bands, 1: _unit_band(n, 1)}, valid_rows)
 
     @property
@@ -207,7 +212,8 @@ class BandedHessenberg(BandMatrix):
 
     def to_json_dict(self) -> dict:
         """The JSON layout. Each band is a lazy `map` of format_rational,
-        formatted as it is read and read once (see cli._chunks)."""
+        formatted as it is read and read once (cli's report writer feeds it
+        to json's encoder through cli._Stream)."""
         return {
             "p": self.p,
             "N": self.n,
@@ -315,8 +321,8 @@ class BidiagonalChain:
 
     def to_json_dict(self) -> dict:
         """The JSON layout. Each value list is a lazy `map` of
-        format_rational, formatted as it is read and read once (see
-        cli._chunks)."""
+        format_rational, formatted as it is read and read once (cli's report
+        writer feeds it to json's encoder through cli._Stream)."""
         return {
             "p": self.p,
             "N": self.n,

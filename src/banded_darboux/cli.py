@@ -13,11 +13,13 @@ deterministic for a fixed (config, seed) and is what reproducibility
 comparisons should hash. Reports land in --report-dir, else the config's
 report_dir, else $BANDED_DARBOUX_REPORTS, else ./reports.
 
-A report is streamed value by value: the bytes are those of
-json.dumps(document, indent=2, sort_keys=True) + "\n", but a list may be
-any iterator, such as a lazy `map` of format_rational, and a zero-argument
-callable is a section resolved only when the writer reaches it. So a command
-holds its numbers and the one value being written, not the formatted text.
+A report is streamed value by value by json's own encoder
+(JSONEncoder.iterencode), so the bytes are those of
+json.dumps(document, indent=2, sort_keys=True) + "\n". A list may also be
+any iterator, such as a lazy `map` of format_rational, which `_Stream` feeds
+to the encoder one item at a time, and a zero-argument callable is a section
+resolved only when the encoder reaches it. So a command holds its numbers
+and the one value being written, not the formatted text.
 A command's stdout goes to a spool, a temporary file that the runner copies
 to stdout once the report is written; factorize formats each chain value
 once, as the writer reaches it, and copies it to the spool there. The writer
@@ -79,7 +81,7 @@ import tempfile
 import time
 from collections.abc import Iterator
 from functools import cache, partial
-from itertools import chain as chain_iter, repeat
+from itertools import chain as chain_iter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -110,51 +112,45 @@ def _report_dir(args, config: InstanceConfig) -> Path:
     return Path(os.environ.get("BANDED_DARBOUX_REPORTS", "reports"))
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-# How _chunks encodes a member of exactly these types in place; anything else
-# it encodes in its own call. The bytes are those json.dumps writes.
-_INLINE = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    bool: lambda o: "true" if o else "false",
-    type(None): lambda o: "null",
-    float: json.dumps,
-}
+def _resolve(o):
+    """json's `default` hook: a zero-argument callable is a deferred section,
+    called only when the encoder reaches it (the encoder calls the hook again
+    on a result that is itself callable); an iterator is a lazy list. Any
+    other type is refused, as json.dumps refuses it: a set has no order to
+    write."""
+    if callable(o):
+        return o()
+    if isinstance(o, Iterator):
+        return _Stream(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _chunks(o, indent: str) -> Iterator[str]:
-    """The text of json.dumps(o, indent=2, sort_keys=True), nested at
-    `indent`, in pieces of at most one value each.
+_END = object()
 
-    A list may also be a tuple or any iterator (a generator, a `map`),
-    read once, item by item. A zero-argument callable is a deferred
-    section: it is called, until the result is no callable, only when the
-    writer reaches it. Dict keys must be strings.
-    """
-    while callable(o):
-        o = o()
-    if isinstance(o, dict):
-        opener, closer = "{", "}"
-        members = [(_ESCAPE(key) + ": ", value) for key, value in sorted(o.items())]
-    elif isinstance(o, (list, tuple, Iterator)):
-        opener, closer = "[", "]"
-        members = zip(repeat(""), o)
-    else:
-        yield _ESCAPE(o) if isinstance(o, str) else json.dumps(o)
-        return
-    inner = indent + "  "
-    lead = opener + "\n" + inner
-    for head, value in members:
-        encode = _INLINE.get(type(value))
-        if encode is None:
-            yield lead + head
-            yield from _chunks(value, inner)
-        else:
-            yield lead + head + encode(value)
-        lead = ",\n" + inner
-    # The lead is still the opener's when there was no member.
-    yield "\n" + indent + closer if lead[0] == "," else opener + closer
 
+class _Stream(list):
+    """An iterator as json's pure-Python encoder reads a list: it tests the
+    list's truth, then iterates it once. The first item is taken when the
+    encoder reaches the list; the rest are read as they are written."""
+
+    def __init__(self, items: Iterator):
+        self._rest = items
+        self._head = next(items, _END)
+
+    def __bool__(self):
+        return self._head is not _END
+
+    def __iter__(self):
+        # Not a generator: chain's iteration is the cheaper one per item.
+        return chain_iter((self._head,), self._rest)
+
+
+# iterencode, not dumps: on 3.13 dumps with an indent runs the C encoder,
+# which iterates a list without testing its truth, and so would write an
+# empty _Stream's _END. iterencode runs the pure-Python encoder on 3.10-3.13,
+# which tests a list's truth and then iterates it, and yields the text
+# lazily, about one value per chunk.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_resolve)
 
 # The writer joins chunks up to this many characters per write. A chunk can
 # be one 4,300-digit value, so the bound is in characters.
@@ -165,7 +161,8 @@ def _write_report(path: Path, payload: dict, t0: float) -> Path:
     """Stream {"payload": payload, "timings": {"total_s": ...}} to `path`.
 
     The bytes are json.dumps(document, indent=2, sort_keys=True) + "\n",
-    written as `_chunks` yields them. They go to a temporary file beside
+    written as json's encoder yields them, with lazy lists and deferred
+    sections read through `_resolve`. They go to a temporary file beside
     the report, which replaces the report only once complete; on any
     exception it is removed and the exception re-raised.
     """
@@ -180,7 +177,7 @@ def _write_report(path: Path, payload: dict, t0: float) -> Path:
         with temp.open("w", encoding="utf-8") as out:
             batch: list[str] = []
             size = 0
-            for chunk in _chunks(document, ""):
+            for chunk in _ENCODER.iterencode(document):
                 batch.append(chunk)
                 size += len(chunk)
                 if size >= _BATCH_CHARS:

@@ -460,17 +460,24 @@ MUTANTS = (
         ("tests/test_cli.py::test_transform_sections_match_the_chained_oracle_byte_for_byte",),
     ),
     Mutant(
-        "section-resolved-once",
+        "section-streamed-not-called",
         "src/banded_darboux/cli.py",
-        "    while callable(o):\n",
-        "    if callable(o):\n",
+        "        return o()\n",
+        "        return _Stream(o)\n",
+        ("tests/test_cli.py::test_report_writer_matches_json_dumps_byte_for_byte",),
+    ),
+    Mutant(
+        "stream-never-empty",
+        "src/banded_darboux/cli.py",
+        "        return self._head is not _END\n",
+        "        return True\n",
         ("tests/test_cli.py::test_report_writer_matches_json_dumps_byte_for_byte",),
     ),
     Mutant(
         "writer-keys-unsorted",
         "src/banded_darboux/cli.py",
-        "sorted(o.items())",
-        "o.items()",
+        "json.JSONEncoder(indent=2, sort_keys=True,",
+        "json.JSONEncoder(indent=2, sort_keys=False,",
         (
             "tests/test_cli.py::test_report_writer_matches_json_dumps_byte_for_byte",
             "tests/test_cli.py::test_transform_at_p_10_sorts_the_transform_keys_as_strings",

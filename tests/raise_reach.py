@@ -5,8 +5,9 @@
 Runs pytest on tests/ (or on PYTEST ARGS) in this process under a
 sys.settrace line tracer restricted to the package's files, then prints
 one `file:line` per raise statement whose first line never ran, and the
-count. Standard library and pytest only; not collected by pytest, and
-several times slower than tier-1.
+count. Exit status 1 when any raise statement is unreached, or when pytest
+itself fails. Standard library and pytest only; not collected by pytest,
+and several times slower than tier-1.
 """
 
 import ast
@@ -44,10 +45,12 @@ if __name__ == "__main__":
     threading.settrace(_calls)
     sys.settrace(_calls)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", *(sys.argv[1:] or [str(ROOT / "tests")])])
+        args = sys.argv[1:] or [str(ROOT / "tests")]
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
     finally:
         sys.settrace(None)
     missed = sorted(raises - reached)
     for name, line in missed:
         print(f"{Path(name).relative_to(ROOT)}:{line}")
     print(f"{len(missed)} of {len(raises)} raise statements not reached")
+    sys.exit(1 if missed or code != 0 else 0)

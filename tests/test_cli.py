@@ -1016,6 +1016,17 @@ def test_failed_report_write_removes_its_temp_file_and_keeps_the_old_report(tmp_
     assert old.read_text() == "old report\n"
 
 
+@pytest.mark.parametrize("value", [{3, 1, 2}, object()], ids=["set", "non-iterable"])
+def test_report_writer_streams_only_iterators(tmp_path, value):
+    # A set is iterable but has no order to write; an object is neither.
+    # Both are refused as json.dumps refuses them, after the members that
+    # sort before them are written, and leave no report or temp file.
+    payload = {"a": "x" * 300_000, "b": [1, value]}
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._write_report(tmp_path / "doc.json", payload, time.perf_counter())
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["gen", "factorize", "transform", "polys", "verify"])
 def test_reports_are_canonical_json_and_leave_no_temp_file(tmp_path, capsys, command):
     config = write_config(tmp_path)

@@ -63,6 +63,22 @@ GUARDS = {
         lambda: BandMatrix(3, 1, 0, {-1: [1, 1, 1]}),
         SizeMismatch, "band -1 has a value outside the matrix at row 0",
     ),
+    "band-above-the-widths": (
+        lambda: BandMatrix(3, 0, 0, {0: [1, 1, 1], 5: [0, 0, 0]}),
+        SizeMismatch, "band 5 lies outside bands 0..0",
+    ),
+    "band-below-the-widths": (
+        lambda: BandMatrix(3, 1, 0, {0: [1, 1, 1], -2: [0, 0, 1]}),
+        SizeMismatch, "band -2 lies outside bands -1..0",
+    ),
+    "hessenberg-band-below-p": (
+        lambda: BandedHessenberg(1, 3, {0: [1, 1, 1], -2: [0, 0, 1]}),
+        SizeMismatch, "band -2 lies outside bands -1..1",
+    ),
+    "hessenberg-superdiagonal-given": (
+        lambda: BandedHessenberg(1, 3, {0: [1, 1, 1], 1: [7, 7, 0]}),
+        SizeMismatch, "band 1 is the unit superdiagonal; it is not given",
+    ),
     "hessenberg-p-0": (
         lambda: BandedHessenberg(0, 3, {}),
         IndexOutOfRange, "band parameter must be >= 1, got 0",
