@@ -39,7 +39,7 @@ for label, rows in [
         head = ", ".join(str(v) for v in f.sub[:4])
         print(f"  L({j}) subdiagonal starts: {head}, ...")
     product = reduce(multiply_window, chain.factors)
-    assert [[product.entry(i, c) if c >= 0 else 0 for c in range(i - p, i)]
+    assert [[product.band(c - i)[i] if c >= 0 else 0 for c in range(i - p, i)]
             for i in range(N)] == L
     assert chain.upper == U
     print("  product reconstructs L exactly; U is shared")

@@ -83,14 +83,6 @@ class BandMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.n}x{self.n}")
-        d = j - i
-        if -self.lower <= d <= self.upper:
-            return self._bands[d][i]
-        return _ZERO
-
     def band(self, offset: int) -> tuple[Fraction, ...]:
         return self._bands[offset]
 
@@ -117,14 +109,22 @@ class BandMatrix:
 def multiply_window(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     """Banded product with the cumulative safe-window bound.
 
+    The product is a sum over pairs of bands: band da of A times band db of
+    B adds A(i, i + da) * B(i + da, i + da + db) to band da + db in row i,
+    for the rows where column i + da exists. Its widths are
+
+        lower(AB) = min(lower(A) + lower(B), n - 1)
+        upper(AB) = upper(A) + upper(B)
+
+    A band below the clipped lower lies wholly outside the matrix. The upper
+    width is never clipped to the truncation: a band that falls outside it
+    still counts toward the window of the next product.
+
     Row i of the truncated product uses columns of A up to i + upper(A), so
     it matches the infinite product iff those columns exist and the source
     rows are themselves trustworthy:
 
         valid_rows(AB) = min(valid_rows(A), valid_rows(B) - upper(A))
-
-    The upper width is never clipped to the truncation: a band that falls
-    outside it still counts toward the window of the next product.
     """
     if a.n != b.n:
         raise SizeMismatch(f"{a.n} vs {b.n}")
@@ -132,20 +132,20 @@ def multiply_window(a: BandMatrix, b: BandMatrix) -> BandMatrix:
     lower = min(a.lower + b.lower, n - 1) if n else 0
     upper = a.upper + b.upper
     bands: dict[int, list[Fraction]] = {d: [_ZERO] * n for d in range(-lower, upper + 1)}
-    for d in range(-lower, upper + 1):
-        row_band = bands[d]
-        for i in range(n):
-            j = i + d
-            if not (0 <= j < n):
+    # Slots whose column lies outside the matrix hold zero (_coerce_band), so
+    # a nonzero B(i + da, i + da + db) has its column inside: no sum lands
+    # outside the matrix, and a sum band below the clipped lower gets none.
+    for da, a_band in a._bands.items():
+        for db, b_band in b._bands.items():
+            out = bands.get(da + db)
+            if out is None:
                 continue
-            k_lo = max(0, i - a.lower, j - b.upper)
-            k_hi = min(n - 1, i + a.upper, j + b.lower)
-            acc = _ZERO
-            for k in range(k_lo, k_hi + 1):
-                av = a.entry(i, k)
-                if av != 0:
-                    acc += av * b.entry(k, j)
-            row_band[i] = acc
+            for i in range(max(0, -da), min(n, n - da)):
+                x = a_band[i]
+                if x:
+                    y = b_band[i + da]
+                    if y:
+                        out[i] += x * y
     valid = max(0, min(a.valid_rows, b.valid_rows - a.upper))
     return BandMatrix(n, lower, upper, bands, valid)
 

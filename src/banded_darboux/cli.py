@@ -152,9 +152,10 @@ class _Stream(list):
 # lazily, about one value per chunk.
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_resolve)
 
-# The writer joins chunks up to this many characters per write. A chunk can
-# be one 4,300-digit value, so the bound is in characters.
-_BATCH_CHARS = 1 << 16
+# The buffer of the report file and of the stdout spool, in bytes. json's
+# encoder yields about one value per chunk, and the file passes the chunks
+# on to the system in writes this large.
+_BUFFER_BYTES = 1 << 16
 
 
 def _write_report(path: Path, payload: dict, t0: float) -> Path:
@@ -174,17 +175,9 @@ def _write_report(path: Path, payload: dict, t0: float) -> Path:
     }
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", encoding="utf-8") as out:
-            batch: list[str] = []
-            size = 0
-            for chunk in _ENCODER.iterencode(document):
-                batch.append(chunk)
-                size += len(chunk)
-                if size >= _BATCH_CHARS:
-                    out.write("".join(batch))
-                    batch, size = [], 0
-            batch.append("\n")
-            out.write("".join(batch))
+        with temp.open("w", encoding="utf-8", buffering=_BUFFER_BYTES) as out:
+            out.writelines(_ENCODER.iterencode(document))
+            out.write("\n")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -411,7 +404,7 @@ def _run(args) -> int:
     report, print its stdout."""
     config = _load_config(args)
     t0 = time.perf_counter()
-    with tempfile.TemporaryFile("w+", buffering=_BATCH_CHARS, encoding="utf-8") as spool:
+    with tempfile.TemporaryFile("w+", buffering=_BUFFER_BYTES, encoding="utf-8") as spool:
         body, code = _COMMANDS[args.command](config, generate(config), spool)
         payload = {
             "command": args.command,

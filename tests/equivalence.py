@@ -17,8 +17,9 @@ is larger), and beside it the paths the grid does not reach: explicit
 ladders, regular and not; explicit matrices, one with a singular shift and
 two whose chain is rerun exactly past residues mod 2^61 - 1 that cannot
 decide;
-`require_hypotheses: false` and `retry_cap: 0`; `--j`; p = 10; results past
-the digit limit; and each config check the CLI can reach.
+`require_hypotheses: false` and `retry_cap: 0`; `--j`; p = 10; two large
+windows, (p, W) = (1, 72) and (2, 96); results past the digit limit; and
+each config check the CLI can reach.
 
 The corpus is re-recorded only for a change of output that is meant, and
 the change that does so lists each moved entry. Standard library only, so
@@ -146,6 +147,10 @@ def cases() -> dict[str, tuple[dict, tuple[str, ...], int | None]]:
     for window in (3, 10):
         for seed in (1, 2):
             add(f"p10-w{window}-s{seed}", _case(10, window, seed))
+    # Two large windows, all five commands exiting 0; (3, 150) and (4, 199)
+    # take seconds per `verify` and stay out.
+    for p, window in ((1, 72), (2, 96)):
+        add(f"large-p{p}-w{window}-s1", _case(p, window, 1, bound=9))
 
     add("digits-bound-beyond-limit", {"p": 1, "N": 4, "window": 1, "seed": 1, "bound": 10**2000})
     add("digits-640-p1-n100", {"p": 1, "N": 100, "window": 8, "seed": 1, "bound": 1000}, digits=640)

@@ -35,13 +35,15 @@ those, so application with the degree guard, (z - c) multiplication,
 multiples, sums and agreement over a common degree range live here, and
 `transformed_nu` cuts each nu(j) to one common budget), the vector of the
 first p duals (`canonical_nu`; the package builds it from the identity
-ladder), the chain's global coefficient index (`gamma`), the readers of the
-chain and vector wire formats (`read_chain`, `read_vector`; the vector as
-moment tuples), and the left-to-right windowed product of
-a factor sequence (`product_window`; the package forms its products one
-`multiply_window` at a time). L has no matrix type in the package, which
-passes it as rows from the LU to the chain: `unit_lower` builds its matrix
-form, and `split_chain` splits a given L's rows into L(1) ... L(p).
+ladder), the chain's global coefficient index (`gamma`), a band matrix's
+entry (i, j) with its bounds check (`entry`; the package reads whole
+bands), the readers of the chain and vector wire formats (`read_chain`,
+`read_vector`; the vector as moment tuples), and the left-to-right
+windowed product of a factor sequence (`product_window`; the package forms
+its products one `multiply_window` at a time). L has no matrix type in the
+package, which passes it as rows from the LU to the chain: `unit_lower`
+builds its matrix form, and `split_chain` splits a given L's rows into
+L(1) ... L(p).
 """
 
 import json
@@ -337,10 +339,18 @@ def catalan_hessenberg(n):
     return BandedHessenberg(1, n, {0: [2] * n, -1: [0] + [1] * (n - 1)})
 
 
-def dense_rows(mat, n=None):
-    """Entry grid of anything exposing entry(i, j)."""
-    n = mat.n if n is None else n
-    return [[mat.entry(i, j) for j in range(n)] for i in range(n)]
+def entry(mat, i, j):
+    """Entry (i, j) of a band matrix: slot i of its band j - i, or zero
+    outside its bands."""
+    if not (0 <= i < mat.n and 0 <= j < mat.n):
+        raise IndexOutOfRange(f"({i}, {j}) outside {mat.n}x{mat.n}")
+    d = j - i
+    return mat.band(d)[i] if -mat.lower <= d <= mat.upper else Fraction(0)
+
+
+def dense_rows(mat):
+    """Entry grid of a band matrix."""
+    return [[entry(mat, i, j) for j in range(mat.n)] for i in range(mat.n)]
 
 
 def cofactor_det(rows):
@@ -731,7 +741,7 @@ def transport_identity_by_dense(factors, stage_ladders, j, s):
     blocks of L(1) .. L(j), multiplied left to right, times stair_j(s)."""
     lhs = DenseMatrix.identity(s)
     for factor in factors[:j]:
-        lhs = lhs * DenseMatrix.from_function(s, s, factor.entry)
+        lhs = lhs * DenseMatrix.from_function(s, s, lambda r, c: entry(factor, r, c))
     stage, source = stage_ladders[j], stage_ladders[0]
     stair = DenseMatrix.from_function(s, s, lambda r, c: stage.value(c + 2, r))
     slab = DenseMatrix.from_function(s, s, lambda r, c: source.value(j + 2 + c, r))

@@ -264,6 +264,36 @@ MUTANTS = (
         ("tests/test_banded.py::test_from_band_matrix_zero_shift_is_the_general_formula",),
     ),
     Mutant(
+        "product-reads-b-at-the-row-not-the-column",
+        "src/banded_darboux/banded.py",
+        "y = b_band[i + da]",
+        "y = b_band[i]",
+        (
+            "tests/test_banded.py::test_multiply_window_matches_the_dense_product_for_any_widths",
+            "tests/test_banded.py::test_band_closure_of_unit_lower_products",
+        ),
+    ),
+    Mutant(
+        "product-sums-into-the-band-difference",
+        "src/banded_darboux/banded.py",
+        "bands.get(da + db)",
+        "bands.get(da - db)",
+        (
+            "tests/test_banded.py::test_multiply_window_matches_the_dense_product_for_any_widths",
+            "tests/test_banded.py::test_band_closure_of_unit_lower_products",
+        ),
+    ),
+    Mutant(
+        "product-skips-the-last-row",
+        "src/banded_darboux/banded.py",
+        "range(max(0, -da), min(n, n - da))",
+        "range(max(0, -da), min(n, n - da) - 1)",
+        (
+            "tests/test_banded.py::test_multiply_window_matches_the_dense_product_for_any_widths",
+            "tests/test_banded.py::test_multiply_upper_times_lower_window_shrinks",
+        ),
+    ),
+    Mutant(
         "recurrence-term-denominator-without-its-polynomial",
         "src/banded_darboux/banded.py",
         "lcm(*(v.denominator * d_s for v, _, d_s in",

@@ -42,6 +42,7 @@ from helpers import (
     det_exact,
     divide_exactly,
     draw_rational,
+    entry,
     g_matrix,
     gamma,
     hand_example,
@@ -109,7 +110,7 @@ def test_02_characteristic_equals_determinants():
             for point in range(order + 1):
                 z = Fraction(point)
                 minor = DenseMatrix.from_function(
-                    order, order, lambda i, j: (z if i == j else 0) - J.entry(i, j)
+                    order, order, lambda i, j: (z if i == j else 0) - entry(J, i, j)
                 )
                 assert polys[order](z) == det_exact(minor)
                 checks += 1
@@ -161,7 +162,7 @@ def test_04_kernel_relations_50_chains():
                 rhs = seqs[j][m + 1]
                 for s in range(p):
                     if m - s >= 0:
-                        rhs = rhs + G.entry(m, m - s) * seqs[j][m - s]
+                        rhs = rhs + entry(G, m, m - s) * seqs[j][m - s]
                 assert lhs == rhs
                 relation_checks += 1
         values = recurrence_values_by_fractions(inst.J, shift, n)
@@ -197,9 +198,9 @@ def test_05_dual_chain_relations_50_chains():
                 compared += 1
             for m in range(depth - p):
                 lhs = duals[j][m].shift_multiply(shift)
-                acc = duals[j + 1][m].scaled(G.entry(m, m))
+                acc = duals[j + 1][m].scaled(entry(G, m, m))
                 for s in range(1, p):
-                    acc = acc + duals[j + 1][m + s].scaled(G.entry(m + s, m))
+                    acc = acc + duals[j + 1][m + s].scaled(entry(G, m + s, m))
                 if m - 1 >= 0:
                     acc = acc + duals[j + 1][m - 1]
                 assert lhs.agrees_with(acc)
@@ -296,7 +297,7 @@ def test_09_single_band_reduction():
     dense = dense_mul(dense_rows(chain.upper), dense_rows(chain.factors[0]))
     for i in range(J1.valid_rows):
         for j in range(n):
-            assert J1.entry(i, j) == dense[i][j] + (0 if i != j else chain.shift)
+            assert entry(J1, i, j) == dense[i][j] + (0 if i != j else chain.shift)
     P = as_polys(characteristic_polys(inst.J, 11))
     [(_, got)] = transformed_polys(chain, 10, [1])
     got = as_polys(got)

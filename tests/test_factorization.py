@@ -34,6 +34,7 @@ from helpers import (
     dense_rows,
     divide_exactly,
     draw_rational,
+    entry,
     freivalds_mismatches,
     g_matrix,
     gamma,
@@ -241,12 +242,12 @@ def test_rotation_catalan_p1():
     chain = chain_from_instance(inst, (), inst.n)
     J1 = dict(darboux_transform(chain, [1]))[1]
     assert J1.a(0, 0) == Fraction(5, 2)
-    assert J1.entry(0, 1) == 1
+    assert entry(J1, 0, 1) == 1
     dense = dense_mul(dense_rows(chain.upper), dense_rows(chain.factors[0]))
     for i in range(J1.valid_rows):
         for j in range(6):
             expected = dense[i][j] + (chain.shift if i == j else 0)
-            assert J1.entry(i, j) == expected
+            assert entry(J1, i, j) == expected
 
 
 def test_rotation_full_cycle_dense_oracle():
@@ -264,10 +265,10 @@ def test_rotation_full_cycle_dense_oracle():
         for i in range(got.valid_rows):
             for k in range(7):
                 expected = acc[i][k] + (chain.shift if i == k else 0)
-                assert got.entry(i, k) == expected
+                assert entry(got, i, k) == expected
         if j > 0:
             assert got.valid_rows == 6
-        assert all(got.entry(i, i + 1) == 1 for i in range(min(got.valid_rows, 6)))
+        assert all(entry(got, i, i + 1) == 1 for i in range(min(got.valid_rows, 6)))
 
 
 def test_rotation_index_bounds():
@@ -305,9 +306,9 @@ def test_g_matrix_p1_is_the_upper_factor():
     chain = chain_from_instance(inst, (), inst.n)
     G = g_matrix(chain, 0)
     for i in range(5):
-        assert G.entry(i, i) == chain.upper.diag[i]
+        assert entry(G, i, i) == chain.upper.diag[i]
         if i + 1 < 5:
-            assert G.entry(i, i + 1) == 1
+            assert entry(G, i, i + 1) == 1
 
 
 def test_g_matrix_dense_oracle_and_band_profile():
@@ -323,14 +324,14 @@ def test_g_matrix_dense_oracle_and_band_profile():
             acc = dense_mul(acc, m)
         for i in range(G.valid_rows):
             for k in range(8):
-                assert G.entry(i, k) == acc[i][k]
+                assert entry(G, i, k) == acc[i][k]
         # (p+1)-banded Hessenberg: support n-p+1 .. n+1 with unit top.
         for i in range(G.valid_rows):
             for k in range(8):
                 if k > i + 1 or k < i - 2:
-                    assert G.entry(i, k) == 0
+                    assert entry(G, i, k) == 0
             if i + 1 < 8:
-                assert G.entry(i, i + 1) == 1
+                assert entry(G, i, i + 1) == 1
 
 
 def test_g_matrix_lowest_band_nonzero_for_regular_chains():
@@ -344,7 +345,7 @@ def test_g_matrix_lowest_band_nonzero_for_regular_chains():
         for j in range(3):
             G = g_matrix(chain, j)
             for i in range(2, G.valid_rows):
-                assert G.entry(i, i - 2) != 0
+                assert entry(G, i, i - 2) != 0
 
 
 def test_transformed_sequence_starts_at_one_and_is_monic():

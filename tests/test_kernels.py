@@ -61,6 +61,7 @@ from helpers import (
     characteristic_polys_by_polynomials,
     darboux_transform_chained,
     dual_sequence_by_inversion,
+    entry,
     peel_stages_full,
     plain_json,
     recurrence_values_by_fractions,
@@ -220,7 +221,7 @@ def test_rotation_on_leading_block_matches_full_chain(chain):
             assert lead.valid_rows == (m if j == 0 else m - 1)
             for i in range(lead.valid_rows):
                 for c in range(m):
-                    assert lead.entry(i, c) == full.entry(i, c)
+                    assert entry(lead, i, c) == entry(full, i, c)
 
 
 # The modulus of the LU's and the peel's residue checks, 2^61 - 1.
@@ -571,13 +572,13 @@ def test_undecided_peel_tail_reruns_the_exact_chain(n, bound, forced, data):
     # A(i, m) = L(i, m) u_m + L(i, m-1) for A = J - C*I = L U.
     bands = {
         -d: [
-            L.entry(i, i - d) * u[i - d] + (L.entry(i, i - d - 1) if i > d else 0)
+            entry(L, i, i - d) * u[i - d] + (entry(L, i, i - d - 1) if i > d else 0)
             if i >= d else 0
             for i in range(n)
         ]
         for d in range(1, 3)
     }
-    bands[0] = [shift + u[i] + (L.entry(i, i - 1) if i else 0) for i in range(n)]
+    bands[0] = [shift + u[i] + (entry(L, i, i - 1) if i else 0) for i in range(n)]
     inst = ShiftedInstance(BandedHessenberg(2, n, bands), shift)
     free = [[0]]
     spy = mock.Mock(wraps=factorization.shifted_lu)
