@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .banded import characteristic_polys
 from .errors import (
@@ -111,8 +110,7 @@ def stage_ladder(ladder: LambdaLadder, factor_sub: Sequence[ScalarLike]) -> Lamb
     return LambdaLadder(new_rows)
 
 
-@dataclass(frozen=True)
-class StagingResult:
+class StagingResult(NamedTuple):
     """Stage ladders, per-stage minors and free entries.
 
     `stage_ladders[j]` is the stage-j ladder; `violation` is the (stage,
@@ -184,8 +182,7 @@ def staircase_transport_identity(
     return rows == [[source.value(j + 2 + c, r) for c in range(s)] for r in range(s)]
 
 
-@dataclass(frozen=True)
-class StageVerdict:
+class StageVerdict(NamedTuple):
     """Orthogonality outcome for one transform index."""
 
     j: int
@@ -199,8 +196,7 @@ class StageVerdict:
         return {"j": self.j, **self.report.to_json_dict()}
 
 
-@dataclass(frozen=True)
-class PartialFactorization:
+class PartialFactorization(NamedTuple):
     """What exists when a staged minor vanishes at stage >= 1.
 
     The chain stops after `stages` bidiagonal factors; the remainder is unit
@@ -222,8 +218,7 @@ class PartialFactorization:
         }
 
 
-@dataclass(frozen=True)
-class TheoremCertificate:
+class TheoremCertificate(NamedTuple):
     """Aggregated evidence for one engine run; passed means every box held."""
 
     fingerprint: str

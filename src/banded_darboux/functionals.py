@@ -46,12 +46,11 @@ Fraction over d_nu * d_n is formed only for a value that is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .banded import BandedHessenberg
 from .errors import (
@@ -299,8 +298,7 @@ def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * work[-1][-1], scale) if n else Fraction(1)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One failed orthogonality check: kind is "zero" or "nonzero"."""
 
     kind: str
@@ -319,8 +317,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Outcome of the exhaustive staircase scan over a finite window."""
 
     p: int

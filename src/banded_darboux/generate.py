@@ -11,9 +11,8 @@ k >= s, so no vector of staircase orthogonality exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .banded import BandedHessenberg
 from .engine import StagingResult, _staging, moment_budget
@@ -91,8 +90,7 @@ def _typed(key: str, value, kind: type = int):
     return value
 
 
-@dataclass
-class InstanceConfig:
+class InstanceConfig(NamedTuple):
     """One reproducible run: sizes, sources, seed, and output knobs."""
 
     p: int
@@ -236,8 +234,7 @@ class InstanceConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
+class GeneratedInstance(NamedTuple):
     """Instance, the staging of its ladder (the ladder is
     `staging.stage_ladders[0]`), and the retries it took. The config it came
     from is not kept: the caller has it."""

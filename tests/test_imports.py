@@ -149,10 +149,10 @@ def test_every_package_definition_is_read_in_the_package():
 
     The match is by bare name, so a member that shares its name with one
     that is read elsewhere (a `from_json_dict` beside the one the CLI calls,
-    a `value` beside `LambdaLadder.value`, a dense matrix's `entry` beside
-    `BandMatrix.entry`) is out of this test's reach. The complement is a
-    run-time check: wrap every function and method of the package, run the
-    five commands (and `transform --j 1`) on configs that end in each of
+    a `value` beside `LambdaLadder.value`, a `passed` on one record beside
+    `TheoremCertificate.passed`) is out of this test's reach. The complement
+    is a run-time check: wrap every function and method of the package, run
+    the five commands (and `transform --j 1`) on configs that end in each of
     the exits 0-3, and list the members no command called.
     """
     assert unreached_definitions(PACKAGE) == []
